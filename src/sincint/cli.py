@@ -32,7 +32,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .densefun import sym_eigendecomposition
+from .densefun import sinc_apply_dense
 from .expsum import ExpSumPlan, expsum_sinc
 from .fem import structured_mesh, wave_demo_problem
 from .integrators import (
@@ -44,7 +44,7 @@ from .integrators import (
     make_filters,
 )
 from .krylov import PoleCollisionError, ShiftedSolveCache, sinc_apply
-from .poles import poles_E, poles_L, poles_Lbar, poles_pade_exp, poles_pade_sinc
+from .poles import POLE_FAMILIES, SINC_FAMILIES, sinc_family
 from .problems import (
     laplacian_1d,
     laplacian_2d,
@@ -52,15 +52,6 @@ from .problems import (
     synthetic_problem,
     synthetic_reference,
 )
-from .special import sinc
-
-_FAMILY_FNS = {
-    "E": poles_E,
-    "L": poles_L,
-    "Lbar": poles_Lbar,
-    "pade-sinc": poles_pade_sinc,
-    "pade-exp": poles_pade_exp,
-}
 
 
 def parse_backend(text: str):
@@ -76,8 +67,7 @@ def parse_backend(text: str):
             if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "raw"):
                 raise ValueError("expected ratkrylov:FAMILY:nN|TOL[:raw]")
             family, spec = parts[1], parts[2]
-            if family not in ("E", "L", "Lbar", "pade-sinc"):
-                raise ValueError(f"unknown pole family {family!r}")
+            sinc_family(family)
             map_poles = len(parts) == 3
             if spec.startswith("n") and spec[1:].isdigit():
                 return RationalKrylovBackend(family=family, n=int(spec[1:]),
@@ -121,8 +111,7 @@ def _say(args, msg: str) -> None:
 
 
 def cmd_poles(args) -> int:
-    fn = _FAMILY_FNS[args.family]
-    ps = fn(args.n)
+    ps = POLE_FAMILIES[args.family](args.n)
     with _open_out(args.out) as fh:
         w = _writer(fh)
         w.writerow(["re", "im"])
@@ -161,8 +150,7 @@ def cmd_poles_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    lam, Q = sym_eigendecomposition(A)
-    y_ref = Q @ (np.asarray(sinc(lam)) * (Q.T @ v))
+    y_ref = sinc_apply_dense(A, v)
     ref_norm = np.linalg.norm(y_ref)
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     cache = ShiftedSolveCache(A)
@@ -171,13 +159,12 @@ def cmd_poles_bench(args) -> int:
         w.writerow(["matrix", "family", "n", "k", "rel_error", "seconds",
                     "stagnated"])
         for family in families:
-            if family not in _FAMILY_FNS or family == "pade-exp":
-                raise ValueError(f"family {family!r} is not a sinc family")
+            poles = sinc_family(family)
             prev = None
             degrees = (range(2, min(args.n_max, 10) + 1, 2)
                        if family == "pade-sinc" else range(1, args.n_max + 1))
             for deg in degrees:
-                ps = _FAMILY_FNS[family](deg)
+                ps = poles(deg)
                 t0 = time.perf_counter()
                 y = sinc_apply(A, v, ps, cache=cache)
                 dt = time.perf_counter() - t0
@@ -196,8 +183,7 @@ def cmd_expsum_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    lam, Q = sym_eigendecomposition(A)
-    y_ref = Q @ (np.asarray(sinc(lam)) * (Q.T @ v))
+    y_ref = sinc_apply_dense(A, v)
     ref_norm = np.linalg.norm(y_ref)
     cache = ShiftedSolveCache(A) if args.inner == "krylov" else None
     with _open_out(args.out) as fh:
@@ -295,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="suppress progress messages on stderr")
 
     p = sub.add_parser("poles", help="print a pole family as CSV")
-    p.add_argument("--family", required=True, choices=sorted(_FAMILY_FNS))
+    p.add_argument("--family", required=True, choices=sorted(POLE_FAMILIES))
     p.add_argument("--n", required=True, type=int, help="family degree")
     add_common(p, seed=False)
     p.set_defaults(func=cmd_poles)
@@ -311,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pole-family accuracy sweep for sinc(A)v")
     p.add_argument("--matrix", default="lap1d",
                    choices=["lap1d", "lap2d", "fem"])
-    p.add_argument("--families", default="E,L,Lbar,pade-sinc",
+    p.add_argument("--families", default=",".join(SINC_FAMILIES),
                    help="comma list of families (default all four)")
     p.add_argument("--n-max", type=int, default=12)
     add_common(p, small=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bounds import expsum_bound
 from .densefun import sym_eigendecomposition
-from .krylov import ShiftedSolveCache, build_space
+from .krylov import ShiftedSolveCache, apply_function, build_space
 from .poles import poles_pade_exp
 from .special import gauss_legendre, sinc
 
@@ -33,9 +33,9 @@ __all__ = [
     "expsum_sinc2",
     "expsum_error_check",
     "estimate_spectral_radius",
+    "scalar_sum_sinc",
+    "scalar_sum_sinc2",
 ]
-
-_REAL_GUARD_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -80,14 +80,16 @@ def _sinc2_coeff(nu: int) -> tuple[np.ndarray, np.ndarray]:
     return rule.nodes, 0.125 * rule.weights * (2.0 * rule.nodes + 4.0)
 
 
-def _scalar_sum_sinc(mu: np.ndarray, nu: int) -> np.ndarray:
+def scalar_sum_sinc(mu: np.ndarray, nu: int) -> np.ndarray:
+    """The nu-node quadrature of sinc(mu), elementwise."""
     nodes, w = _sinc_coeff(nu)
     # the rule is symmetric about 0, so the exponential sum collapses
     # to a cosine sum with the same (already halved) weights
     return np.cos(np.outer(mu, nodes)) @ w
 
 
-def _scalar_sum_sinc2(mu: np.ndarray, nu: int) -> np.ndarray:
+def scalar_sum_sinc2(mu: np.ndarray, nu: int) -> np.ndarray:
+    """The nu-node folded-triangle quadrature of sinc(mu)^2, elementwise."""
     nodes, w = _sinc2_coeff(nu)
     return np.cos(np.outer(mu, nodes)) @ (2.0 * w)
 
@@ -96,24 +98,17 @@ def _apply(A, v: np.ndarray, plan: ExpSumPlan, scalar_sum: Callable,
            eig_map: Callable | None,
            cache: ShiftedSolveCache | None) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64).reshape(-1)
+
+    def f(lam):
+        return scalar_sum(eig_map(lam) if eig_map is not None else lam, plan.nu)
+
     if plan.inner == "dense":
         lam, Q = sym_eigendecomposition(A)
-        mu = eig_map(lam) if eig_map is not None else lam
-        g = scalar_sum(mu, plan.nu)
-        return Q @ (g * (Q.T @ v))
+        return Q @ (f(lam) * (Q.T @ v))
+    # the pade-exp poles are conjugate closed, so apply_function returns
+    # the real part after checking the imaginary residue
     space = build_space(A, v, poles_pade_exp(plan.k), k=plan.k + 1, cache=cache)
-    lam, U = np.linalg.eigh(0.5 * (space.A_k + space.A_k.conj().T))
-    mu = eig_map(lam) if eig_map is not None else lam
-    g = scalar_sum(mu, plan.nu)
-    c = U.conj().T @ (space.V.conj().T @ v)
-    y = space.V @ (U @ (g * c))
-    scale = max(float(np.linalg.norm(y)), 1e-300)
-    if float(np.linalg.norm(y.imag)) > _REAL_GUARD_RTOL * scale:
-        raise FloatingPointError(
-            "exponential sum produced a large imaginary residue; "
-            "the projected problem is numerically degenerate"
-        )
-    return np.ascontiguousarray(y.real)
+    return apply_function(space, f, v)
 
 
 def expsum_sinc(A, v: np.ndarray, plan: ExpSumPlan,
@@ -126,7 +121,7 @@ def expsum_sinc(A, v: np.ndarray, plan: ExpSumPlan,
     the integrator filters discharge the square root onto the projected
     matrix (sigma(h^2 A) corresponds to mu = h sqrt(lambda)).
     """
-    return _apply(A, v, plan, _scalar_sum_sinc, eig_map, cache)
+    return _apply(A, v, plan, scalar_sum_sinc, eig_map, cache)
 
 
 def expsum_sinc2(A, v: np.ndarray, plan: ExpSumPlan,
@@ -137,7 +132,7 @@ def expsum_sinc2(A, v: np.ndarray, plan: ExpSumPlan,
     With mu = (h/2) sqrt(lambda) as eig_map this evaluates the inner
     filter psi(h^2 A) v of the one-step scheme.
     """
-    return _apply(A, v, plan, _scalar_sum_sinc2, eig_map, cache)
+    return _apply(A, v, plan, scalar_sum_sinc2, eig_map, cache)
 
 
 def expsum_error_check(A, nu: int, seed: int = 0) -> tuple[float, float]:
@@ -150,7 +145,7 @@ def expsum_error_check(A, nu: int, seed: int = 0) -> tuple[float, float]:
     estimate of the spectral radius.
     """
     lam, _ = sym_eigendecomposition(A)
-    g = _scalar_sum_sinc(lam, nu)
+    g = scalar_sum_sinc(lam, nu)
     measured = float(np.max(np.abs(sinc(lam) - g)))
     rho = estimate_spectral_radius(A, seed=seed)
     return measured, expsum_bound(nu, rho)

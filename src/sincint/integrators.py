@@ -15,8 +15,9 @@ provided for comparison.
 Filters are evaluated by interchangeable backends: a dense spectral
 oracle, rational Krylov spaces with mapped pole families (optionally
 sized automatically from the a-priori bounds and a power-iteration
-spectral estimate), or exponential sums evaluated on one projected
-matrix per product.
+spectral estimate), or exponential sums on the dense eigendecomposition
+or on one projected matrix per product.  make_filters builds the engine
+once per (A, h); the steps only call its psi and sigma.
 """
 
 from __future__ import annotations
@@ -29,16 +30,10 @@ import scipy.sparse as sp
 
 from .bounds import select_pole_count
 from .densefun import sym_eigendecomposition
-from .expsum import ExpSumPlan, estimate_spectral_radius, expsum_sinc, expsum_sinc2
+from .expsum import (ExpSumPlan, estimate_spectral_radius, expsum_sinc,
+                     expsum_sinc2, scalar_sum_sinc, scalar_sum_sinc2)
 from .krylov import ShiftedSolveCache, apply_function, build_space
-from .poles import (
-    poles_E,
-    poles_L,
-    poles_Lbar,
-    poles_pade_sinc,
-    scale_poles,
-    square_poles,
-)
+from .poles import filter_poles, sinc_family
 from .special import psi as psi_scalar
 from .special import sigma as sigma_scalar
 
@@ -171,22 +166,16 @@ class ExpSumBackend:
     inner: str = "krylov"
 
 
-_POLE_FACTORIES = {
-    "E": poles_E,
-    "L": poles_L,
-    "Lbar": poles_Lbar,
-    "pade-sinc": poles_pade_sinc,
-}
-
-
 class _DenseFilters:
+    """Filters as eigenvalue maps on one eigendecomposition of A."""
+
     pole_degree = 0
 
-    def __init__(self, A, h: float):
+    def __init__(self, A, f_psi: Callable, f_sigma: Callable):
         lam, Q = sym_eigendecomposition(A)
         self._Q = Q
-        self._psi = np.asarray(psi_scalar(h * h * lam))
-        self._sigma = np.asarray(sigma_scalar(h * h * lam))
+        self._psi = np.asarray(f_psi(lam))
+        self._sigma = np.asarray(f_sigma(lam))
 
     def psi(self, w: np.ndarray) -> np.ndarray:
         return self._Q @ (self._psi * (self._Q.T @ w))
@@ -198,11 +187,7 @@ class _DenseFilters:
 class _KrylovFilters:
     def __init__(self, A, h: float, backend: RationalKrylovBackend):
         family = backend.family
-        if family not in _POLE_FACTORIES:
-            raise ValueError(
-                f"unknown pole family {family!r}; expected one of "
-                f"{tuple(_POLE_FACTORIES)}"
-            )
+        poles = sinc_family(family)
         if backend.tol is not None:
             if family == "pade-sinc":
                 raise ValueError(
@@ -215,50 +200,41 @@ class _KrylovFilters:
             n = select_pole_count(family, zmax, backend.tol)
         else:
             n = backend.n
-        base = _POLE_FACTORIES[family](n)
         self.pole_degree = n
-        if backend.map_poles:
-            self._psi_poles = square_poles(scale_poles(base, 2.0))
-            self._sigma_poles = square_poles(base)
-        else:
-            self._psi_poles = base
-            self._sigma_poles = base
+        self._psi_poles, self._sigma_poles = filter_poles(poles(n),
+                                                          backend.map_poles)
         B = sp.csc_matrix(A, dtype=np.float64) * (h * h)
         self._cache = ShiftedSolveCache(B)
         self._B = self._cache.matrix
-        self._k_psi = len(self._psi_poles) + 1
-        self._k_sigma = len(self._sigma_poles) + 1
 
-    def _filter(self, w, poles, k, f):
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
+    def _filter(self, w, poles, f):
+        if np.linalg.norm(w) == 0.0:
             return np.zeros_like(w)
-        space = build_space(self._B, w, poles, k=k, cache=self._cache)
+        space = build_space(self._B, w, poles, cache=self._cache)
         return apply_function(space, f, w)
 
     def psi(self, w: np.ndarray) -> np.ndarray:
-        return self._filter(w, self._psi_poles, self._k_psi, psi_scalar)
+        return self._filter(w, self._psi_poles, psi_scalar)
 
     def sigma(self, w: np.ndarray) -> np.ndarray:
-        return self._filter(w, self._sigma_poles, self._k_sigma, sigma_scalar)
+        return self._filter(w, self._sigma_poles, sigma_scalar)
+
+
+def _sqrt_map(c: float) -> Callable:
+    """lam -> c sqrt(lam): psi(h^2 lam) is sinc^2 of it at c = h/2,
+    sigma(h^2 lam) sinc of it at c = h."""
+    return lambda lam: c * np.sqrt(np.clip(lam, 0.0, None))
 
 
 class _ExpSumFilters:
-    def __init__(self, A, h: float, backend: ExpSumBackend):
-        self._A = sp.csc_matrix(A, dtype=np.float64) if sp.issparse(A) else A
-        self._plan = ExpSumPlan(nu=backend.nu, inner=backend.inner, k=backend.k)
-        self._cache = (ShiftedSolveCache(self._A)
-                       if backend.inner == "krylov" else None)
-        if self._cache is not None:
-            self._A = self._cache.matrix
-        self._h = h
-        self.pole_degree = backend.k if backend.inner == "krylov" else 0
+    """Exponential sums on one projected rational Krylov space per product."""
 
-    def _mu_sigma(self, lam):
-        return self._h * np.sqrt(np.clip(lam, 0.0, None))
-
-    def _mu_psi(self, lam):
-        return 0.5 * self._h * np.sqrt(np.clip(lam, 0.0, None))
+    def __init__(self, A, h: float, plan: ExpSumPlan):
+        self._cache = ShiftedSolveCache(sp.csc_matrix(A, dtype=np.float64))
+        self._A = self._cache.matrix
+        self._plan = plan
+        self._mu_psi, self._mu_sigma = _sqrt_map(0.5 * h), _sqrt_map(h)
+        self.pole_degree = plan.k
 
     def psi(self, w: np.ndarray) -> np.ndarray:
         if np.linalg.norm(w) == 0.0:
@@ -295,11 +271,18 @@ def make_filters(A, h: float, backend):
     if hasattr(backend, "psi") and hasattr(backend, "sigma"):
         return backend
     if isinstance(backend, DenseBackend):
-        return _DenseFilters(A, h)
+        return _DenseFilters(A, lambda lam: psi_scalar(h * h * lam),
+                             lambda lam: sigma_scalar(h * h * lam))
     if isinstance(backend, RationalKrylovBackend):
         return _KrylovFilters(A, h, backend)
     if isinstance(backend, ExpSumBackend):
-        return _ExpSumFilters(A, h, backend)
+        plan = ExpSumPlan(nu=backend.nu, inner=backend.inner, k=backend.k)
+        if plan.inner == "krylov":
+            return _ExpSumFilters(A, h, plan)
+        mu_psi, mu_sigma = _sqrt_map(0.5 * h), _sqrt_map(h)
+        return _DenseFilters(A,
+                             lambda lam: scalar_sum_sinc2(mu_psi(lam), plan.nu),
+                             lambda lam: scalar_sum_sinc(mu_sigma(lam), plan.nu))
     raise TypeError(f"unknown backend {backend!r}")
 
 
@@ -314,11 +297,11 @@ def _check_finite(y: np.ndarray, n: int, t: float) -> None:
         )
 
 
-def gautschi_init(ivp: SecondOrderIVP, h: float, backend) -> IntegratorState:
-    """Form the staggered initial state (y_0, v_{1/2})."""
+def gautschi_init(ivp: SecondOrderIVP, h: float, engine) -> IntegratorState:
+    """Form the staggered initial state (y_0, v_{1/2}); engine comes
+    from make_filters(ivp.A, h, backend)."""
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
-    engine = make_filters(ivp.A, h, backend)
     w = ivp.rhs(ivp.t0, ivp.y0)
     v_half = 0.5 * h * engine.psi(w)
     if np.linalg.norm(ivp.y1) > 0.0:
@@ -327,9 +310,9 @@ def gautschi_init(ivp: SecondOrderIVP, h: float, backend) -> IntegratorState:
 
 
 def gautschi_step(state: IntegratorState, ivp: SecondOrderIVP,
-                  backend) -> IntegratorState:
-    """Advance one step: exactly one psi product and one product with A."""
-    engine = make_filters(ivp.A, state.h, backend)
+                  engine) -> IntegratorState:
+    """Advance one step with the engine of (ivp.A, state.h): exactly one
+    psi product and one product with A."""
     h = state.h
     y_next = state.y + h * state.v_half
     t_next = state.t + h
@@ -351,7 +334,8 @@ def _step_count(ivp: SecondOrderIVP, h: float) -> int:
 
 
 def gautschi_integrate(ivp: SecondOrderIVP, h: float, backend) -> Trajectory:
-    """Run the scheme over [t0, tf] and record the full trajectory."""
+    """Run the scheme over [t0, tf] and record the full trajectory;
+    backend is a backend descriptor or an engine from make_filters."""
     engine = make_filters(ivp.A, h, backend)
     n_steps = _step_count(ivp, h)
     d = ivp.dim

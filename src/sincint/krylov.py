@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .poles import PoleSet, scale_poles, square_poles
+from .poles import PoleSet, filter_poles
 from .special import psi, sigma, sinc
 
 __all__ = [
@@ -47,13 +47,9 @@ class PoleCollisionError(RuntimeError):
 
 
 def _check_symmetric(A, rtol: float = 1e-12) -> None:
-    if sp.issparse(A):
-        diff = abs(A - A.T)
-        dmax = diff.max() if diff.nnz else 0.0
-        scale = abs(A).max() if A.nnz else 1.0
-    else:
-        dmax = np.abs(A - A.T).max()
-        scale = np.abs(A).max()
+    diff = abs(A - A.T)
+    dmax = diff.max() if diff.nnz else 0.0
+    scale = abs(A).max() if A.nnz else 1.0
     if dmax > rtol * max(scale, 1.0):
         raise ValueError("matrix must be real symmetric (max |A - A^T| too large)")
 
@@ -63,13 +59,15 @@ class ShiftedSolveCache:
 
     Building a factorization is the dominant cost of a rational Krylov
     step; inside a time integrator the same pole set is reused at every
-    step, so the cache is shared across calls.
+    step, so the cache is shared across calls.  The matrix is checked
+    for symmetry here, once, rather than on every space built with it.
     """
 
     def __init__(self, A):
         if not sp.issparse(A):
             A = sp.csc_matrix(np.asarray(A, dtype=np.float64))
         self._A = A.tocsc()
+        _check_symmetric(self._A)
         n = self._A.shape[0]
         self._eye = sp.identity(n, format="csc")
         self._lu: dict[complex, spla.SuperLU] = {}
@@ -132,7 +130,6 @@ def build_space(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
     if cache is None:
         cache = ShiftedSolveCache(A)
     A = cache.matrix
-    _check_symmetric(A)
     n = A.shape[0]
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     if v.shape[0] != n:
@@ -234,10 +231,8 @@ def psi_apply(A, v: np.ndarray, poles: PoleSet, h: float = 1.0,
     half-argument of psi; pass map_poles=False to supply matrix-plane
     poles directly.  The cache, when given, must factor B = h^2 A.
     """
-    B = A * (h * h) if h != 1.0 else A
-    ps = square_poles(scale_poles(poles, 2.0)) if map_poles else poles
-    space = build_space(B, v, ps, k=k, cache=cache)
-    return apply_function(space, psi, v, realify=realify)
+    return _filter_apply(A, v, filter_poles(poles, map_poles)[0], h, k,
+                         cache, psi, realify)
 
 
 def sigma_apply(A, v: np.ndarray, poles: PoleSet, h: float = 1.0,
@@ -247,7 +242,11 @@ def sigma_apply(A, v: np.ndarray, poles: PoleSet, h: float = 1.0,
 
     Sinc-plane poles are mapped to zeta^2 unless map_poles=False.
     """
+    return _filter_apply(A, v, filter_poles(poles, map_poles)[1], h, k,
+                         cache, sigma, realify)
+
+
+def _filter_apply(A, v, poles, h, k, cache, f, realify):
     B = A * (h * h) if h != 1.0 else A
-    ps = square_poles(poles) if map_poles else poles
-    space = build_space(B, v, ps, k=k, cache=cache)
-    return apply_function(space, sigma, v, realify=realify)
+    space = build_space(B, v, poles, k=k, cache=cache)
+    return apply_function(space, f, v, realify=realify)

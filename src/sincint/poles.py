@@ -13,9 +13,9 @@ with negative integer parameter:
   (2k)!/k! 1F1(-k; -2k; x), all in the open left half-plane (k poles).
 
 Pole sets live on the "sinc plane": they target sinc(A)v directly.  The
-integrator filters act on h^2 A, and :func:`square_poles` together with
-:func:`scale_poles` transports a sinc-plane set to that matrix plane
-(zeta -> zeta^2 for sigma, zeta -> (2 zeta)^2 for psi).
+integrator filters act on h^2 A, and :func:`filter_poles` transports a
+sinc-plane set to that matrix plane (zeta -> zeta^2 for sigma,
+zeta -> (2 zeta)^2 for psi).
 """
 
 from __future__ import annotations
@@ -36,9 +36,11 @@ __all__ = [
     "poles_pade_exp",
     "scale_poles",
     "square_poles",
+    "filter_poles",
+    "POLE_FAMILIES",
+    "SINC_FAMILIES",
+    "sinc_family",
 ]
-
-FAMILY_LABELS = ("E", "L", "Lbar", "pade-sinc", "pade-exp")
 
 
 def _canonical_order(values) -> tuple[complex, ...]:
@@ -152,12 +154,7 @@ def _check_degree(n: int) -> None:
 
 
 def scale_poles(ps: PoleSet, c: complex) -> PoleSet:
-    """Multiply every finite pole by c, keeping label and degree.
-
-    Used to transport sinc-plane poles before squaring: psi(z) involves
-    sinc at half the square root, so its matrix-plane poles are
-    square_poles(scale_poles(ps, 2)).
-    """
+    """Multiply every finite pole by c, keeping label and degree."""
     if c == 0:
         raise ValueError("scale factor must be nonzero")
     vals = tuple(v if _is_inf(v) else complex(v) * c for v in ps.values)
@@ -174,3 +171,34 @@ def square_poles(ps: PoleSet) -> PoleSet:
     """
     vals = tuple(v if _is_inf(v) else complex(v) ** 2 for v in ps.values)
     return PoleSet(vals, family=ps.family, degree=ps.degree)
+
+
+def filter_poles(ps: PoleSet, map_poles: bool = True) -> tuple[PoleSet, PoleSet]:
+    """Matrix-plane poles (psi, sigma) of h^2 A for a sinc-plane set.
+
+    psi = sinc(sqrt(z)/2)^2 takes (2 zeta)^2 and sigma zeta^2; with
+    map_poles=False both use ps as given (already in the matrix plane).
+    """
+    if not map_poles:
+        return ps, ps
+    return square_poles(scale_poles(ps, 2.0)), square_poles(ps)
+
+
+POLE_FAMILIES = {
+    "E": poles_E,
+    "L": poles_L,
+    "Lbar": poles_Lbar,
+    "pade-sinc": poles_pade_sinc,
+    "pade-exp": poles_pade_exp,
+}
+# pade-exp approximates exp, not sinc: it only drives the exponential sums.
+SINC_FAMILIES = tuple(f for f in POLE_FAMILIES if f != "pade-exp")
+
+
+def sinc_family(family: str):
+    """Constructor (degree -> PoleSet) of a sinc pole family."""
+    if family not in SINC_FAMILIES:
+        raise ValueError(
+            f"unknown pole family {family!r}; expected one of {SINC_FAMILIES}"
+        )
+    return POLE_FAMILIES[family]

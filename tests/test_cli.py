@@ -158,6 +158,12 @@ class TestExitCodes:
         assert rc == 3
         assert "error=guard" in capsys.readouterr().err
 
+    def test_invalid_dense_inner_expsum_is_3(self, capsys):
+        rc = main(["converge", "--N", "4", "--h-list", "0.5",
+                   "--backend", "expsum:8:0:dense", "--quiet"])
+        assert rc == 3
+        assert "error=guard" in capsys.readouterr().err
+
     def test_io_failure_is_5(self, tmp_path, capsys):
         rc = main(["poles", "--family", "E", "--n", "1",
                    "--out", str(tmp_path / "no" / "dir" / "x.csv"),

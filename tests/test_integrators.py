@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import sincint.expsum as expsum_module
+import sincint.integrators as integrators_module
 from sincint.densefun import psi_apply_dense, sigma_apply_dense
+from sincint.expsum import ExpSumPlan, expsum_sinc, expsum_sinc2
 from sincint.integrators import (
     BlowUpError,
     DenseBackend,
@@ -70,12 +73,12 @@ class TestExactness:
         prob = synthetic_problem(20)
         ivp = prob.as_ivp(tf=1.0)
         h = 0.1
-        state = gautschi_init(ivp, h, DenseBackend())
+        state = gautschi_init(ivp, h, make_filters(ivp.A, h, DenseBackend()))
         g0 = ivp.forcing(0.0) - ivp.A @ ivp.y0
         v_half = (sigma_apply_dense(ivp.A, ivp.y1, h=h)
                   + 0.5 * h * psi_apply_dense(ivp.A, g0, h=h))
         assert np.allclose(state.v_half, v_half, atol=1e-13)
-        nxt = gautschi_step(state, ivp, DenseBackend())
+        nxt = gautschi_step(state, ivp, make_filters(ivp.A, h, DenseBackend()))
         assert np.allclose(nxt.y, ivp.y0 + h * v_half, atol=1e-13)
         assert nxt.n == 1 and nxt.t == pytest.approx(h)
 
@@ -114,6 +117,70 @@ class TestOrderAndAccuracy:
         dense = gautschi_integrate(ivp, 0.05, DenseBackend())
         es = gautschi_integrate(ivp, 0.05, ExpSumBackend(nu=10, k=10))
         assert np.linalg.norm(es.final - dense.final) <= 1e-10
+
+    def test_dense_inner_expsum_backend_tracks_dense(self):
+        prob = synthetic_problem(20)
+        ivp = prob.as_ivp(tf=1.0)
+        dense = gautschi_integrate(ivp, 0.05, DenseBackend())
+        es = gautschi_integrate(
+            ivp, 0.05, ExpSumBackend(nu=10, k=10, inner="dense"))
+        assert np.linalg.norm(es.final - dense.final) <= 1e-10
+
+
+def _count_eigendecompositions(monkeypatch):
+    """Wrap sym_eigendecomposition where the engines look it up."""
+    calls = []
+    for module in (integrators_module, expsum_module):
+        original = module.sym_eigendecomposition
+
+        def counted(A, _original=original):
+            calls.append(A.shape)
+            return _original(A)
+
+        monkeypatch.setattr(module, "sym_eigendecomposition", counted)
+    return calls
+
+
+class TestDenseInnerExpSumEngine:
+    A = 1e4 * laplacian_1d(200)
+    backend = ExpSumBackend(nu=8, k=8, inner="dense")
+    h = 0.01
+
+    def test_one_eigendecomposition_per_engine(self, monkeypatch):
+        calls = _count_eigendecompositions(monkeypatch)
+        rng = np.random.default_rng(0)
+        ivp = SecondOrderIVP(A=self.A, y0=rng.standard_normal(200),
+                             y1=rng.standard_normal(200))
+        engine = make_filters(self.A, self.h, self.backend)
+        state = gautschi_init(ivp, self.h, engine)
+        for _ in range(4):
+            state = gautschi_step(state, ivp, engine)
+        assert len(calls) == 1
+
+    def test_engine_matches_expsum_products(self):
+        h = self.h
+        plan = ExpSumPlan(nu=8, inner="dense", k=8)
+        w = np.random.default_rng(1).standard_normal(200)
+        engine = make_filters(self.A, h, self.backend)
+        want_psi = expsum_sinc2(
+            self.A, w, plan,
+            eig_map=lambda lam: 0.5 * h * np.sqrt(np.clip(lam, 0.0, None)))
+        want_sigma = expsum_sinc(
+            self.A, w, plan,
+            eig_map=lambda lam: h * np.sqrt(np.clip(lam, 0.0, None)))
+        assert np.array_equal(engine.psi(w), want_psi)
+        assert np.array_equal(engine.sigma(w), want_sigma)
+
+    @pytest.mark.parametrize("nu,k,inner", [
+        (8, 0, "dense"), (0, 8, "dense"), (8, 0, "krylov"), (0, 8, "krylov"),
+        (8, 8, "magic"),
+    ])
+    def test_plan_validated_before_eigendecomposition(self, monkeypatch,
+                                                      nu, k, inner):
+        calls = _count_eigendecompositions(monkeypatch)
+        with pytest.raises(ValueError):
+            make_filters(self.A, self.h, ExpSumBackend(nu=nu, k=k, inner=inner))
+        assert calls == []
 
 
 class TestStability:

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sincint.krylov as krylov_module
 from sincint.densefun import sinc_apply_dense, sym_eigendecomposition
 from sincint.krylov import (
     PoleCollisionError,
@@ -81,6 +82,30 @@ class TestSpaceConstruction:
         A = sp.csr_matrix(np.array([[1.0, 5.0], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="symmetric"):
             build_space(A, np.ones(2), poles_E(1))
+
+
+class TestSymmetryCheck:
+    def test_scanned_once_per_cache(self, monkeypatch):
+        calls = []
+        original = krylov_module._check_symmetric
+
+        def counted(A, *args, **kwargs):
+            calls.append(A.shape)
+            return original(A, *args, **kwargs)
+
+        monkeypatch.setattr(krylov_module, "_check_symmetric", counted)
+        A = random_spd(12, 4)
+        cache = ShiftedSolveCache(A)
+        for seed in range(3):
+            build_space(A, _seed_vector(12, seed), poles_E(2), cache=cache)
+        assert len(calls) == 1
+
+    def test_cache_rejects_nonsymmetric(self):
+        A = sp.csr_matrix(np.array([[1.0, 5.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="symmetric"):
+            ShiftedSolveCache(A)
+        with pytest.raises(ValueError, match="symmetric"):
+            build_space(A.toarray(), np.ones(2), poles_E(1))
 
 
 class TestExactness:

@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from sincint.poles import (
+    POLE_FAMILIES,
+    SINC_FAMILIES,
     PoleSet,
+    filter_poles,
     poles_E,
     poles_L,
     poles_Lbar,
     poles_pade_exp,
     poles_pade_sinc,
     scale_poles,
+    sinc_family,
     square_poles,
 )
 from sincint.special import laguerre_coeffs, pade_sinc_denominator
@@ -164,3 +168,22 @@ class TestTransforms:
                 fn(0)
         with pytest.raises(ValueError):
             poles_pade_sinc(3)
+
+
+class TestRegistry:
+    def test_families(self):
+        assert set(POLE_FAMILIES) == {"E", "L", "Lbar", "pade-sinc", "pade-exp"}
+        assert SINC_FAMILIES == ("E", "L", "Lbar", "pade-sinc")
+        assert all(POLE_FAMILIES[f](2).family == f for f in POLE_FAMILIES)
+
+    @pytest.mark.parametrize("family", ["pade-exp", "Q"])
+    def test_sinc_family_rejects_others(self, family):
+        with pytest.raises(ValueError, match="unknown pole family"):
+            sinc_family(family)
+
+    def test_filter_poles_transport(self):
+        ps = poles_E(3)
+        psi_poles, sigma_poles = filter_poles(ps)
+        assert psi_poles == square_poles(scale_poles(ps, 2.0))
+        assert sigma_poles == square_poles(ps)
+        assert filter_poles(ps, map_poles=False) == (ps, ps)
