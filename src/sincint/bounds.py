@@ -41,7 +41,8 @@ def sinc_family_bound(family: str, n: int, zmax: float) -> float:
         Lbar: (2(n+1)/(4n+6)) (n!/(2n+1)!)^2 z^(2n+2)
     """
     if family not in _FAMILIES:
-        raise ValueError(f"unknown family {family!r}, expected one of {_FAMILIES}")
+        raise ValueError(f"family {family!r} has no a-priori bound (only "
+                         f"{_FAMILIES} do); give it a fixed degree n instead")
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"degree must be a positive integer, got {n!r}")
     if n > _MAX_POLE_DEGREE:

@@ -16,6 +16,7 @@ formulation of the method.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,7 +25,7 @@ import numpy as np
 from .bounds import expsum_bound
 from .densefun import sym_eigendecomposition
 from .krylov import ShiftedSolveCache, apply_function, build_space
-from .poles import poles_pade_exp
+from .poles import PoleSet, poles_pade_exp
 from .special import gauss_legendre, sinc
 
 __all__ = [
@@ -60,29 +61,36 @@ class ExpSumPlan:
         if not isinstance(self.k, int) or self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k!r}")
 
+    @functools.cached_property
+    def poles(self) -> PoleSet:
+        """The k exponential-Pade poles of the inner space, built once."""
+        return poles_pade_exp(self.k)
 
-def _sinc_coeff(nu: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes l_p and outer weights for sinc: 1/2 sum w_p exp(-i l_p mu)."""
-    rule = gauss_legendre(nu, -1.0, 1.0)
-    return rule.nodes, 0.5 * rule.weights
 
+@functools.lru_cache(maxsize=None, typed=True)
+def _coeffs(nu: int) -> tuple[np.ndarray, ...]:
+    """Nodes and outer weights of the sinc sum, then of the sinc^2 sum,
+    from one nu-node Gauss-Legendre rule (l_p, w_p) on [-1, 1].
 
-def _sinc2_coeff(nu: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the conjugate-paired triangle quadrature.
-
-    sinc^2(mu) = 1/4 int_{-2}^{2} (1 - |l|/2) exp(-i l mu) dl; folding
-    the positive half onto [-2, 0] pairs exp(-i l mu) with its
-    conjugate, so the discrete sum
+    sinc(mu) = 1/2 sum w_p exp(-i l_p mu).  sinc^2(mu) = 1/4
+    int_{-2}^{2} (1 - |l|/2) exp(-i l mu) dl; folding the positive half
+    onto [-2, 0] pairs exp(-i l mu) with its conjugate, so with the
+    rule shifted to [-2, 0] the discrete sum
         1/8 sum w_p (2 l_p + 4) (exp(-i l_p mu) + exp(+i l_p mu))
     is real by construction.
     """
-    rule = gauss_legendre(nu, -2.0, 0.0)
-    return rule.nodes, 0.125 * rule.weights * (2.0 * rule.nodes + 4.0)
+    rule = gauss_legendre(nu, -1.0, 1.0)
+    shifted = rule.nodes - 1.0
+    out = (rule.nodes, 0.5 * rule.weights,
+           shifted, 0.125 * rule.weights * (2.0 * shifted + 4.0))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def scalar_sum_sinc(mu: np.ndarray, nu: int) -> np.ndarray:
     """The nu-node quadrature of sinc(mu), elementwise."""
-    nodes, w = _sinc_coeff(nu)
+    nodes, w = _coeffs(nu)[:2]
     # the rule is symmetric about 0, so the exponential sum collapses
     # to a cosine sum with the same (already halved) weights
     return np.cos(np.outer(mu, nodes)) @ w
@@ -90,7 +98,7 @@ def scalar_sum_sinc(mu: np.ndarray, nu: int) -> np.ndarray:
 
 def scalar_sum_sinc2(mu: np.ndarray, nu: int) -> np.ndarray:
     """The nu-node folded-triangle quadrature of sinc(mu)^2, elementwise."""
-    nodes, w = _sinc2_coeff(nu)
+    nodes, w = _coeffs(nu)[2:]
     return np.cos(np.outer(mu, nodes)) @ (2.0 * w)
 
 
@@ -107,7 +115,7 @@ def _apply(A, v: np.ndarray, plan: ExpSumPlan, scalar_sum: Callable,
         return Q @ (f(lam) * (Q.T @ v))
     # the pade-exp poles are conjugate closed, so apply_function returns
     # the real part after checking the imaginary residue
-    space = build_space(A, v, poles_pade_exp(plan.k), k=plan.k + 1, cache=cache)
+    space = build_space(A, v, plan.poles, cache=cache)
     return apply_function(space, f, v)
 
 
@@ -141,8 +149,8 @@ def expsum_error_check(A, nu: int, seed: int = 0) -> tuple[float, float]:
     Returns (measured, bound) where measured is the exact operator norm
     of sinc(A) minus the quadrature sum (both are functions of the same
     symmetric A, so the norm is a maximum over eigenvalues) and bound is
-    pi/(2 nu)! (rho/2)^(2 nu) with rho a safeguarded power-iteration
-    estimate of the spectral radius.
+    pi/(2 nu)! (rho/2)^(2 nu) with rho the power-iteration estimate
+    of the spectral radius.
     """
     lam, _ = sym_eigendecomposition(A)
     g = scalar_sum_sinc(lam, nu)
@@ -153,12 +161,12 @@ def expsum_error_check(A, nu: int, seed: int = 0) -> tuple[float, float]:
 
 def estimate_spectral_radius(A, iters: int = 30, rtol: float = 1e-3,
                              seed: int = 0) -> float:
-    """Power-iteration estimate of rho(A) with a 1% safety inflation.
+    """Power-iteration estimate of rho(A), inflated by 1%.
 
-    For symmetric PSD A the Rayleigh quotient converges to the largest
-    eigenvalue from below; the 1.01 factor turns the estimate into a
-    practical upper bound for use inside monotone error bounds.
-    """
+    The Rayleigh quotient of a symmetric PSD A converges to lambda_max
+    from below, and the inflation does not make it an upper bound: it
+    read 0.9886 lambda_max on 63^2 * laplacian_2d(4096) and 0.9963
+    lambda_max on 1e4 * laplacian_1d(1500)."""
     rng = np.random.default_rng(seed)
     n = A.shape[0]
     x = rng.standard_normal(n)

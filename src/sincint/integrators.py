@@ -142,9 +142,10 @@ class RationalKrylovBackend:
 
     Either fix the family degree n, or give tol to let the a-priori
     bound pick the smallest degree whose bound on [0, h^2 lambda_max]
-    is below tol (lambda_max from safeguarded power iteration).  With
-    map_poles=True (default) the sinc-plane poles zeta are transported
-    to zeta^2 for sigma and (2 zeta)^2 for psi.
+    is below tol (lambda_max from the power-iteration estimate
+    estimate_spectral_radius).  With map_poles=True (default) the
+    sinc-plane poles zeta are transported to zeta^2 for sigma and
+    (2 zeta)^2 for psi.
     """
 
     family: str = "E"
@@ -189,12 +190,6 @@ class _KrylovFilters:
         family = backend.family
         poles = sinc_family(family)
         if backend.tol is not None:
-            if family == "pade-sinc":
-                raise ValueError(
-                    "tolerance-driven degree selection needs an a-priori "
-                    "bound, which only the E, L and Lbar families have; "
-                    "give pade-sinc a fixed degree n instead"
-                )
             lam_max = estimate_spectral_radius(A)
             zmax = h * h * lam_max
             n = select_pole_count(family, zmax, backend.tol)
@@ -236,17 +231,17 @@ class _ExpSumFilters:
         self._mu_psi, self._mu_sigma = _sqrt_map(0.5 * h), _sqrt_map(h)
         self.pole_degree = plan.k
 
-    def psi(self, w: np.ndarray) -> np.ndarray:
+    def _filter(self, w, expsum_fn, eig_map):
         if np.linalg.norm(w) == 0.0:
             return np.zeros_like(w)
-        return expsum_sinc2(self._A, w, self._plan, eig_map=self._mu_psi,
-                            cache=self._cache)
+        return expsum_fn(self._A, w, self._plan, eig_map=eig_map,
+                         cache=self._cache)
+
+    def psi(self, w: np.ndarray) -> np.ndarray:
+        return self._filter(w, expsum_sinc2, self._mu_psi)
 
     def sigma(self, w: np.ndarray) -> np.ndarray:
-        if np.linalg.norm(w) == 0.0:
-            return np.zeros_like(w)
-        return expsum_sinc(self._A, w, self._plan, eig_map=self._mu_sigma,
-                           cache=self._cache)
+        return self._filter(w, expsum_sinc, self._mu_sigma)
 
 
 class _IdentityFilters:
@@ -365,13 +360,8 @@ def discrete_energy(traj: Trajectory, A, v0: np.ndarray | None = None
     v_n = (v_{n-1/2} + v_{n+1/2}) / 2; at n = 0 the exact initial
     velocity can be supplied, otherwise v_{1/2} stands in for it.
     """
-    N = traj.times.shape[0]
-    E = np.empty(N)
-    for n in range(N):
-        if n == 0:
-            v = v0 if v0 is not None else traj.v_half[0]
-        else:
-            v = 0.5 * (traj.v_half[n - 1] + traj.v_half[n])
-        y = traj.states[n]
-        E[n] = 0.5 * float(v @ v) + 0.5 * float(y @ (A @ y))
-    return E
+    v = np.empty_like(traj.v_half)
+    v[0] = traj.v_half[0] if v0 is None else v0
+    v[1:] = 0.5 * (traj.v_half[:-1] + traj.v_half[1:])
+    y = traj.states
+    return 0.5 * np.sum(v * v, axis=1) + 0.5 * np.sum(y * (A @ y.T).T, axis=1)

@@ -20,8 +20,9 @@ zeta -> (2 zeta)^2 for psi).
 
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,9 @@ __all__ = [
 ]
 
 
+_CONJ_RTOL = 1e-9  # conjugate partners agree to this times max(|zeta|, 1)
+
+
 def _canonical_order(values) -> tuple[complex, ...]:
     arr = np.asarray(list(values), dtype=np.complex128)
     order = np.lexsort((np.angle(arr), np.abs(arr)))
@@ -62,9 +66,9 @@ class PoleSet:
     degree: int = 0
 
     def __post_init__(self):
-        finite = [v for v in self.values if not _is_inf(v)]
+        finite = [v for v in self.values if not cmath.isinf(v)]
         inf_count = len(self.values) - len(finite)
-        ordered = _canonical_order(finite) + (complex(math.inf, 0.0),) * inf_count
+        ordered = _canonical_order(finite) + (complex(cmath.inf, 0.0),) * inf_count
         object.__setattr__(self, "values", ordered)
 
     def __len__(self) -> int:
@@ -73,31 +77,34 @@ class PoleSet:
     def __iter__(self):
         return iter(self.values)
 
-    def is_conjugate_closed(self, tol: float = 1e-9) -> bool:
-        """True when the multiset of poles equals its complex conjugate.
+    def is_conjugate_closed(self) -> bool:
+        """True when the multiset of poles equals its complex conjugate
+        (computed once: the set is frozen)."""
+        return self._conjugate_closed
 
-        Matching is greedy nearest-neighbor rather than sort-based:
-        numerically computed roots of real polynomials are conjugate
-        pairs only up to roundoff, which can reorder a lexicographic
-        sort and misalign the comparison.
-        """
-        vals = np.asarray([v for v in self.values if not _is_inf(v)])
-        if vals.size == 0:
-            return True
-        scale = max(np.abs(vals).max(), 1.0)
-        remaining = list(np.conj(vals))
-        for v in vals:
-            dist = np.abs(np.asarray(remaining) - v)
-            j = int(np.argmin(dist))
-            if dist[j] > tol * scale:
-                return False
-            remaining.pop(j)
+    @cached_property
+    def _conjugate_closed(self) -> bool:
+        return _conjugate_closed(self.values)
+
+
+def _conjugate_closed(values) -> bool:
+    """Greedy nearest-neighbor matching of the finite poles with their
+    conjugates, rather than sort-based: numerically computed roots of
+    real polynomials are conjugate pairs only up to roundoff, which can
+    reorder a lexicographic sort and misalign the comparison.
+    """
+    vals = np.asarray([v for v in values if not cmath.isinf(v)])
+    if vals.size == 0:
         return True
-
-
-def _is_inf(v) -> bool:
-    v = complex(v)
-    return math.isinf(v.real) or math.isinf(v.imag)
+    scale = max(np.abs(vals).max(), 1.0)
+    remaining = list(np.conj(vals))
+    for v in vals:
+        dist = np.abs(np.asarray(remaining) - v)
+        j = int(np.argmin(dist))
+        if dist[j] > _CONJ_RTOL * scale:
+            return False
+        remaining.pop(j)
+    return True
 
 
 def poles_E(n: int) -> PoleSet:
@@ -157,7 +164,7 @@ def scale_poles(ps: PoleSet, c: complex) -> PoleSet:
     """Multiply every finite pole by c, keeping label and degree."""
     if c == 0:
         raise ValueError("scale factor must be nonzero")
-    vals = tuple(v if _is_inf(v) else complex(v) * c for v in ps.values)
+    vals = tuple(v if cmath.isinf(v) else complex(v) * c for v in ps.values)
     return PoleSet(vals, family=ps.family, degree=ps.degree)
 
 
@@ -169,7 +176,7 @@ def square_poles(ps: PoleSet) -> PoleSet:
     h^2 A; for psi = sinc(sqrt(z)/2)^2 the composition with the halved
     argument gives (2 zeta)^2, obtained by scaling first.
     """
-    vals = tuple(v if _is_inf(v) else complex(v) ** 2 for v in ps.values)
+    vals = tuple(v if cmath.isinf(v) else complex(v) ** 2 for v in ps.values)
     return PoleSet(vals, family=ps.family, degree=ps.degree)
 
 

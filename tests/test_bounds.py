@@ -86,6 +86,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             sinc_family_bound("X", 1, 1.0)
 
+    @pytest.mark.parametrize("family", ["pade-sinc", "pade-exp"])
+    def test_family_without_bound_says_give_degree(self, family):
+        with pytest.raises(ValueError,
+                           match=f"{family}.*no a-priori bound.*fixed degree n"):
+            select_pole_count(family, 1.0, 1e-8)
+
     def test_bad_degree(self):
         with pytest.raises(ValueError):
             sinc_family_bound("E", 0, 1.0)

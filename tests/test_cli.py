@@ -164,6 +164,13 @@ class TestExitCodes:
         assert rc == 3
         assert "error=guard" in capsys.readouterr().err
 
+    def test_tolerance_mode_without_bound_is_3(self, capsys):
+        rc = main(["converge", "--N", "8", "--h-list", "0.5",
+                   "--backend", "ratkrylov:pade-sinc:1e-8", "--quiet"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "error=guard" in err and "fixed degree" in err
+
     def test_io_failure_is_5(self, tmp_path, capsys):
         rc = main(["poles", "--family", "E", "--n", "1",
                    "--out", str(tmp_path / "no" / "dir" / "x.csv"),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import sincint.expsum as expsum_module
 from sincint.densefun import sigma_apply_dense, sinc_apply_dense, sym_eigendecomposition
 from sincint.expsum import (
     ExpSumPlan,
@@ -157,3 +158,26 @@ class TestRealnessAndValidation:
         y1b = expsum_sinc(lap64, v, plan)
         assert np.allclose(y1, y1b, atol=1e-13)
         assert y2.dtype == np.float64
+
+
+class TestPlanFactsOnce:
+    def test_poles_and_rule_built_once(self, monkeypatch, lap64):
+        """Across products with one Krylov-inner plan, the pade-exp poles
+        and the Gauss-Legendre rule are each built once."""
+        calls = {"poles_pade_exp": 0, "gauss_legendre": 0}
+        for name in calls:
+            original = getattr(expsum_module, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(expsum_module, name, counted)
+        expsum_module._coeffs.cache_clear()
+        plan = ExpSumPlan(nu=7, inner="krylov", k=6)
+        cache = ShiftedSolveCache(lap64)
+        for seed in range(3):
+            v = _unit(64, seed)
+            expsum_sinc(lap64, v, plan, cache=cache)
+            expsum_sinc2(lap64, v, plan, cache=cache)
+        assert calls == {"poles_pade_exp": 1, "gauss_legendre": 1}

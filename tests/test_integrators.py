@@ -209,6 +209,68 @@ class TestStability:
         assert np.mean(E[-250:]) == pytest.approx(np.mean(E[:250]), rel=0.05)
 
 
+def _energy_loop(traj, A, v0=None):
+    """Reference: the per-step formula of discrete_energy."""
+    E = np.empty(traj.times.shape[0])
+    for n in range(E.shape[0]):
+        if n == 0:
+            v = v0 if v0 is not None else traj.v_half[0]
+        else:
+            v = 0.5 * (traj.v_half[n - 1] + traj.v_half[n])
+        y = traj.states[n]
+        E[n] = 0.5 * float(v @ v) + 0.5 * float(y @ (A @ y))
+    return E
+
+
+class TestDiscreteEnergy:
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("with_v0", [False, True])
+    def test_matches_per_step_formula(self, dense, with_v0):
+        L = laplacian_1d(16)
+        rng = np.random.default_rng(5)
+        ivp = SecondOrderIVP(A=L, y0=rng.standard_normal(16),
+                             y1=rng.standard_normal(16), tf=2.0)
+        traj = gautschi_integrate(ivp, 0.25, DenseBackend())
+        A = L.toarray() if dense else L
+        v0 = ivp.y1 if with_v0 else None
+        got = discrete_energy(traj, A, v0=v0)
+        want = _energy_loop(traj, A, v0=v0)
+        assert got.shape == want.shape == (9,)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
+_ENGINE_BACKENDS = [
+    RationalKrylovBackend(family="E", n=8),
+    RationalKrylovBackend(family="Lbar", n=6),
+    RationalKrylovBackend(family="E", tol=1e-10),
+    ExpSumBackend(nu=10, k=10),
+    ExpSumBackend(nu=10, k=10, inner="dense"),
+]
+
+
+class TestEngineProducts:
+    A = synthetic_problem(20).A
+    h = 0.05
+
+    @pytest.mark.parametrize("backend", _ENGINE_BACKENDS, ids=repr)
+    def test_sigma_tracks_dense(self, backend):
+        engine = make_filters(self.A, self.h, backend)
+        w = np.random.default_rng(2).standard_normal(20)
+        want = sigma_apply_dense(self.A, w, h=self.h)
+        got = engine.sigma(w)
+        assert got.dtype == np.float64
+        assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("backend", [DenseBackend()] + _ENGINE_BACKENDS,
+                             ids=repr)
+    def test_zero_vector_gives_exact_zeros(self, backend):
+        engine = make_filters(self.A, self.h, backend)
+        for product in (engine.psi, engine.sigma):
+            out = product(np.zeros(20))
+            assert out.dtype == np.float64
+            assert np.array_equal(out, np.zeros(20))
+
+
 class TestToleranceDrivenDegrees:
     def test_degrees_shrink_with_step_size(self):
         prob = synthetic_problem(20)

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sincint.krylov as krylov_module
+import sincint.poles as poles_module
 from sincint.densefun import sinc_apply_dense, sym_eigendecomposition
 from sincint.krylov import (
     PoleCollisionError,
@@ -99,6 +100,11 @@ class TestSymmetryCheck:
         for seed in range(3):
             build_space(A, _seed_vector(12, seed), poles_E(2), cache=cache)
         assert len(calls) == 1
+
+    def test_cache_rejects_complex_matrix(self):
+        A = sp.csr_matrix(np.array([[2.0, 1.0j], [1.0j, 2.0]]))
+        with pytest.raises(ValueError, match="real symmetric"):
+            ShiftedSolveCache(A)
 
     def test_cache_rejects_nonsymmetric(self):
         A = sp.csr_matrix(np.array([[1.0, 5.0], [0.0, 1.0]]))
@@ -205,3 +211,23 @@ class TestAgainstDenseOracle:
         y3 = sinc_apply(lap64, v, poles_E(3))
         assert np.array_equal(y1, y2)
         assert np.allclose(y1, y3, atol=1e-14)
+
+
+class TestConjugateClosureOnce:
+    def test_scanned_once_across_products(self, monkeypatch):
+        calls = []
+        original = poles_module._conjugate_closed
+
+        def counted(values):
+            calls.append(len(values))
+            return original(values)
+
+        monkeypatch.setattr(poles_module, "_conjugate_closed", counted)
+        A = random_spd(12, 4)
+        cache = ShiftedSolveCache(A)
+        poles = poles_E(3)
+        for seed in range(4):
+            v = _seed_vector(12, seed)
+            y = apply_function(build_space(A, v, poles, cache=cache), sinc, v)
+            assert y.dtype == np.float64
+        assert calls == [len(poles)]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import sincint.poles as poles_module
 from sincint.poles import (
     POLE_FAMILIES,
     SINC_FAMILIES,
@@ -187,3 +188,23 @@ class TestRegistry:
         assert psi_poles == square_poles(scale_poles(ps, 2.0))
         assert sigma_poles == square_poles(ps)
         assert filter_poles(ps, map_poles=False) == (ps, ps)
+
+
+def _closure_cases():
+    """Every family and degree, their filter_poles transports, and the
+    all-infinity set."""
+    cases = [(f"{f}{n}", POLE_FAMILIES[f](n)) for f in POLE_FAMILIES
+             if f != "pade-sinc" for n in range(1, 9)]
+    cases += [(f"pade-sinc{n}", poles_pade_sinc(n)) for n in (2, 4, 6, 8, 10)]
+    cases += [(f"{name}-{plane}", ps) for name, base in list(cases)
+              for plane, ps in zip(("psi", "sigma"), filter_poles(base))]
+    cases.append(("all-inf", PoleSet((complex(math.inf, 0.0),) * 3)))
+    return [pytest.param(ps, id=name) for name, ps in cases]
+
+
+class TestConjugateClosureMemo:
+    @pytest.mark.parametrize("ps", _closure_cases())
+    def test_memo_equals_fresh_scan(self, ps):
+        fresh = poles_module._conjugate_closed(ps.values)
+        assert ps.is_conjugate_closed() is fresh
+        assert ps.is_conjugate_closed() is fresh
