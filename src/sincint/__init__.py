@@ -47,8 +47,6 @@ from .krylov import (
     build_space,
     apply_function,
     sinc_apply,
-    psi_apply,
-    sigma_apply,
 )
 from .expsum import (
     ExpSumPlan,
@@ -105,8 +103,7 @@ __all__ = [
     "sym_eigendecomposition", "funm_sym", "sinc_apply_dense",
     "psi_apply_dense", "sigma_apply_dense", "expm_i_dense",
     "PoleCollisionError", "RationalKrylovSpace", "ShiftedSolveCache",
-    "build_space", "apply_function", "sinc_apply", "psi_apply",
-    "sigma_apply",
+    "build_space", "apply_function", "sinc_apply",
     "ExpSumPlan", "expsum_sinc", "expsum_sinc2", "expsum_error_check",
     "estimate_spectral_radius",
     "SecondOrderIVP", "IntegratorState", "Trajectory", "DenseBackend",

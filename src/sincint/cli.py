@@ -13,7 +13,6 @@ Backends are selected with a compact grammar:
     dense
     ratkrylov:FAMILY:nN      fixed degree, e.g. ratkrylov:E:n4
     ratkrylov:FAMILY:TOL     bound-driven degree, e.g. ratkrylov:E:1e-8
-    (append :raw to skip the sinc-plane to matrix-plane pole mapping)
     expsum:NU:K              quadrature nodes and inner pole count
     (append :dense for the dense inner route)
 
@@ -64,16 +63,13 @@ def parse_backend(text: str):
                 raise ValueError("dense takes no arguments")
             return DenseBackend()
         if kind == "ratkrylov":
-            if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "raw"):
-                raise ValueError("expected ratkrylov:FAMILY:nN|TOL[:raw]")
+            if len(parts) != 3:
+                raise ValueError("expected ratkrylov:FAMILY:nN|TOL")
             family, spec = parts[1], parts[2]
             sinc_family(family)
-            map_poles = len(parts) == 3
             if spec.startswith("n") and spec[1:].isdigit():
-                return RationalKrylovBackend(family=family, n=int(spec[1:]),
-                                             map_poles=map_poles)
-            return RationalKrylovBackend(family=family, tol=float(spec),
-                                         map_poles=map_poles)
+                return RationalKrylovBackend(family=family, n=int(spec[1:]))
+            return RationalKrylovBackend(family=family, tol=float(spec))
         if kind == "expsum":
             if len(parts) not in (3, 4) or (len(parts) == 4
                                             and parts[3] != "dense"):
@@ -231,8 +227,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_wave(args) -> int:
-    m = 8 if args.small else args.m
-    mesh = structured_mesh(m)
+    mesh = structured_mesh(args.m)
     wp = wave_demo_problem(mesh, tf=args.T)
     traj = gautschi_integrate(wp.ivp, args.h, args.backend)
     u = wp.displacement(traj.final)
@@ -250,7 +245,7 @@ def cmd_wave(args) -> int:
         for t, e in zip(traj.times, E):
             w.writerow([repr(float(t)), repr(float(e))])
     ratio = E[-1] / E[0] if E[0] != 0 else float("nan")
-    _say(args, f"wave: m={m} steps={len(traj.times) - 1} "
+    _say(args, f"wave: m={args.m} steps={len(traj.times) - 1} "
                f"energy ratio {ratio:.6f}; wrote {sol_path}, {en_path}")
     return 0
 
@@ -319,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h-list", default="1e-1,5e-2,2.5e-2,1e-2")
     p.add_argument("--backend", type=parse_backend,
                    default=DenseBackend(),
-                   help="dense | ratkrylov:FAM:nN|TOL[:raw] | expsum:NU:K")
+                   help="dense | ratkrylov:FAM:nN|TOL | expsum:NU:K[:dense]")
     add_common(p, seed=False)
     p.set_defaults(func=cmd_converge)
 
@@ -330,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", type=parse_backend, default=DenseBackend())
     p.add_argument("--out-prefix", default="wave",
                    help="prefix of the two output CSV files")
-    p.add_argument("--small", action="store_true", help="force m=8")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_wave)
 

@@ -143,7 +143,7 @@ def expsum_sinc2(A, v: np.ndarray, plan: ExpSumPlan,
     return _apply(A, v, plan, scalar_sum_sinc2, eig_map, cache)
 
 
-def expsum_error_check(A, nu: int, seed: int = 0) -> tuple[float, float]:
+def expsum_error_check(A, nu: int) -> tuple[float, float]:
     """Measured spectral error of the nu-node sinc sum, with its bound.
 
     Returns (measured, bound) where measured is the exact operator norm
@@ -155,31 +155,37 @@ def expsum_error_check(A, nu: int, seed: int = 0) -> tuple[float, float]:
     lam, _ = sym_eigendecomposition(A)
     g = scalar_sum_sinc(lam, nu)
     measured = float(np.max(np.abs(sinc(lam) - g)))
-    rho = estimate_spectral_radius(A, seed=seed)
+    rho = estimate_spectral_radius(A)
     return measured, expsum_bound(nu, rho)
 
 
-def estimate_spectral_radius(A, iters: int = 30, rtol: float = 1e-3,
-                             seed: int = 0) -> float:
+_POWER_ITERS = 30
+_POWER_RTOL = 1e-3
+
+
+def estimate_spectral_radius(A) -> float:
     """Power-iteration estimate of rho(A), inflated by 1%.
+
+    At most 30 iterations from a fixed random start (seed 0), stopping
+    early once the Rayleigh quotient changes by at most 1e-3 relative.
 
     The Rayleigh quotient of a symmetric PSD A converges to lambda_max
     from below, and the inflation does not make it an upper bound: it
     read 0.9886 lambda_max on 63^2 * laplacian_2d(4096) and 0.9963
     lambda_max on 1e4 * laplacian_1d(1500)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     n = A.shape[0]
     x = rng.standard_normal(n)
     x /= np.linalg.norm(x)
     prev = 0.0
-    for _ in range(iters):
+    for _ in range(_POWER_ITERS):
         y = A @ x
         ny = float(np.linalg.norm(y))
         if ny == 0.0:
             return 0.0
         x = y / ny
         ray = float(x @ (A @ x))
-        if prev > 0 and abs(ray - prev) <= rtol * abs(ray):
+        if prev > 0 and abs(ray - prev) <= _POWER_RTOL * abs(ray):
             prev = ray
             break
         prev = ray

@@ -143,15 +143,14 @@ class RationalKrylovBackend:
     Either fix the family degree n, or give tol to let the a-priori
     bound pick the smallest degree whose bound on [0, h^2 lambda_max]
     is below tol (lambda_max from the power-iteration estimate
-    estimate_spectral_radius).  With map_poles=True (default) the
-    sinc-plane poles zeta are transported to zeta^2 for sigma and
-    (2 zeta)^2 for psi.
+    estimate_spectral_radius).  The sinc-plane poles zeta of the family
+    are transported by filter_poles to zeta^2 for sigma and (2 zeta)^2
+    for psi.
     """
 
     family: str = "E"
     n: int | None = None
     tol: float | None = None
-    map_poles: bool = True
 
     def __post_init__(self):
         if (self.n is None) == (self.tol is None):
@@ -196,8 +195,7 @@ class _KrylovFilters:
         else:
             n = backend.n
         self.pole_degree = n
-        self._psi_poles, self._sigma_poles = filter_poles(poles(n),
-                                                          backend.map_poles)
+        self._psi_poles, self._sigma_poles = filter_poles(poles(n))
         B = sp.csc_matrix(A, dtype=np.float64) * (h * h)
         self._cache = ShiftedSolveCache(B)
         self._B = self._cache.matrix

@@ -23,8 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .poles import PoleSet, filter_poles
-from .special import psi, sigma, sinc
+from .poles import PoleSet
+from .special import sinc
 
 __all__ = [
     "PoleCollisionError",
@@ -33,8 +33,6 @@ __all__ = [
     "build_space",
     "apply_function",
     "sinc_apply",
-    "psi_apply",
-    "sigma_apply",
 ]
 
 _BREAKDOWN_RTOL = 1e-14
@@ -50,9 +48,9 @@ def _check_symmetric(A, rtol: float = 1e-12) -> None:
     diff = abs(A - A.T)
     dmax = diff.max() if diff.nnz else 0.0
     scale = abs(A).max() if A.nnz else 1.0
-    if np.iscomplexobj(A) or dmax > rtol * max(scale, 1.0):
-        raise ValueError("matrix must be real symmetric (complex entries, "
-                         "or max |A - A^T| too large)")
+    if dmax > rtol * max(scale, 1.0):
+        raise ValueError("matrix must be real symmetric "
+                         "(max |A - A^T| too large)")
 
 
 class ShiftedSolveCache:
@@ -65,6 +63,10 @@ class ShiftedSolveCache:
     """
 
     def __init__(self, A):
+        # checked before the float64 cast, which would drop the imaginary part
+        if np.iscomplexobj(A):
+            raise ValueError("matrix must be real symmetric, got complex "
+                             "entries")
         if not sp.issparse(A):
             A = sp.csc_matrix(np.asarray(A, dtype=np.float64))
         self._A = A.tocsc()
@@ -115,7 +117,7 @@ class RationalKrylovSpace:
 
 def build_space(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
                 cache: ShiftedSolveCache | None = None) -> RationalKrylovSpace:
-    """Grow a rational Krylov space of dimension k from seed v.
+    """Grow a rational Krylov space of dimension k from the real seed v.
 
     The first basis vector is v normalized; the remaining k-1 columns
     consume the poles cyclically (an infinite pole contributes a plain
@@ -132,6 +134,8 @@ def build_space(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
         cache = ShiftedSolveCache(A)
     A = cache.matrix
     n = A.shape[0]
+    if np.iscomplexobj(v):
+        raise ValueError("seed vector must be real, got complex entries")
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     if v.shape[0] != n:
         raise ValueError(f"seed length {v.shape[0]} does not match order {n}")
@@ -170,8 +174,7 @@ def build_space(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
                                breakdown=breakdown)
 
 
-def apply_function(space: RationalKrylovSpace, f, v: np.ndarray,
-                   realify: bool = True) -> np.ndarray:
+def apply_function(space: RationalKrylovSpace, f, v: np.ndarray) -> np.ndarray:
     """Evaluate f(A) v through the projected problem of the given space.
 
     v must be the seed the space was built from (checked: its
@@ -180,6 +183,10 @@ def apply_function(space: RationalKrylovSpace, f, v: np.ndarray,
     eigendecomposition of the Hermitian part of A_k: A_k must be
     Hermitian up to roundoff, as build_space guarantees by projecting
     the certified symmetric matrix of a ShiftedSolveCache.
+
+    When v is real and the pole set is closed under conjugation the
+    result is real up to roundoff and is returned as float64; an
+    imaginary residue above 1e-6 of its norm raises FloatingPointError.
     """
     v = np.asarray(v).reshape(-1)
     c = space.V.conj().T @ v
@@ -195,7 +202,7 @@ def apply_function(space: RationalKrylovSpace, f, v: np.ndarray,
     lam, U = np.linalg.eigh(0.5 * (A_k + A_k.conj().T))
     y_small = U @ (np.asarray(f(lam)) * (U.conj().T @ c))
     y = space.V @ y_small
-    if realify and np.isrealobj(v) and space.poles.is_conjugate_closed():
+    if np.isrealobj(v) and space.poles.is_conjugate_closed():
         scale = max(float(np.linalg.norm(y)), 1e-300)
         if float(np.linalg.norm(y.imag)) > _REAL_GUARD_RTOL * scale:
             raise FloatingPointError(
@@ -207,39 +214,7 @@ def apply_function(space: RationalKrylovSpace, f, v: np.ndarray,
 
 
 def sinc_apply(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
-               cache: ShiftedSolveCache | None = None,
-               realify: bool = True) -> np.ndarray:
+               cache: ShiftedSolveCache | None = None) -> np.ndarray:
     """sinc(A) v via a rational Krylov space on A with the given poles."""
     space = build_space(A, v, poles, k=k, cache=cache)
-    return apply_function(space, sinc, v, realify=realify)
-
-
-def psi_apply(A, v: np.ndarray, poles: PoleSet, h: float = 1.0,
-              k: int | None = None, cache: ShiftedSolveCache | None = None,
-              map_poles: bool = True, realify: bool = True) -> np.ndarray:
-    """psi(h^2 A) v via a rational Krylov space on B = h^2 A.
-
-    With map_poles=True (default) the given sinc-plane poles zeta are
-    transported to the matrix plane as (2 zeta)^2, matching the inner
-    half-argument of psi; pass map_poles=False to supply matrix-plane
-    poles directly.  The cache, when given, must factor B = h^2 A.
-    """
-    return _filter_apply(A, v, filter_poles(poles, map_poles)[0], h, k,
-                         cache, psi, realify)
-
-
-def sigma_apply(A, v: np.ndarray, poles: PoleSet, h: float = 1.0,
-                k: int | None = None, cache: ShiftedSolveCache | None = None,
-                map_poles: bool = True, realify: bool = True) -> np.ndarray:
-    """sigma(h^2 A) v via a rational Krylov space on B = h^2 A.
-
-    Sinc-plane poles are mapped to zeta^2 unless map_poles=False.
-    """
-    return _filter_apply(A, v, filter_poles(poles, map_poles)[1], h, k,
-                         cache, sigma, realify)
-
-
-def _filter_apply(A, v, poles, h, k, cache, f, realify):
-    B = A * (h * h) if h != 1.0 else A
-    space = build_space(B, v, poles, k=k, cache=cache)
-    return apply_function(space, f, v, realify=realify)
+    return apply_function(space, sinc, v)

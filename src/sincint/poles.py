@@ -180,14 +180,13 @@ def square_poles(ps: PoleSet) -> PoleSet:
     return PoleSet(vals, family=ps.family, degree=ps.degree)
 
 
-def filter_poles(ps: PoleSet, map_poles: bool = True) -> tuple[PoleSet, PoleSet]:
+def filter_poles(ps: PoleSet) -> tuple[PoleSet, PoleSet]:
     """Matrix-plane poles (psi, sigma) of h^2 A for a sinc-plane set.
 
-    psi = sinc(sqrt(z)/2)^2 takes (2 zeta)^2 and sigma zeta^2; with
-    map_poles=False both use ps as given (already in the matrix plane).
+    A sinc approximant with poles zeta induces one for sigma(z) =
+    sinc(sqrt(z)) with poles zeta^2, and for psi = sinc(sqrt(z)/2)^2
+    with poles (2 zeta)^2.
     """
-    if not map_poles:
-        return ps, ps
     return square_poles(scale_poles(ps, 2.0)), square_poles(ps)
 
 

@@ -137,23 +137,18 @@ def synthetic_reference(problem: SyntheticProblem, t: float) -> np.ndarray:
     b = Q.T @ problem.y1
     c = Q.T @ (problem.forcing_scale * np.ones(problem.N))
     t = float(t)
-    out = np.empty_like(lam)
-    for i, lm in enumerate(lam):
-        if lm <= _ZERO_TOL:
-            out[i] = a[i] + b[i] * t + c[i] * (t - np.sin(t))
-            continue
-        w = np.sqrt(lm)
-        hom = a[i] * np.cos(w * t) + (b[i] / w) * np.sin(w * t)
-        eps = lm - 1.0
-        if abs(eps) <= _RESONANCE_TOL:
-            forced = c[i] * (
-                0.5 * (np.sin(t) - t * np.cos(t))
-                - (eps / 8.0) * (3 * np.sin(t) - 3 * t * np.cos(t)
-                                 - t * t * np.sin(t))
-            )
-        else:
-            forced = c[i] / eps * (np.sin(t) - np.sin(w * t) / w)
-        out[i] = hom + forced
+    st, ct = np.sin(t), np.cos(t)
+    zero = lam <= _ZERO_TOL
+    eps = lam - 1.0
+    resonant = np.abs(eps) <= _RESONANCE_TOL
+    w = np.sqrt(np.where(zero, 1.0, lam))
+    hom = a * np.cos(w * t) + (b / w) * np.sin(w * t)
+    res_forced = c * (0.5 * (st - t * ct)
+                      - (eps / 8.0) * (3 * st - 3 * t * ct - t * t * st))
+    forced = (c / np.where(resonant | zero, 1.0, eps)
+              * (st - np.sin(w * t) / w))
+    out = np.where(zero, a + b * t + c * (t - st),
+                   hom + np.where(resonant, res_forced, forced))
     return Q @ out
 
 

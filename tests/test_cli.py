@@ -1,6 +1,9 @@
 """Command-line harness: backend grammar, subcommands, exit codes."""
 
+import argparse
 import csv
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ from sincint.integrators import (
     RationalKrylovBackend,
 )
 from sincint.problems import laplacian_1d
+
+_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _rows(path):
@@ -34,8 +39,8 @@ class TestBackendGrammar:
         assert b == RationalKrylovBackend(family="E", tol=1e-10)
 
     def test_raw_pole_flag(self):
-        b = parse_backend("ratkrylov:E:n4:raw")
-        assert b == RationalKrylovBackend(family="E", n=4, map_poles=False)
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_backend("ratkrylov:E:n4:raw")
 
     def test_expsum(self):
         assert parse_backend("expsum:8:12") == ExpSumBackend(nu=8, k=12)
@@ -47,10 +52,31 @@ class TestBackendGrammar:
         "ratkrylov:E:n4:fancy", "expsum:8", "expsum:a:b", "dense:extra",
     ])
     def test_rejects_malformed(self, text):
-        import argparse
-
         with pytest.raises(argparse.ArgumentTypeError):
             parse_backend(text)
+
+
+def _documented_backends():
+    """Every --backend value in README.md, and every backend spec string
+    in the experiment scripts and the benchmark workloads."""
+    specs = set(re.findall(r"--backend\s+([^\s`]+)",
+                           (_ROOT / "README.md").read_text()))
+    for path in [*(_ROOT / "scripts").glob("*.py"),
+                 *(_ROOT / "perfbench").glob("*.py")]:
+        specs.update(re.findall(
+            r"[\"'](dense|(?:ratkrylov|expsum):[^\"']+)[\"']",
+            path.read_text()))
+    return sorted(specs)
+
+
+class TestDocumentedBackends:
+    def test_found_specs_of_every_kind(self):
+        kinds = {s.split(":")[0] for s in _documented_backends()}
+        assert kinds == {"dense", "ratkrylov", "expsum"}
+
+    @pytest.mark.parametrize("spec", _documented_backends())
+    def test_parses(self, spec):
+        parse_backend(spec)
 
 
 class TestPolesCommand:
@@ -132,7 +158,7 @@ class TestConvergeCommand:
 
 class TestWaveCommand:
     def test_writes_solution_and_energy(self, tmp_path):
-        rc = main(["wave", "--small", "--h", "0.05", "--T", "0.5",
+        rc = main(["wave", "--m", "8", "--h", "0.05", "--T", "0.5",
                    "--out-prefix", str(tmp_path / "w"), "--quiet"])
         assert rc == 0
         sol = _rows(tmp_path / "w_solution.csv")
@@ -152,6 +178,11 @@ class TestExitCodes:
             main(["poles", "--family", "E"])
         assert exc.value.code == 2
 
+    def test_wave_small_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["wave", "--small"])
+        assert exc.value.code == 2
+
     def test_guard_violation_is_3(self, tmp_path, capsys):
         rc = main(["poles", "--family", "E", "--n", "0",
                    "--out", str(tmp_path / "x.csv"), "--quiet"])
@@ -159,10 +190,11 @@ class TestExitCodes:
         assert "error=guard" in capsys.readouterr().err
 
     def test_invalid_dense_inner_expsum_is_3(self, capsys):
-        rc = main(["converge", "--N", "4", "--h-list", "0.5",
+        rc = main(["converge", "--N", "20", "--h-list", "0.5",
                    "--backend", "expsum:8:0:dense", "--quiet"])
         assert rc == 3
-        assert "error=guard" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error=guard" in err and "k must be a positive integer" in err
 
     def test_tolerance_mode_without_bound_is_3(self, capsys):
         rc = main(["converge", "--N", "8", "--h-list", "0.5",

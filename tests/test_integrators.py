@@ -102,15 +102,6 @@ class TestOrderAndAccuracy:
         kry = gautschi_integrate(ivp, 0.05, RationalKrylovBackend(family="E", n=8))
         assert np.linalg.norm(kry.final - dense.final) <= 1e-12
 
-    def test_unmapped_poles_also_converge(self):
-        prob = synthetic_problem(20)
-        ivp = prob.as_ivp(tf=1.0)
-        dense = gautschi_integrate(ivp, 0.05, DenseBackend())
-        raw = gautschi_integrate(
-            ivp, 0.05,
-            RationalKrylovBackend(family="E", n=8, map_poles=False))
-        assert np.linalg.norm(raw.final - dense.final) <= 1e-12
-
     def test_expsum_backend_tracks_dense(self):
         prob = synthetic_problem(20)
         ivp = prob.as_ivp(tf=1.0)

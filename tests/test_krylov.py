@@ -14,8 +14,6 @@ from sincint.krylov import (
     ShiftedSolveCache,
     apply_function,
     build_space,
-    psi_apply,
-    sigma_apply,
     sinc_apply,
 )
 from sincint.poles import PoleSet, poles_E, poles_L, poles_pade_sinc
@@ -106,6 +104,15 @@ class TestSymmetryCheck:
         with pytest.raises(ValueError, match="real symmetric"):
             ShiftedSolveCache(A)
 
+    def test_cache_rejects_dense_complex_matrix(self):
+        with pytest.raises(ValueError, match="complex"):
+            ShiftedSolveCache(np.array([[2, 1j], [1j, 2]]))
+
+    def test_rejects_complex_seed(self):
+        A = random_spd(6, 3)
+        with pytest.raises(ValueError, match="complex"):
+            build_space(A, np.ones(6) + 1j * np.arange(6), poles_E(1))
+
     def test_cache_rejects_nonsymmetric(self):
         A = sp.csr_matrix(np.array([[1.0, 5.0], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="symmetric"):
@@ -126,7 +133,7 @@ class TestExactness:
             return 1.0 / ((z1 - lam) * (z2 - lam))
 
         space = build_space(A, v, PoleSet((z1, z2)), k=3)
-        got = apply_function(space, f, v, realify=False)
+        got = apply_function(space, f, v)
         lam, Q = sym_eigendecomposition(A)
         want = Q @ (f(lam) * (Q.T @ v))
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
@@ -170,11 +177,12 @@ class TestRealness:
         y = sinc_apply(lap64, v, poles_E(3))
         assert y.dtype == np.float64
 
-    def test_imaginary_residue_within_invariant(self, lap64):
+    def test_imaginary_residue_within_invariant(self, lap64, monkeypatch):
+        monkeypatch.setattr(krylov_module, "_REAL_GUARD_RTOL", 1e-10)
         v = _seed_vector(64)
         space = build_space(lap64, v, poles_E(3))
-        y = apply_function(space, sinc, v, realify=False)
-        assert np.linalg.norm(y.imag) <= 1e-10 * np.linalg.norm(y)
+        y = apply_function(space, sinc, v)
+        assert y.dtype == np.float64
 
     def test_one_sided_family_stays_complex(self, lap64):
         v = _seed_vector(64)
@@ -195,11 +203,13 @@ class TestAgainstDenseOracle:
 
     def test_filter_wrappers_match_dense(self, lap64):
         from sincint.densefun import psi_apply_dense, sigma_apply_dense
+        from sincint.integrators import RationalKrylovBackend, make_filters
 
         v = _seed_vector(64)
         h = 0.25
-        yp = psi_apply(lap64, v, poles_E(5), h=h)
-        ys = sigma_apply(lap64, v, poles_E(5), h=h)
+        engine = make_filters(lap64, h, RationalKrylovBackend("E", n=5))
+        yp = engine.psi(v)
+        ys = engine.sigma(v)
         assert np.linalg.norm(yp - psi_apply_dense(lap64, v, h=h)) <= 1e-9
         assert np.linalg.norm(ys - sigma_apply_dense(lap64, v, h=h)) <= 1e-9
 

@@ -187,7 +187,6 @@ class TestRegistry:
         psi_poles, sigma_poles = filter_poles(ps)
         assert psi_poles == square_poles(scale_poles(ps, 2.0))
         assert sigma_poles == square_poles(ps)
-        assert filter_poles(ps, map_poles=False) == (ps, ps)
 
 
 def _closure_cases():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from sincint.densefun import sym_eigendecomposition
 from sincint.integrators import DenseBackend, gautschi_integrate
 from sincint.problems import (
     GRAM_SCALE,
@@ -110,6 +111,19 @@ class TestClosedFormReference:
             rhs = -A @ y0 + prob.forcing(t)
             assert np.linalg.norm(acc - rhs) <= 5e-7
 
+    @pytest.mark.parametrize("case", ["all-branch", "order-20"])
+    def test_matches_per_mode_loop(self, case):
+        if case == "all-branch":
+            prob = SyntheticProblem(
+                N=4, A=sp.csr_matrix(np.diag([0.0, 1.0, 1.0 + 1e-9, 2.0])))
+        else:
+            prob = synthetic_problem(20)
+        prob.y1 = np.linspace(-1.0, 1.0, prob.N)
+        for t in (0.0, 0.7, 2.3):
+            want = _loop_reference(prob, t)
+            got = synthetic_reference(prob, t)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
     def test_zero_initial_velocity(self):
         prob = synthetic_problem(10)
         d = 1e-5
@@ -121,6 +135,31 @@ class TestClosedFormReference:
         prob.N = 5000
         with pytest.raises(ValueError):
             synthetic_reference(prob, 1.0)
+
+
+def _loop_reference(prob, t):
+    """The closed form evaluated one mode at a time, branch by branch."""
+    lam, Q = sym_eigendecomposition(prob.A)
+    a, b = Q.T @ prob.y0, Q.T @ prob.y1
+    c = Q.T @ (prob.forcing_scale * np.ones(prob.N))
+    out = np.empty_like(lam)
+    for i, lm in enumerate(lam):
+        if lm <= 1e-12:
+            out[i] = a[i] + b[i] * t + c[i] * (t - np.sin(t))
+            continue
+        w = np.sqrt(lm)
+        hom = a[i] * np.cos(w * t) + (b[i] / w) * np.sin(w * t)
+        eps = lm - 1.0
+        if abs(eps) <= 1e-7:
+            forced = c[i] * (
+                0.5 * (np.sin(t) - t * np.cos(t))
+                - (eps / 8.0) * (3 * np.sin(t) - 3 * t * np.cos(t)
+                                 - t * t * np.sin(t))
+            )
+        else:
+            forced = c[i] / eps * (np.sin(t) - np.sin(w * t) / w)
+        out[i] = hom + forced
+    return Q @ out
 
 
 class TestSpectralInterval:
