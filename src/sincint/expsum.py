@@ -105,6 +105,9 @@ def scalar_sum_sinc2(mu: np.ndarray, nu: int) -> np.ndarray:
 def _apply(A, v: np.ndarray, plan: ExpSumPlan, scalar_sum: Callable,
            eig_map: Callable | None,
            cache: ShiftedSolveCache | None) -> np.ndarray:
+    # checked before the float64 cast, which would drop the imaginary part
+    if np.iscomplexobj(v):
+        raise ValueError("vector must be real, got complex entries")
     v = np.asarray(v, dtype=np.float64).reshape(-1)
 
     def f(lam):

@@ -12,6 +12,16 @@ the projection is Hermitian regardless of where the poles sit and the
 small problem is solved by a Hermitian eigendecomposition; when the
 pole multiset is closed under conjugation and the data are real, the
 assembled result is real up to roundoff and is returned as such.
+
+Because A is real, (conj(zeta) I - A) is the conjugate of (zeta I - A):
+the cache factors one complex LU per conjugate pair of poles and a real
+LU for a real pole (Ruhe, "The rational Krylov algorithm for
+nonsymmetric eigenvalue problems III: complex shifts for real
+matrices", BIT 34, 1994).  The built-in pole sets are exactly closed
+under conjugation, so every pair shares its factorization.  The basis
+itself stays complex: a real basis built from Re/Im of one solve per
+pair lost an order of magnitude of accuracy on the mapped poles, which
+lie far beyond the spectrum of h^2 A.
 """
 
 from __future__ import annotations
@@ -53,13 +63,28 @@ def _check_symmetric(A, rtol: float = 1e-12) -> None:
                          "(max |A - A^T| too large)")
 
 
+def _real_apply(op, X: np.ndarray) -> np.ndarray:
+    """op(X) for a real linear operator op (a real sparse product or a
+    real LU solve) and a complex X: the real and imaginary parts go
+    through one real multi-column call, and the operator is never
+    converted to complex."""
+    W = op(np.column_stack((X.real, X.imag)))
+    half = W.shape[1] // 2
+    return (W[:, :half] + 1j * W[:, half:]).reshape(X.shape)
+
+
 class ShiftedSolveCache:
-    """Sparse LU factorizations of (zeta I - A), one per distinct pole.
+    """Sparse LU factorizations of (zeta I - A), one per conjugate pair.
 
     Building a factorization is the dominant cost of a rational Krylov
     step; inside a time integrator the same pole set is reused at every
-    step, so the cache is shared across calls.  The matrix is checked
-    for symmetry here, once, rather than on every space built with it.
+    step, so the cache is shared across calls.  A pair zeta, conj(zeta)
+    shares the complex LU of its member with Im > 0, since the solve at
+    conj(zeta) is conj((zeta I - A)^{-1} conj(b)); a real shift is
+    factored in float64 and takes a complex right-hand side as two real
+    solves.  Pairs share only when they are exact conjugates, as in the
+    built-in pole sets.  The matrix is checked for symmetry here, once,
+    rather than on every space built with it.
     """
 
     def __init__(self, A):
@@ -79,19 +104,29 @@ class ShiftedSolveCache:
     def matrix(self):
         return self._A
 
-    def solve(self, zeta: complex, b: np.ndarray) -> np.ndarray:
-        zeta = complex(zeta)
+    def _factor(self, zeta: complex) -> spla.SuperLU:
+        """The LU of (zeta I - A) for Im zeta >= 0, real when zeta is."""
         lu = self._lu.get(zeta)
         if lu is None:
-            shifted = (zeta * self._eye - self._A).astype(np.complex128)
+            shift = zeta if zeta.imag else zeta.real
             try:
-                lu = spla.splu(shifted.tocsc())
+                lu = spla.splu((shift * self._eye - self._A).tocsc())
             except RuntimeError as exc:
                 raise PoleCollisionError(
                     f"shift {zeta} makes (zeta I - A) singular: {exc}"
                 ) from exc
             self._lu[zeta] = lu
-        x = lu.solve(b.astype(np.complex128))
+        return lu
+
+    def solve(self, zeta: complex, b: np.ndarray) -> np.ndarray:
+        zeta = complex(zeta)
+        b = np.asarray(b, dtype=np.complex128)
+        if zeta.imag < 0:
+            x = self._factor(zeta.conjugate()).solve(b.conj()).conj()
+        elif zeta.imag > 0:
+            x = self._factor(zeta).solve(b)
+        else:
+            x = _real_apply(self._factor(zeta).solve, b)
         if not np.all(np.isfinite(x)):
             raise PoleCollisionError(
                 f"shifted solve at zeta={zeta} returned non-finite values; "
@@ -148,7 +183,8 @@ def build_space(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
         raise ValueError(f"space dimension must be >= 1, got {k}")
     k = min(k, n)
 
-    V = np.zeros((n, k), dtype=np.complex128)
+    # Fortran order keeps every leading block V[:, :m] contiguous
+    V = np.zeros((n, k), dtype=np.complex128, order="F")
     V[:, 0] = v / nrm
     pole_list = list(poles.values)
     breakdown = False
@@ -156,12 +192,14 @@ def build_space(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
     for j in range(1, k):
         zeta = pole_list[(j - 1) % len(pole_list)] if pole_list else complex("inf")
         if cmath.isinf(zeta):
-            w = A @ V[:, j - 1]
+            w = _real_apply(A.dot, V[:, j - 1])
         else:
             w = cache.solve(zeta, V[:, j - 1])
         w0 = float(np.linalg.norm(w))
+        Vm = V[:, :m]
         for _ in range(2):
-            w = w - V[:, :m] @ (V[:, :m].conj().T @ w)
+            # V^H w without materializing V^H
+            w = w - Vm @ (w.conj() @ Vm).conj()
         wn = float(np.linalg.norm(w))
         if wn <= _BREAKDOWN_RTOL * max(w0, 1e-300):
             breakdown = True
@@ -169,7 +207,7 @@ def build_space(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
         V[:, j] = w / wn
         m += 1
     V = V[:, :m]
-    A_k = V.conj().T @ (A @ V)
+    A_k = V.conj().T @ _real_apply(A.dot, V)
     return RationalKrylovSpace(V=V, A_k=A_k, poles=poles, seed_norm=nrm,
                                breakdown=breakdown)
 
@@ -189,7 +227,7 @@ def apply_function(space: RationalKrylovSpace, f, v: np.ndarray) -> np.ndarray:
     imaginary residue above 1e-6 of its norm raises FloatingPointError.
     """
     v = np.asarray(v).reshape(-1)
-    c = space.V.conj().T @ v
+    c = (v.conj() @ space.V).conj()
     nrm = float(np.linalg.norm(v))
     e1 = np.zeros_like(c)
     e1[0] = nrm

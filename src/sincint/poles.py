@@ -58,7 +58,12 @@ class PoleSet:
     """Ordered collection of poles with a provenance label.
 
     values are sorted by (|zeta|, arg zeta); math.inf is a permitted
-    sentinel meaning a plain Krylov (multiplication) step.
+    sentinel meaning a plain Krylov (multiplication) step.  The
+    conjugate-closed families (E, Lbar, pade-sinc, pade-exp) and their
+    filter_poles transports hold exact conjugate pairs, with exactly
+    real real poles: their generators are real polynomials, whose roots
+    poly_roots computes in real arithmetic.  So a ShiftedSolveCache
+    factors one LU per pair.
     """
 
     values: tuple
@@ -89,9 +94,10 @@ class PoleSet:
 
 def _conjugate_closed(values) -> bool:
     """Greedy nearest-neighbor matching of the finite poles with their
-    conjugates, rather than sort-based: numerically computed roots of
-    real polynomials are conjugate pairs only up to roundoff, which can
-    reorder a lexicographic sort and misalign the comparison.
+    conjugates, rather than sort-based: a set built from computed values
+    (such as roots found in complex arithmetic) may pair conjugates only
+    up to roundoff, which can reorder a lexicographic sort and misalign
+    the comparison.
     """
     vals = np.asarray([v for v in values if not cmath.isinf(v)])
     if vals.size == 0:

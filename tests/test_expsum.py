@@ -149,6 +149,14 @@ class TestRealnessAndValidation:
         with pytest.raises(ValueError):
             ExpSumPlan(nu=3, k=0)
 
+    @pytest.mark.parametrize("route", ["dense", "krylov"])
+    def test_complex_vector_rejected(self, route):
+        A = laplacian_1d(8)
+        v = np.ones(8) + 1j * np.arange(8)
+        for fn in (expsum_sinc, expsum_sinc2):
+            with pytest.raises(ValueError, match="complex"):
+                fn(A, v, ExpSumPlan(nu=6, inner=route, k=4))
+
     def test_cache_shared_between_calls(self, lap64):
         v = _unit(64)
         cache = ShiftedSolveCache(lap64)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -16,7 +17,16 @@ from sincint.krylov import (
     build_space,
     sinc_apply,
 )
-from sincint.poles import PoleSet, poles_E, poles_L, poles_pade_sinc
+from sincint.integrators import RationalKrylovBackend, make_filters
+from sincint.poles import (
+    PoleSet,
+    filter_poles,
+    poles_E,
+    poles_L,
+    poles_Lbar,
+    poles_pade_sinc,
+)
+from sincint.problems import laplacian_1d, laplacian_2d
 from sincint.special import sinc
 
 from conftest import random_spd
@@ -43,6 +53,17 @@ class TestSpaceConstruction:
         assert np.linalg.norm(G - np.eye(m)) <= 1e-12 * m
         herm = np.linalg.norm(space.A_k - space.A_k.conj().T)
         assert herm <= 1e-10 * max(np.linalg.norm(space.A_k), 1.0)
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_orthonormal_on_mapped_poles(self, n):
+        h = 0.01
+        B = (h * h) * (63**2 * laplacian_2d(1024))
+        cache = ShiftedSolveCache(B)
+        v = _seed_vector(1024)
+        for poles in filter_poles(poles_E(n)):
+            V = build_space(B, v, poles, cache=cache).V
+            G = V.conj().T @ V
+            assert np.linalg.norm(G - np.eye(V.shape[1])) <= 1e-13
 
     def test_poles_consumed_cyclically(self):
         A = random_spd(16, 3)
@@ -241,3 +262,73 @@ class TestConjugateClosureOnce:
             y = apply_function(build_space(A, v, poles, cache=cache), sinc, v)
             assert y.dtype == np.float64
         assert calls == [len(poles)]
+
+
+def _count_factorizations(monkeypatch) -> list:
+    """Record the dtype of every matrix factored through krylov.spla.splu."""
+    dtypes = []
+    original = krylov_module.spla.splu
+
+    def counted(M, *args, **kwargs):
+        dtypes.append(M.dtype)
+        return original(M, *args, **kwargs)
+
+    monkeypatch.setattr(krylov_module.spla, "splu", counted)
+    return dtypes
+
+
+def _complex_vector(n, seed=5):
+    g = np.random.default_rng(seed)
+    return g.standard_normal(n) + 1j * g.standard_normal(n)
+
+
+class TestOneFactorizationPerPair:
+    def test_E8_engine_factors_one_lu_per_pair(self, monkeypatch):
+        """psi and sigma of E degree 8 have 17 shifts between them: the
+        shared real origin and 8 conjugate pairs."""
+        dtypes = _count_factorizations(monkeypatch)
+        engine = make_filters(15**2 * laplacian_2d(256), 0.01,
+                              RationalKrylovBackend("E", n=8))
+        v = _seed_vector(256)
+        engine.psi(v)
+        engine.sigma(v)
+        assert len(dtypes) == 9
+        assert dtypes.count(np.float64) == 1
+
+    def test_Lbar4_psi_factors_two(self, monkeypatch):
+        dtypes = _count_factorizations(monkeypatch)
+        engine = make_filters(laplacian_1d(64), 0.25,
+                              RationalKrylovBackend("Lbar", n=4))
+        engine.psi(_seed_vector(64))
+        assert len(dtypes) == 2
+
+    def test_conjugate_shift_solves_on_the_pair_lu(self, monkeypatch):
+        dtypes = _count_factorizations(monkeypatch)
+        A = random_spd(40, 6)
+        cache = ShiftedSolveCache(A)
+        z = -0.8 + 1.3j
+        b = _complex_vector(40)
+        cache.solve(z, b)
+        x = cache.solve(z.conjugate(), b)
+        want = np.linalg.solve(z.conjugate() * np.eye(40) - A.toarray(), b)
+        assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
+        assert dtypes == [np.complex128]
+
+    def test_real_shift_takes_complex_rhs(self, monkeypatch):
+        A = random_spd(40, 7)
+        b = _complex_vector(40)
+        shifted = sp.csc_matrix(-0.5 * np.eye(40) - A.toarray(),
+                                dtype=np.complex128)
+        want = spla.splu(shifted).solve(b)
+        dtypes = _count_factorizations(monkeypatch)
+        x = ShiftedSolveCache(A).solve(-0.5 + 0j, b)
+        assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
+        assert dtypes == [np.float64]
+
+    def test_singular_real_shift_raises(self):
+        """E's origin pole on a singular PSD matrix (Neumann Laplacian)."""
+        A = laplacian_1d(50).tolil()
+        A[0, 0] = A[-1, -1] = 1.0
+        engine = make_filters(A.tocsr(), 0.1, RationalKrylovBackend("E", n=4))
+        with pytest.raises(PoleCollisionError, match="singular"):
+            engine.psi(_seed_vector(50))

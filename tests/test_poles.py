@@ -1,6 +1,7 @@
 """Pole family generators: cardinalities, frozen values, closure, residuals."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -207,3 +208,31 @@ class TestConjugateClosureMemo:
         fresh = poles_module._conjugate_closed(ps.values)
         assert ps.is_conjugate_closed() is fresh
         assert ps.is_conjugate_closed() is fresh
+
+
+def _exact_pair_cases():
+    """Every conjugate-closed family at every degree it supports up to
+    20, with both filter_poles transports of the sinc families."""
+    cases = [(f"{f}{n}", POLE_FAMILIES[f](n)) for f in ("E", "Lbar", "pade-exp")
+             for n in range(1, 21)]
+    cases += [(f"pade-sinc{n}", poles_pade_sinc(n)) for n in (2, 4, 6, 8, 10)]
+    cases += [(f"{name}-{plane}", ps) for name, base in list(cases)
+              if base.family != "pade-exp"
+              for plane, ps in zip(("psi", "sigma"), filter_poles(base))]
+    return [pytest.param(ps, id=name) for name, ps in cases]
+
+
+class TestExactConjugatePairs:
+    """The closed families hold exact conjugates, so a shifted-solve
+    cache shares one factorization per pair."""
+
+    @pytest.mark.parametrize("ps", _exact_pair_cases())
+    def test_multiset_equals_its_conjugate_exactly(self, ps):
+        vals = [complex(z) for z in ps.values]
+        assert Counter(vals) == Counter(z.conjugate() for z in vals)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_one_sided_family_not_closed(self, n):
+        vals = [complex(z) for z in poles_L(n).values]
+        assert Counter(vals) != Counter(z.conjugate() for z in vals)
+        assert not poles_L(n).is_conjugate_closed()
