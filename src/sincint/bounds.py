@@ -77,6 +77,15 @@ def select_pole_count(family: str, zmax: float, tol: float) -> int:
     Raises when no degree up to 64 reaches the tolerance; that signals a
     step size too large for the requested accuracy rather than a reason
     to keep adding poles.
+
+    Known defect, kept until the degrees pinned by the acceptance tests
+    are re-frozen: zmax is a sinc-plane argument, |x| <= zmax, but the
+    rational Krylov backend passes the matrix-plane value
+    h^2 lambda_max, where the filters evaluate sinc at sqrt(zmax) (sigma)
+    and sqrt(zmax)/2 (psi).  Below zmax = 1 the degree is therefore
+    under-selected: laplacian_1d(400) at h = 0.2 and tol 1e-13 gets
+    degree 4, whose scalar error on [0, sqrt(zmax)] is 2.3e-11.  Above
+    zmax = 1 it is over-selected.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")

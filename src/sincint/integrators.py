@@ -146,6 +146,12 @@ class RationalKrylovBackend:
     estimate_spectral_radius).  The sinc-plane poles zeta of the family
     are transported by filter_poles to zeta^2 for sigma and (2 zeta)^2
     for psi.
+
+    In tol mode the bound is evaluated at the wrong argument: it bounds
+    the sinc approximant on the sinc plane, |x| <= zmax, but receives
+    the matrix-plane zmax = h^2 lambda_max (see select_pole_count).  The
+    degree is too small below zmax = 1, so tol is then not guaranteed,
+    and larger than needed above it.
     """
 
     family: str = "E"

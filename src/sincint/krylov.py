@@ -18,10 +18,15 @@ the cache factors one complex LU per conjugate pair of poles and a real
 LU for a real pole (Ruhe, "The rational Krylov algorithm for
 nonsymmetric eigenvalue problems III: complex shifts for real
 matrices", BIT 34, 1994).  The built-in pole sets are exactly closed
-under conjugation, so every pair shares its factorization.  The basis
-itself stays complex: a real basis built from Re/Im of one solve per
-pair lost an order of magnitude of accuracy on the mapped poles, which
-lie far beyond the spectrum of h^2 A.
+under conjugation, so every pair shares its factorization.  Every
+shifted matrix has the symmetric pattern of A, so SuperLU orders it by
+minimum degree on A^T + A instead of its default COLAMD, a column order
+for unsymmetric patterns: on the 2D Laplacian of order 4096 this halves
+the LU fill, and with it the factorization and solve times (George and
+Liu, "The evolution of the minimum degree ordering algorithm", SIAM
+Review 31, 1989).  The basis itself stays complex: a real basis built
+from Re/Im of one solve per pair lost an order of magnitude of accuracy
+on the mapped poles, which lie far beyond the spectrum of h^2 A.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ __all__ = [
     "sinc_apply",
 ]
 
-_BREAKDOWN_RTOL = 1e-14
+_BREAKDOWN_RTOL = 1e-10
 _SEED_RTOL = 1e-10
 _REAL_GUARD_RTOL = 1e-6
 
@@ -83,8 +88,10 @@ class ShiftedSolveCache:
     conj(zeta) is conj((zeta I - A)^{-1} conj(b)); a real shift is
     factored in float64 and takes a complex right-hand side as two real
     solves.  Pairs share only when they are exact conjugates, as in the
-    built-in pole sets.  The matrix is checked for symmetry here, once,
-    rather than on every space built with it.
+    built-in pole sets.  The shifted matrices keep the symmetric pattern
+    of A, so each is factored in a minimum-degree order on A^T + A, with
+    SuperLU's default partial pivoting.  The matrix is checked for
+    symmetry here, once, rather than on every space built with it.
     """
 
     def __init__(self, A):
@@ -110,7 +117,8 @@ class ShiftedSolveCache:
         if lu is None:
             shift = zeta if zeta.imag else zeta.real
             try:
-                lu = spla.splu((shift * self._eye - self._A).tocsc())
+                lu = spla.splu((shift * self._eye - self._A).tocsc(),
+                               permc_spec="MMD_AT_PLUS_A")
             except RuntimeError as exc:
                 raise PoleCollisionError(
                     f"shift {zeta} makes (zeta I - A) singular: {exc}"
@@ -157,9 +165,14 @@ def build_space(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
     The first basis vector is v normalized; the remaining k-1 columns
     consume the poles cyclically (an infinite pole contributes a plain
     product A v_j).  k defaults to len(poles) + 1 and is capped at the
-    matrix order.  Near-linear dependence (new direction below 1e-14 of
+    matrix order.  Near-linear dependence (new direction below 1e-10 of
     its pre-orthogonalization norm) stops growth early and marks the
-    space as exact from that dimension on.
+    space as exact from that dimension on.  The threshold sits in the
+    gap measured on the synthetic, 2D Laplacian and FEM problems: a
+    direction taken after the space became invariant keeps at most about
+    2e-13 of its norm (roundoff), a genuine one at least 1e-6.  So a
+    change in the order of the arithmetic, such as another LU ordering,
+    does not move a breakdown.
 
     When a cache is supplied it already owns the matrix, and its matrix
     is the one used; pass the same operator as A (it is only consulted

@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sincint.integrators as integrators_module
 import sincint.krylov as krylov_module
 import sincint.poles as poles_module
 from sincint.densefun import sinc_apply_dense, sym_eigendecomposition
@@ -17,7 +18,11 @@ from sincint.krylov import (
     build_space,
     sinc_apply,
 )
-from sincint.integrators import RationalKrylovBackend, make_filters
+from sincint.integrators import (
+    RationalKrylovBackend,
+    gautschi_integrate,
+    make_filters,
+)
 from sincint.poles import (
     PoleSet,
     filter_poles,
@@ -26,7 +31,7 @@ from sincint.poles import (
     poles_Lbar,
     poles_pade_sinc,
 )
-from sincint.problems import laplacian_1d, laplacian_2d
+from sincint.problems import laplacian_1d, laplacian_2d, synthetic_problem
 from sincint.special import sinc
 
 from conftest import random_spd
@@ -332,3 +337,63 @@ class TestOneFactorizationPerPair:
         engine = make_filters(A.tocsr(), 0.1, RationalKrylovBackend("E", n=4))
         with pytest.raises(PoleCollisionError, match="singular"):
             engine.psi(_seed_vector(50))
+
+
+class TestFillReducingOrder:
+    def test_lap2d_pair_lu_has_about_half_the_colamd_fill(self, monkeypatch):
+        """The shifted matrices keep the symmetric pattern of A, which a
+        minimum-degree order on A^T + A fills far less than SuperLU's
+        default COLAMD (0.53 of its fill at order 4096)."""
+        B = 63**2 * laplacian_2d(4096) * 1e-4
+        zeta = next(z for z in filter_poles(poles_E(8))[0].values
+                    if z.imag > 0)
+        M = (zeta * sp.identity(4096, format="csc") - B).tocsc()
+        colamd_nnz = spla.splu(M).nnz
+        lus = []
+        original = krylov_module.spla.splu
+
+        def recorded(*args, **kwargs):
+            lus.append(original(*args, **kwargs))
+            return lus[-1]
+
+        monkeypatch.setattr(krylov_module.spla, "splu", recorded)
+        ShiftedSolveCache(B).solve(zeta, _seed_vector(4096))
+        assert len(lus) == 1
+        assert lus[0].nnz <= 0.6 * colamd_nnz
+
+
+def _synthetic_sweep_spaces() -> list:
+    """(dimension, breakdown) of every space the synthetic_problem(20)
+    sweep over h = 0.1 .. 0.01 builds with ratkrylov:E:1e-12."""
+    spaces = []
+    original = integrators_module.build_space
+
+    def recorded(*args, **kwargs):
+        space = original(*args, **kwargs)
+        spaces.append((space.dim, space.breakdown))
+        return space
+
+    ivp = synthetic_problem(20).as_ivp(tf=1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrators_module, "build_space", recorded)
+        for h in (0.1, 0.05, 0.025, 0.01):
+            gautschi_integrate(ivp, h, RationalKrylovBackend("E", tol=1e-12))
+    return spaces
+
+
+class TestBreakdownAboveRoundoff:
+    def test_breakdowns_do_not_depend_on_the_lu_order(self, monkeypatch):
+        """Directions taken after the space is invariant are roundoff
+        (at most about 2e-13 of their norm before orthogonalization) and
+        genuine ones are at least 1e-6, so a 1e-10 threshold gives the
+        same spaces whatever order the LU eliminates in."""
+        spaces = _synthetic_sweep_spaces()
+        original = krylov_module.spla.splu
+
+        def colamd(M, *args, **kwargs):
+            kwargs["permc_spec"] = "COLAMD"
+            return original(M, *args, **kwargs)
+
+        monkeypatch.setattr(krylov_module.spla, "splu", colamd)
+        assert _synthetic_sweep_spaces() == spaces
+        assert any(breakdown for _, breakdown in spaces)
