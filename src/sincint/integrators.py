@@ -22,6 +22,7 @@ once per (A, h); the steps only call its psi and sigma.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,8 +33,9 @@ from .bounds import select_pole_count
 from .densefun import sym_eigendecomposition
 from .expsum import (ExpSumPlan, estimate_spectral_radius, expsum_sinc,
                      expsum_sinc2, scalar_sum_sinc, scalar_sum_sinc2)
-from .krylov import ShiftedSolveCache, apply_function, build_space
-from .poles import filter_poles, sinc_family
+from .krylov import (ShiftedSolveCache, apply_function, build_space,
+                     last_column_settled, settled_dimension)
+from .poles import PoleSet, filter_poles, sinc_family
 from .special import psi as psi_scalar
 from .special import sigma as sigma_scalar
 
@@ -152,6 +154,18 @@ class RationalKrylovBackend:
     the matrix-plane zmax = h^2 lambda_max (see select_pole_count).  The
     degree is too small below zmax = 1, so tol is then not guaranteed,
     and larger than needed above it.
+
+    Each filter's first product builds the full space of len(poles) + 1
+    columns and learns from it the dimension at which its projected
+    coefficients settle (krylov.settled_dimension); later products
+    build only that many columns and are accepted when their last
+    column changed the coefficients by at most 1e-13 relative
+    (krylov.last_column_settled), or when the space broke down before
+    it, which makes it the full space.  A product that fails the check,
+    or whose learned dimension reaches the full one, rebuilds the full
+    space and learns the dimension again.  On lap2d (order 4096,
+    h = 0.01, degree 8) a psi product takes 8 shifted solves instead of
+    17.
     """
 
     family: str = "E"
@@ -190,10 +204,21 @@ class _DenseFilters:
         return self._Q @ (self._sigma * (self._Q.T @ w))
 
 
+@functools.lru_cache(maxsize=None, typed=True)
+def _filter_pole_sets(family: str, n: int) -> tuple[PoleSet, PoleSet]:
+    """Matrix-plane (psi, sigma) poles of a sinc family at degree n,
+    built once per process: PoleSet is frozen, so engines share them."""
+    return filter_poles(sinc_family(family)(n))
+
+
 class _KrylovFilters:
+    """Rational Krylov products that stop where they have converged (see
+    RationalKrylovBackend); _dims holds each filter's learned space
+    dimension, None while it is the full one."""
+
     def __init__(self, A, h: float, backend: RationalKrylovBackend):
         family = backend.family
-        poles = sinc_family(family)
+        sinc_family(family)  # an unknown family fails before any estimate
         if backend.tol is not None:
             lam_max = estimate_spectral_radius(A)
             zmax = h * h * lam_max
@@ -201,16 +226,26 @@ class _KrylovFilters:
         else:
             n = backend.n
         self.pole_degree = n
-        self._psi_poles, self._sigma_poles = filter_poles(poles(n))
+        self._psi_poles, self._sigma_poles = _filter_pole_sets(family, n)
         B = sp.csc_matrix(A, dtype=np.float64) * (h * h)
         self._cache = ShiftedSolveCache(B)
         self._B = self._cache.matrix
+        self._dims: dict[Callable, int | None] = {}
 
     def _filter(self, w, poles, f):
         if np.linalg.norm(w) == 0.0:
             return np.zeros_like(w)
+        k = self._dims.get(f)
+        if k is not None:
+            space = build_space(self._B, w, poles, k=k, cache=self._cache)
+            if space.breakdown or last_column_settled(space, f):
+                return apply_function(space, f, w)
         space = build_space(self._B, w, poles, cache=self._cache)
-        return apply_function(space, f, w)
+        y = apply_function(space, f, w)
+        k = settled_dimension(space, f) + 1
+        full = min(len(poles) + 1, self._B.shape[0])
+        self._dims[f] = k if k < full else None
+        return y
 
     def psi(self, w: np.ndarray) -> np.ndarray:
         return self._filter(w, self._psi_poles, psi_scalar)

@@ -27,12 +27,25 @@ Liu, "The evolution of the minimum degree ordering algorithm", SIAM
 Review 31, 1989).  The basis itself stays complex: a real basis built
 from Re/Im of one solve per pair lost an order of magnitude of accuracy
 on the mapped poles, which lie far beyond the spectrum of h^2 A.
+
+A rational Krylov approximation is near-optimal over its space
+(Guttel, "Rational Krylov approximation of matrix functions: numerical
+methods and optimal pole selection", GAMM-Mitt. 36, 2013), so once the
+projected coefficients f(A_m) e_1 stop changing with m, further columns
+only cost time.  The leading block A_k[:m, :m] is the projection onto
+the first m columns, so settled_dimension finds, without further
+products with A, the smallest m at which a full space's coefficients
+have settled to _SETTLED_RTOL; a filter engine then builds one column
+more than that for its later products, and last_column_settled
+certifies each of them: the last column must move the coefficients by
+at most _SETTLED_RTOL.  On the 2D Laplacian of order 4096 at h = 0.01
+(E, degree 8) that is 9 of 18 columns for psi and 10 for sigma.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,9 +61,14 @@ __all__ = [
     "build_space",
     "apply_function",
     "sinc_apply",
+    "settled_dimension",
+    "last_column_settled",
 ]
 
 _BREAKDOWN_RTOL = 1e-10
+# the projected coefficients f(A_m) e_1 have settled at m when the whole
+# space's agree with them, zero-padded, to this relative tolerance
+_SETTLED_RTOL = 1e-13
 _SEED_RTOL = 1e-10
 _REAL_GUARD_RTOL = 1e-6
 
@@ -152,10 +170,35 @@ class RationalKrylovSpace:
     poles: PoleSet
     seed_norm: float
     breakdown: bool = False
+    # f -> (f at the eigenvalues of A_k's Hermitian part, its eigenvectors)
+    _f_eigh: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     @property
     def dim(self) -> int:
         return self.V.shape[1]
+
+    def project(self, f, c: np.ndarray, m: int | None = None) -> np.ndarray:
+        """f(A_m) c for the leading m x m block A_m of A_k, all of it by
+        default: the projection of A onto the first m basis vectors.
+
+        f acts through an eigendecomposition of the Hermitian part of
+        A_m; for A_k itself it and f's values on it are computed once
+        per space and f.
+        """
+        if m is None or m == self.dim:
+            f_eigh = self._f_eigh.get(f)
+            if f_eigh is None:
+                f_eigh = self._f_eigh[f] = _f_eigh(self.A_k, f)
+        else:
+            f_eigh = _f_eigh(self.A_k[:m, :m], f)
+        f_lam, U = f_eigh
+        return U @ (f_lam * (U.conj().T @ c))
+
+
+def _f_eigh(A_m: np.ndarray, f) -> tuple[np.ndarray, np.ndarray]:
+    lam, U = np.linalg.eigh(0.5 * (A_m + A_m.conj().T))
+    return np.asarray(f(lam)), U
 
 
 def build_space(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
@@ -231,9 +274,9 @@ def apply_function(space: RationalKrylovSpace, f, v: np.ndarray) -> np.ndarray:
     v must be the seed the space was built from (checked: its
     coefficient vector in the basis must be norm(v) e_1 to 1e-10).  f
     maps an eigenvalue array to function values, and acts through an
-    eigendecomposition of the Hermitian part of A_k: A_k must be
-    Hermitian up to roundoff, as build_space guarantees by projecting
-    the certified symmetric matrix of a ShiftedSolveCache.
+    eigendecomposition of the Hermitian part of A_k (space.project):
+    A_k must be Hermitian up to roundoff, as build_space guarantees by
+    projecting the certified symmetric matrix of a ShiftedSolveCache.
 
     When v is real and the pole set is closed under conjugation the
     result is real up to roundoff and is returned as float64; an
@@ -249,10 +292,7 @@ def apply_function(space: RationalKrylovSpace, f, v: np.ndarray) -> np.ndarray:
             "vector is not the seed of this space (projection deviates "
             "from norm(v) e_1); rebuild the space for this right-hand side"
         )
-    A_k = space.A_k
-    lam, U = np.linalg.eigh(0.5 * (A_k + A_k.conj().T))
-    y_small = U @ (np.asarray(f(lam)) * (U.conj().T @ c))
-    y = space.V @ y_small
+    y = space.V @ space.project(f, c)
     if np.isrealobj(v) and space.poles.is_conjugate_closed():
         scale = max(float(np.linalg.norm(y)), 1e-300)
         if float(np.linalg.norm(y.imag)) > _REAL_GUARD_RTOL * scale:
@@ -269,3 +309,36 @@ def sinc_apply(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
     """sinc(A) v via a rational Krylov space on A with the given poles."""
     space = build_space(A, v, poles, k=k, cache=cache)
     return apply_function(space, sinc, v)
+
+
+def _agrees(space: RationalKrylovSpace, f, u: np.ndarray, m: int) -> bool:
+    """Whether f(A_m) e_1, zero-padded, agrees with u = f(A_k) e_1 to
+    _SETTLED_RTOL relative."""
+    d = u.copy()
+    d[:m] -= space.project(f, np.eye(1, m)[0], m)
+    return np.linalg.norm(d) <= _SETTLED_RTOL * np.linalg.norm(u)
+
+
+def settled_dimension(space: RationalKrylovSpace, f) -> int:
+    """Smallest m whose projected coefficients f(A_m) e_1 agree with the
+    whole space's f(A_k) e_1 to _SETTLED_RTOL relative, by bisection.
+    A_m is the leading block of A_k, so no product with A is needed."""
+    u = space.project(f, np.eye(1, space.dim)[0])
+    lo, hi = 1, space.dim
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _agrees(space, f, u, mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def last_column_settled(space: RationalKrylovSpace, f) -> bool:
+    """Whether the last column moved the projected coefficients by at most
+    _SETTLED_RTOL: ||u_k - [u_{k-1}; 0]|| <= _SETTLED_RTOL ||u_k|| with
+    u_m = f(A_m) e_1.  Costs one (k-1) x (k-1) eigendecomposition beyond
+    the one of A_k, which apply_function shares."""
+    k = space.dim
+    u = space.project(f, np.eye(1, k)[0])
+    return k > 1 and _agrees(space, f, u, k - 1)

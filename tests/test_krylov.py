@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given
@@ -32,7 +33,7 @@ from sincint.poles import (
     poles_pade_sinc,
 )
 from sincint.problems import laplacian_1d, laplacian_2d, synthetic_problem
-from sincint.special import sinc
+from sincint.special import psi, sigma, sinc
 
 from conftest import random_spd
 
@@ -397,3 +398,143 @@ class TestBreakdownAboveRoundoff:
         monkeypatch.setattr(krylov_module.spla, "splu", colamd)
         assert _synthetic_sweep_spaces() == spaces
         assert any(breakdown for _, breakdown in spaces)
+
+
+class TestPoleSetsOncePerProcess:
+    def test_engines_of_one_family_and_degree_share_pole_sets(
+            self, monkeypatch):
+        calls = []
+        original = poles_module.poly_roots
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(poles_module, "poly_roots", counted)
+        integrators_module._filter_pole_sets.cache_clear()
+        A = laplacian_1d(16)
+        first = make_filters(A, 0.1, RationalKrylovBackend("E", n=5))
+        second = make_filters(A, 0.2, RationalKrylovBackend("E", n=5))
+        assert first._psi_poles is second._psi_poles
+        assert first._sigma_poles is second._sigma_poles
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", [0, -2, 3.0])
+    def test_invalid_degree_still_raises(self, n):
+        A = laplacian_1d(16)
+        make_filters(A, 0.1, RationalKrylovBackend("E", n=3))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="degree"):
+                make_filters(A, 0.1, RationalKrylovBackend("E", n=n))
+
+
+# 31^2 * laplacian_2d(1024) at h = 0.01, whose filters are diagonal in
+# the 2D DST-I basis (grid index of entry i*m + j is (i, j))
+_M = 31
+_H = 0.01
+_LAP_MU = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, _M + 1) / (_M + 1))
+_LAP_LAM = _M**2 * (_LAP_MU[:, None] + _LAP_MU[None, :]).reshape(-1)
+
+
+def _lap_operator():
+    return _M**2 * laplacian_2d(_M * _M)
+
+
+def _dst(x):
+    return scipy.fft.dstn(x.reshape(_M, _M), type=1,
+                          norm="ortho").reshape(-1)
+
+
+def _exact_psi(w):
+    r = np.sqrt(_H * _H * _LAP_LAM) / np.pi
+    return _dst(np.sinc(r / 2) ** 2 * _dst(w))
+
+
+def _rel(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+def _recorded_builds(monkeypatch) -> list:
+    """(k, dimension) of every space the engines build, k None for the
+    default full space."""
+    builds = []
+    original = integrators_module.build_space
+
+    def recorded(*args, **kwargs):
+        space = original(*args, **kwargs)
+        builds.append((kwargs.get("k"), space.dim))
+        return space
+
+    monkeypatch.setattr(integrators_module, "build_space", recorded)
+    return builds
+
+
+def _counted_solves(monkeypatch) -> list:
+    calls = []
+    original = ShiftedSolveCache.solve
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ShiftedSolveCache, "solve", counted)
+    return calls
+
+
+class TestSettledDimension:
+    """Each filter learns from its first, full space the dimension at
+    which its projected coefficients settle; later products build only
+    that many columns and are accepted only when their last column
+    moved the coefficients by at most the settling tolerance."""
+
+    def test_failed_check_rebuilds_the_full_space(self, monkeypatch):
+        A = _lap_operator()
+        engine = make_filters(A, _H, RationalKrylovBackend("E", n=8))
+        builds = _recorded_builds(monkeypatch)
+        rng = np.random.default_rng(0)
+        lowest = _dst(np.eye(1, _M * _M)[0])
+        inputs = [lowest + 1e-8 * rng.standard_normal(_M * _M),
+                  rng.standard_normal(_M * _M),
+                  rng.standard_normal(_M * _M),
+                  A @ rng.standard_normal(_M * _M)]
+        per_product = []
+        for w in inputs:
+            del builds[:]
+            assert _rel(engine.psi(w), _exact_psi(w)) <= 1e-13
+            per_product.append(list(builds))
+        # near one eigenvector the psi coefficients settle after a few
+        # columns, too few for a random input, whose check fails
+        assert per_product[0] == [(None, 18)]
+        assert len(per_product[1]) == 2 and per_product[1][-1] == (None, 18)
+        assert per_product[1][0][1] < 18
+        for builds_of_product in per_product[2:]:
+            assert len(builds_of_product) == 1
+            assert builds_of_product[0][1] < 18
+
+    def test_later_products_do_half_the_solves(self, monkeypatch):
+        A = _lap_operator()
+        B = sp.csc_matrix(A) * (_H * _H)
+        psi_poles, sigma_poles = filter_poles(poles_E(8))
+        engine = make_filters(A, _H, RationalKrylovBackend("E", n=8))
+        rng = np.random.default_rng(4)
+        top = np.zeros(_M * _M)
+        top[np.argsort(_LAP_LAM)[-10:]] = rng.standard_normal(10)
+        inputs = [rng.standard_normal(_M * _M),
+                  A @ rng.standard_normal(_M * _M),
+                  _dst(top)]
+        solves = _counted_solves(monkeypatch)
+        engine.psi(rng.standard_normal(_M * _M))
+        assert len(solves) == 17
+        for w in inputs:
+            del solves[:]
+            got = engine.psi(w)
+            assert len(solves) <= 9
+            want = apply_function(build_space(B, w, psi_poles), psi, w)
+            assert _rel(got, want) <= 1e-13
+        w = inputs[0]
+        engine.sigma(rng.standard_normal(_M * _M))
+        del solves[:]
+        got = engine.sigma(w)
+        assert len(solves) <= 9
+        want = apply_function(build_space(B, w, sigma_poles), sigma, w)
+        assert _rel(got, want) <= 1e-13
