@@ -10,6 +10,11 @@ M_c = L L^T, yielding the transformed system
 Atil is symmetric positive semidefinite, which is exactly what the
 sinc-filter machinery needs.  The dense factorization caps the free
 vertex count at 4000; the demo meshes are far below that.
+
+Atil is full (on the 32 x 32 demo mesh, 923,521 nonzeros of 961^2) but
+is handed on as CSR.  The rational Krylov engine therefore keeps
+h^2 Atil dense and factors its shifted matrices with LAPACK LU rather
+than SuperLU (see krylov and integrators.RationalKrylovBackend).
 """
 
 from __future__ import annotations

@@ -166,6 +166,14 @@ class RationalKrylovBackend:
     space and learns the dimension again.  On lap2d (order 4096,
     h = 0.01, degree 8) a psi product takes 8 shifted solves instead of
     17.
+
+    The engine stores h^2 A dense when more than half of its entries
+    are nonzero (_DENSE_FILL), and as float64 CSC otherwise, and its
+    ShiftedSolveCache factors the shifted matrices in that storage:
+    LAPACK LU for the dense one, SuperLU for the sparse one (see the
+    krylov module docstring, also for why LU and not LDL^T).  Of the
+    benchmark operators only the full FEM Atil is kept dense; the 2D
+    Laplacian (0.12% full) and the synthetic problem (23%) stay sparse.
     """
 
     family: str = "E"
@@ -211,6 +219,26 @@ def _filter_pole_sets(family: str, n: int) -> tuple[PoleSet, PoleSet]:
     return filter_poles(sinc_family(family)(n))
 
 
+# h^2 A is kept dense when more than this share of its entries is
+# nonzero.  Above half fill CSR already takes more than 6 n^2 bytes (8
+# for a value and 4 for its index) against 8 n^2 dense, and the LU of a
+# shifted matrix fills in completely either way.  The FEM operator Atil
+# is full; the 2D Laplacian of order 4096 is 0.12% full and the
+# synthetic problem 23%.
+_DENSE_FILL = 0.5
+
+
+def _scaled_operator(A, c: float):
+    """c A in float64: an ndarray when more than _DENSE_FILL of A is
+    nonzero, CSC otherwise."""
+    n = A.shape[0]
+    nnz = A.nnz if sp.issparse(A) else np.count_nonzero(A)
+    if nnz > _DENSE_FILL * n * n:
+        dense = A.toarray() if sp.issparse(A) else A
+        return np.asarray(dense, dtype=np.float64) * c
+    return sp.csc_matrix(A, dtype=np.float64) * c
+
+
 class _KrylovFilters:
     """Rational Krylov products that stop where they have converged (see
     RationalKrylovBackend); _dims holds each filter's learned space
@@ -227,8 +255,7 @@ class _KrylovFilters:
             n = backend.n
         self.pole_degree = n
         self._psi_poles, self._sigma_poles = _filter_pole_sets(family, n)
-        B = sp.csc_matrix(A, dtype=np.float64) * (h * h)
-        self._cache = ShiftedSolveCache(B)
+        self._cache = ShiftedSolveCache(_scaled_operator(A, h * h))
         self._B = self._cache.matrix
         self._dims: dict[Callable, int | None] = {}
 

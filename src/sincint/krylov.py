@@ -18,13 +18,26 @@ the cache factors one complex LU per conjugate pair of poles and a real
 LU for a real pole (Ruhe, "The rational Krylov algorithm for
 nonsymmetric eigenvalue problems III: complex shifts for real
 matrices", BIT 34, 1994).  The built-in pole sets are exactly closed
-under conjugation, so every pair shares its factorization.  Every
-shifted matrix has the symmetric pattern of A, so SuperLU orders it by
-minimum degree on A^T + A instead of its default COLAMD, a column order
-for unsymmetric patterns: on the 2D Laplacian of order 4096 this halves
-the LU fill, and with it the factorization and solve times (George and
-Liu, "The evolution of the minimum degree ordering algorithm", SIAM
-Review 31, 1989).  The basis itself stays complex: a real basis built
+under conjugation, so every pair shares its factorization.
+
+The cache factors A in the storage it is given.  A sparse A goes to
+SuperLU.  Every shifted matrix has the symmetric pattern of A, so
+SuperLU orders it by minimum degree on A^T + A instead of its default
+COLAMD, a column order for unsymmetric patterns: on the 2D Laplacian of
+order 4096 this halves the LU fill, and with it the factorization and
+solve times (George and Liu, "The evolution of the minimum degree
+ordering algorithm", SIAM Review 31, 1989).  An ndarray goes to LAPACK's
+LU with partial pivoting, looked up at call time as sla.lu_factor, with
+the same pair sharing.  The filter engine keeps h^2 A dense when more
+than half of its entries are nonzero (integrators._DENSE_FILL), as for
+the full FEM operator Atil of order 961: there SuperLU fills the LU
+completely anyway and took 0.18 s per complex shift against 0.06 s for
+LAPACK, and a product of h^2 A with 20 columns took 9.5 ms in CSC
+against 1.6 ms dense (one BLAS thread).  It is LU rather than the
+complex-symmetric LDL^T (zsytrf/zsytrs), which is cheaper but less
+accurate there: over ten FEM wave runs its error against the dense
+reference had median 2.24e-15, against 1.60e-15 with LU.  The basis
+itself stays complex: a real basis built
 from Re/Im of one solve per pair lost an order of magnitude of accuracy
 on the mapped poles, which lie far beyond the spectrum of h^2 A.
 
@@ -45,9 +58,12 @@ at most _SETTLED_RTOL.  On the 2D Laplacian of order 4096 at h = 0.01
 from __future__ import annotations
 
 import cmath
+import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -78,9 +94,13 @@ class PoleCollisionError(RuntimeError):
 
 
 def _check_symmetric(A, rtol: float = 1e-12) -> None:
-    diff = abs(A - A.T)
-    dmax = diff.max() if diff.nnz else 0.0
-    scale = abs(A).max() if A.nnz else 1.0
+    if sp.issparse(A):
+        diff = abs(A - A.T)
+        dmax = diff.max() if diff.nnz else 0.0
+        scale = abs(A).max() if A.nnz else 1.0
+    else:
+        dmax = np.max(np.abs(A - A.T), initial=0.0)
+        scale = np.max(np.abs(A), initial=0.0)
     if dmax > rtol * max(scale, 1.0):
         raise ValueError("matrix must be real symmetric "
                          "(max |A - A^T| too large)")
@@ -97,19 +117,27 @@ def _real_apply(op, X: np.ndarray) -> np.ndarray:
 
 
 class ShiftedSolveCache:
-    """Sparse LU factorizations of (zeta I - A), one per conjugate pair.
+    """LU factorizations of (zeta I - A), one per conjugate pair.
 
     Building a factorization is the dominant cost of a rational Krylov
     step; inside a time integrator the same pole set is reused at every
     step, so the cache is shared across calls.  A pair zeta, conj(zeta)
     shares the complex LU of its member with Im > 0, since the solve at
     conj(zeta) is conj((zeta I - A)^{-1} conj(b)); a real shift is
-    factored in float64 and takes a complex right-hand side as two real
-    solves.  Pairs share only when they are exact conjugates, as in the
-    built-in pole sets.  The shifted matrices keep the symmetric pattern
-    of A, so each is factored in a minimum-degree order on A^T + A, with
-    SuperLU's default partial pivoting.  The matrix is checked for
+    factored in float64 and takes a complex right-hand side as one
+    two-column real solve.  Pairs share only when they are exact
+    conjugates, as in the built-in pole sets.  The matrix is checked for
     symmetry here, once, rather than on every space built with it.
+
+    A is factored in the storage it is given.  A sparse matrix goes to
+    SuperLU: the shifted matrices keep the symmetric pattern of A, so
+    each is factored in a minimum-degree order on A^T + A, with
+    SuperLU's default partial pivoting.  An ndarray goes to LAPACK's LU
+    with partial pivoting (getrf), called as sla.lu_factor; an exactly
+    singular shift (a zero pivot, getrf's info > 0) raises
+    PoleCollisionError instead of lu_factor's LinAlgWarning.  It is LU
+    and not the complex-symmetric LDL^T, which lost accuracy on the FEM
+    operator (see the module docstring).
     """
 
     def __init__(self, A):
@@ -117,42 +145,65 @@ class ShiftedSolveCache:
         if np.iscomplexobj(A):
             raise ValueError("matrix must be real symmetric, got complex "
                              "entries")
-        if not sp.issparse(A):
-            A = sp.csc_matrix(np.asarray(A, dtype=np.float64))
-        self._A = A.tocsc()
+        if sp.issparse(A):
+            self._A = A.tocsc()
+        else:
+            self._A = np.asarray(A, dtype=np.float64)
         _check_symmetric(self._A)
-        n = self._A.shape[0]
-        self._eye = sp.identity(n, format="csc")
-        self._lu: dict[complex, spla.SuperLU] = {}
+        # zeta -> solver of (zeta I - A), for Im zeta >= 0
+        self._solvers: dict[complex, Callable] = {}
 
     @property
     def matrix(self):
         return self._A
 
-    def _factor(self, zeta: complex) -> spla.SuperLU:
-        """The LU of (zeta I - A) for Im zeta >= 0, real when zeta is."""
-        lu = self._lu.get(zeta)
-        if lu is None:
+    def _factor(self, zeta: complex) -> Callable:
+        """A solver of (zeta I - A) for Im zeta >= 0, real when zeta is."""
+        solve = self._solvers.get(zeta)
+        if solve is None:
             shift = zeta if zeta.imag else zeta.real
+            if sp.issparse(self._A):
+                solve = self._factor_sparse(shift)
+            else:
+                solve = self._factor_dense(shift)
+            self._solvers[zeta] = solve
+        return solve
+
+    def _factor_sparse(self, shift) -> Callable:
+        eye = sp.identity(self._A.shape[0], format="csc")
+        try:
+            lu = spla.splu((shift * eye - self._A).tocsc(),
+                           permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise PoleCollisionError(
+                f"shift {shift} makes (zeta I - A) singular: {exc}"
+            ) from exc
+        return lu.solve
+
+    def _factor_dense(self, shift) -> Callable:
+        # Fortran order, so that getrf factors M in place without a copy
+        M = np.negative(self._A, dtype=np.result_type(shift, self._A),
+                        order="F")
+        M[np.diag_indices_from(M)] += shift
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", sla.LinAlgWarning)
             try:
-                lu = spla.splu((shift * self._eye - self._A).tocsc(),
-                               permc_spec="MMD_AT_PLUS_A")
-            except RuntimeError as exc:
+                lu = sla.lu_factor(M, overwrite_a=True, check_finite=False)
+            except sla.LinAlgWarning as exc:
                 raise PoleCollisionError(
-                    f"shift {zeta} makes (zeta I - A) singular: {exc}"
+                    f"shift {shift} makes (zeta I - A) singular: {exc}"
                 ) from exc
-            self._lu[zeta] = lu
-        return lu
+        return lambda b: sla.lu_solve(lu, b, check_finite=False)
 
     def solve(self, zeta: complex, b: np.ndarray) -> np.ndarray:
         zeta = complex(zeta)
         b = np.asarray(b, dtype=np.complex128)
         if zeta.imag < 0:
-            x = self._factor(zeta.conjugate()).solve(b.conj()).conj()
+            x = self._factor(zeta.conjugate())(b.conj()).conj()
         elif zeta.imag > 0:
-            x = self._factor(zeta).solve(b)
+            x = self._factor(zeta)(b)
         else:
-            x = _real_apply(self._factor(zeta).solve, b)
+            x = _real_apply(self._factor(zeta), b)
         if not np.all(np.isfinite(x)):
             raise PoleCollisionError(
                 f"shifted solve at zeta={zeta} returned non-finite values; "

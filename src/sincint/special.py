@@ -35,12 +35,19 @@ _SERIES_THRESHOLD = 1e-2
 _SERIES_TERMS = 8
 
 
-# Precomputed 1/(2k+1)! for the series branch.
-_INV_FACT_ODD = np.array(
-    [1.0 / float(np.prod(np.arange(1, 2 * k + 2, dtype=np.float64))) if k else 1.0
-     for k in range(_SERIES_TERMS)]
+# (-1)^k / (2k+1)! for the series branch, highest k first for Horner.
+_SERIES_COEFFS = tuple(
+    (-1.0) ** k / float(np.prod(np.arange(1, 2 * k + 2, dtype=np.float64)))
+    for k in reversed(range(_SERIES_TERMS))
 )
-_SERIES_SIGNS = np.array([(-1.0) ** k for k in range(_SERIES_TERMS)])
+
+
+def _sinc_series(z2):
+    """sinc(z) by its Taylor series in z2 = z**2, for |z| < _SERIES_THRESHOLD."""
+    acc = np.zeros_like(z2)
+    for c in _SERIES_COEFFS:
+        acc = acc * z2 + c
+    return acc
 
 
 def sinc(z):
@@ -56,11 +63,7 @@ def sinc(z):
     out = np.empty(z.shape, dtype=np.complex128 if np.iscomplexobj(z) else np.float64)
     small = np.abs(z) < _SERIES_THRESHOLD
     if np.any(small):
-        z2 = z[small] ** 2
-        acc = np.zeros_like(z2)
-        for k in range(_SERIES_TERMS - 1, -1, -1):
-            acc = acc * z2 + _SERIES_SIGNS[k] * _INV_FACT_ODD[k]
-        out[small] = acc
+        out[small] = _sinc_series(z[small] ** 2)
     big = ~small
     if np.any(big):
         zb = z[big]
@@ -68,26 +71,54 @@ def sinc(z):
     return out[()] if not scalar else out[0]
 
 
+def _sinc_sqrt(x: np.ndarray) -> np.ndarray:
+    """sinc(sqrt(x)) for real x, in float64: sin(sqrt x)/sqrt x for
+    x > 0 and sinh(sqrt(-x))/sqrt(-x) for x < 0, where the projected
+    eigenvalues of a PSD matrix can land a roundoff below 0, and the
+    series where sqrt|x| < _SERIES_THRESHOLD.
+
+    It rounds as sinc(sqrt(x + 0j)) does, whose quotient is
+    sin(s) * (1/s) and whose series argument is s*s, so for x >= 0 the
+    two agree to the bit.
+    """
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    s = np.sqrt(np.abs(x))
+    out = np.sin(s)
+    neg = x < 0
+    if np.count_nonzero(neg):
+        np.sinh(s, out=out, where=neg)
+    # entries below the threshold are overwritten by the series
+    out *= 1.0 / np.maximum(s, _SERIES_THRESHOLD)
+    small = s < _SERIES_THRESHOLD
+    if np.count_nonzero(small):
+        s_small = s[small]
+        out[small] = _sinc_series(np.copysign(s_small * s_small, x[small]))
+    return out[0] if scalar else out
+
+
 def sigma(z):
     """Filter sigma(z) = sinc(sqrt(z)); even entire function of sqrt(z).
 
-    Real input yields real output (for negative z the value is
-    sinh(sqrt(-z))/sqrt(-z)).
+    Real input yields real output, computed in real arithmetic (for
+    negative z the value is sinh(sqrt(-z))/sqrt(-z)).
     """
     z = np.asarray(z)
-    w = sinc(np.sqrt(z.astype(np.complex128)))
-    if not np.iscomplexobj(z):
-        w = np.real(w)
-    return w
+    if np.iscomplexobj(z):
+        return sinc(np.sqrt(z.astype(np.complex128)))
+    return _sinc_sqrt(z.astype(np.float64, copy=False))
 
 
 def psi(z):
-    """Filter psi(z) = sinc(sqrt(z)/2)**2 used by the one-step scheme."""
+    """Filter psi(z) = sinc(sqrt(z)/2)**2 used by the one-step scheme.
+
+    Real input yields real output, computed in real arithmetic as
+    sigma(z/4)**2.
+    """
     z = np.asarray(z)
-    w = sinc(np.sqrt(z.astype(np.complex128)) / 2.0) ** 2
-    if not np.iscomplexobj(z):
-        w = np.real(w)
-    return w
+    if np.iscomplexobj(z):
+        return sinc(np.sqrt(z.astype(np.complex128)) / 2.0) ** 2
+    return _sinc_sqrt(0.25 * z.astype(np.float64, copy=False)) ** 2
 
 
 @dataclass(frozen=True)

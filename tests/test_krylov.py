@@ -1,5 +1,7 @@
 """Rational Krylov spaces: orthonormality, exactness, guards, realness."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -12,6 +14,7 @@ import sincint.integrators as integrators_module
 import sincint.krylov as krylov_module
 import sincint.poles as poles_module
 from sincint.densefun import sinc_apply_dense, sym_eigendecomposition
+from sincint.fem import structured_mesh, wave_demo_problem
 from sincint.krylov import (
     PoleCollisionError,
     ShiftedSolveCache,
@@ -338,6 +341,92 @@ class TestOneFactorizationPerPair:
         engine = make_filters(A.tocsr(), 0.1, RationalKrylovBackend("E", n=4))
         with pytest.raises(PoleCollisionError, match="singular"):
             engine.psi(_seed_vector(50))
+
+
+def _count_dense_factorizations(monkeypatch) -> list:
+    """Record the dtype of every matrix factored through
+    krylov.sla.lu_factor."""
+    dtypes = []
+    original = krylov_module.sla.lu_factor
+
+    def counted(M, *args, **kwargs):
+        dtypes.append(M.dtype)
+        return original(M, *args, **kwargs)
+
+    monkeypatch.setattr(krylov_module.sla, "lu_factor", counted)
+    return dtypes
+
+
+class TestDenseRoute:
+    """An ndarray is factored by LAPACK LU, with the sharing rules of
+    the sparse route; the engine keeps a more than half full h^2 A
+    dense."""
+
+    def test_conjugate_pair_shares_one_complex_lu(self, monkeypatch):
+        dtypes = _count_dense_factorizations(monkeypatch)
+        superlu = _count_factorizations(monkeypatch)
+        A = random_spd(40, 6).toarray()
+        cache = ShiftedSolveCache(A)
+        z = -0.8 + 1.3j
+        b = _complex_vector(40)
+        cache.solve(z, b)
+        x = cache.solve(z.conjugate(), b)
+        want = np.linalg.solve(z.conjugate() * np.eye(40) - A, b)
+        assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
+        assert dtypes == [np.complex128]
+        assert superlu == []
+
+    def test_real_shift_factored_once_in_float64(self, monkeypatch):
+        dtypes = _count_dense_factorizations(monkeypatch)
+        A = random_spd(40, 7).toarray()
+        cache = ShiftedSolveCache(A)
+        for seed in (5, 6):
+            b = _complex_vector(40, seed)
+            x = cache.solve(-0.5 + 0j, b)
+            want = np.linalg.solve((-0.5 * np.eye(40) - A).astype(complex), b)
+            assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
+        assert dtypes == [np.float64]
+
+    def test_exactly_singular_shift_raises_without_warning(self):
+        cache = ShiftedSolveCache(np.diag([1.0, 2.0, 3.0, 4.0]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(PoleCollisionError, match="singular"):
+                cache.solve(2.0, np.ones(4))
+        assert not [w for w in caught
+                    if issubclass(w.category, krylov_module.sla.LinAlgWarning)]
+
+    def test_full_fem_operator_is_factored_dense(self, monkeypatch):
+        """Atil of the FEM wave demo is full, so the engine factors its
+        shifted matrices with LAPACK and matches the SuperLU route."""
+        h = 0.01
+        Atil = wave_demo_problem(structured_mesh(8)).Atil
+        superlu = _count_factorizations(monkeypatch)
+        lapack = _count_dense_factorizations(monkeypatch)
+        engine = make_filters(Atil, h, RationalKrylovBackend("E", n=8))
+        rng = np.random.default_rng(8)
+        inputs = [rng.standard_normal(Atil.shape[0]) for _ in range(3)]
+        products = [(psi, [engine.psi(w) for w in inputs]),
+                    (sigma, [engine.sigma(w) for w in inputs])]
+        # the real origin pole and 4 conjugate pairs each for psi and sigma
+        assert superlu == []
+        assert len(lapack) == 9
+        B = sp.csc_matrix(Atil) * (h * h)
+        sparse_cache = ShiftedSolveCache(B)
+        psi_poles, sigma_poles = filter_poles(poles_E(8))
+        for (f, got), poles in zip(products, (psi_poles, sigma_poles)):
+            for w, y in zip(inputs, got):
+                space = build_space(B, w, poles, cache=sparse_cache)
+                want = apply_function(space, f, w)
+                assert np.linalg.norm(y - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_sparse_operator_still_uses_superlu(self, monkeypatch):
+        superlu = _count_factorizations(monkeypatch)
+        lapack = _count_dense_factorizations(monkeypatch)
+        A = synthetic_problem(20).A
+        engine = make_filters(A, 0.05, RationalKrylovBackend("E", n=8))
+        engine.psi(_seed_vector(20))
+        assert superlu and not lapack
 
 
 class TestFillReducingOrder:

@@ -76,6 +76,23 @@ class TestFilters:
             assert np.isrealobj(val)
             assert np.isfinite(val)
 
+    @pytest.mark.parametrize("f", [psi, sigma])
+    def test_real_path_matches_complex_path(self, f):
+        """Real input is evaluated in float64; the series switches at
+        z = 1e-4 for sigma and 4e-4 for psi."""
+        z = np.concatenate([
+            [0.0, 1e-300, 1e-20, 0.99e-4, 1.01e-4, 3.99e-4, 4.01e-4, 1e-3,
+             0.5, 1.0, 30.0, 1e3, 1e4],
+            -np.logspace(-14, 1, 16),
+        ])
+        got = f(z)
+        want = f(z.astype(np.complex128))
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, want.real, rtol=1e-14, atol=0)
+        # for z >= 0 it rounds as the complex path does
+        np.testing.assert_array_equal(got[z >= 0], want.real[z >= 0])
+        assert isinstance(f(2.0), np.float64)
+
     @given(st.floats(min_value=0, max_value=400))
     def test_psi_is_sigma_of_quarter_squared(self, z):
         # sinc(sqrt(z)/2)^2 = sigma(z/4)^2
