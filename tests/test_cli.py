@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 import scipy.io as sio
 
+from sincint import cli
 from sincint.cli import main, parse_backend
+from sincint.densefun import sinc_apply_dense
+from sincint.expsum import ExpSumPlan, expsum_sinc
 from sincint.integrators import (
     BlowUpError,
     DenseBackend,
@@ -135,6 +138,33 @@ class TestBenchCommands:
                                 "seconds"}
         assert [int(r["nu"]) for r in rows] == list(range(1, 7))
         assert float(rows[-1]["rel_error"]) < float(rows[0]["rel_error"])
+
+    def test_expsum_benchmark_dense_decomposes_once(self, tmp_path,
+                                                    monkeypatch):
+        calls = []
+        real = cli.sym_eigendecomposition
+
+        def counted(A):
+            calls.append(A.shape)
+            return real(A)
+
+        monkeypatch.setattr(cli, "sym_eigendecomposition", counted)
+        out = tmp_path / "e.csv"
+        rc = main(["expsum-bench", "--matrix", "lap1d", "--inner", "dense",
+                   "--nu-max", "4", "--small", "--out", str(out), "--quiet"])
+        assert rc == 0
+        assert calls == [(256, 256)]
+        # the errors are those of the public routes, each of which
+        # decomposes A on its own
+        A = laplacian_1d(256)
+        v = np.random.default_rng(42).standard_normal(256)
+        v /= np.linalg.norm(v)
+        y_ref = sinc_apply_dense(A, v)
+        want = ["%.6e" % (np.linalg.norm(
+                    expsum_sinc(A, v, ExpSumPlan(nu=nu, inner="dense"))
+                    - y_ref) / np.linalg.norm(y_ref))
+                for nu in range(1, 5)]
+        assert [r["rel_error"] for r in _rows(out)] == want
 
 
 class TestConvergeCommand:

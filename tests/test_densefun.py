@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
+from sincint import densefun
 from sincint.densefun import (
     expm_i_dense,
     funm_sym,
@@ -12,7 +15,10 @@ from sincint.densefun import (
     sinc_apply_dense,
     sym_eigendecomposition,
 )
-from sincint.problems import laplacian_1d
+from sincint.problems import laplacian_1d, laplacian_2d, synthetic_problem
+
+# the reference decomposition, captured before any test wraps the name
+_eigh = np.linalg.eigh
 
 
 def sinc_series_apply(A, v, terms=60):
@@ -51,6 +57,144 @@ class TestEigendecomposition:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             sym_eigendecomposition(np.ones((3, 4)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("storage", ["sparse", "dense"])
+    def test_rejects_non_finite(self, bad, storage):
+        A = laplacian_1d(5).toarray()
+        A[2, 2] = bad
+        if storage == "sparse":
+            A = sp.csr_array(A)
+        with pytest.raises(ValueError, match="non-finite"):
+            sym_eigendecomposition(A)
+
+
+def assert_matches_eigh(A, rtol=1e-13):
+    """Eigenvalues and Q cos(Lambda / |A|) Q^T v agree with np.linalg.eigh
+    of the densified matrix to rtol.  Q itself is compared only through
+    a function of A: eigenvectors are unique only up to sign, and within
+    a repeated eigenvalue not at all."""
+    lam, Q = sym_eigendecomposition(A)
+    lam_ref, Q_ref = _eigh(A.toarray())
+    scale = max(np.abs(lam_ref).max(), np.finfo(float).tiny)
+    assert np.abs(lam - lam_ref).max() <= rtol * scale
+    v = np.random.default_rng(7).standard_normal(A.shape[0])
+    y = Q @ (np.cos(lam / scale) * (Q.T @ v))
+    y_ref = Q_ref @ (np.cos(lam_ref / scale) * (Q_ref.T @ v))
+    assert np.linalg.norm(y - y_ref) <= rtol * np.linalg.norm(v)
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Counts of dstevd and np.linalg.eigh calls made through densefun."""
+    counts = {"dstevd": 0, "eigh": 0}
+    real_dstevd = densefun.dstevd
+
+    def dstevd(*args, **kwargs):
+        counts["dstevd"] += 1
+        return real_dstevd(*args, **kwargs)
+
+    def eigh(*args, **kwargs):
+        counts["eigh"] += 1
+        return _eigh(*args, **kwargs)
+
+    monkeypatch.setattr(densefun, "dstevd", dstevd)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return counts
+
+
+def _lap1d_with_stored_zero(n):
+    """laplacian_1d(n) plus explicitly stored zeros at (0, n-1), (n-1, 0)."""
+    coo = laplacian_1d(n).tocoo()
+    A = sp.coo_array(
+        (np.r_[coo.data, 0.0, 0.0],
+         (np.r_[coo.row, 0, n - 1], np.r_[coo.col, n - 1, 0])),
+        shape=(n, n)).tocsr()
+    assert A.nnz == coo.nnz + 2
+    return A
+
+
+@pytest.mark.skipif(densefun.dstevd is None,
+                    reason="this scipy has no dstevd wrapper")
+class TestTridiagonalRoute:
+    @pytest.mark.parametrize("n", [2, 3, 64, 1500])
+    def test_laplacian_matches_eigh(self, n, routes):
+        assert_matches_eigh(laplacian_1d(n))
+        assert routes == {"dstevd": 1, "eigh": 0}
+
+    @pytest.mark.parametrize("fmt", ["csr", "csc", "coo", "dia"])
+    def test_storage_formats(self, fmt, routes):
+        assert_matches_eigh(laplacian_1d(64).asformat(fmt))
+        assert routes == {"dstevd": 1, "eigh": 0}
+
+    def test_diagonal_with_repeated_entries(self, routes):
+        assert_matches_eigh(sp.diags_array([3.0, 1.0, 2.0, 1.0, -5.0]).tocsr())
+        assert routes == {"dstevd": 1, "eigh": 0}
+
+    @given(st.integers(min_value=2, max_value=80),
+           st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from([1e-6, 1e-2, 1.0, 1e4, 1e8]))
+    def test_random_tridiagonal_matches_eigh(self, n, seed, scale):
+        g = np.random.default_rng(seed)
+        e = scale * g.standard_normal(n - 1)
+        A = sp.diags_array([e, scale * g.standard_normal(n), e],
+                           offsets=[-1, 0, 1]).tocsr()
+        assert_matches_eigh(A)
+
+    def test_q_is_c_contiguous(self):
+        _, Q = sym_eigendecomposition(laplacian_1d(64))
+        assert Q.flags.c_contiguous
+
+    def test_reads_the_subdiagonal(self, routes):
+        # symmetric only to within the 1e-12 guard: eigh reads the lower
+        # triangle, and so must this route.  Taking the superdiagonal
+        # would move the eigenvalues by about 7e-13 relative.
+        A = laplacian_1d(8).tolil()
+        for i in range(7):
+            A[i, i + 1] += 1.5e-12
+        assert_matches_eigh(A.tocsr())
+        assert routes == {"dstevd": 1, "eigh": 0}
+
+    @pytest.mark.parametrize("make", [
+        lambda: synthetic_problem(20).A,
+        lambda: laplacian_2d(64),
+        lambda: laplacian_1d(8).toarray(),
+        lambda: _lap1d_with_stored_zero(8),
+    ], ids=["synthetic-band4", "lap2d", "dense-ndarray", "stored-zero"])
+    def test_other_inputs_take_eigh(self, make, routes):
+        A = make()
+        lam, Q = sym_eigendecomposition(A)
+        assert routes == {"dstevd": 0, "eigh": 1}
+        dense = A.toarray() if sp.issparse(A) else A
+        assert np.allclose((Q * lam) @ Q.T, dense, atol=1e-12 * np.abs(dense).max())
+
+    def test_order_one_takes_eigh(self, routes):
+        lam, Q = sym_eigendecomposition(sp.csr_array([[2.5]]))
+        assert routes == {"dstevd": 0, "eigh": 1}
+        assert lam.tolist() == [2.5] and Q.tolist() == [[1.0]]
+
+    def test_without_dstevd_takes_eigh(self, routes, monkeypatch):
+        monkeypatch.setattr(densefun, "dstevd", None)
+        assert_matches_eigh(laplacian_1d(16))
+        assert routes["eigh"] == 1
+
+    def test_rejects_nonsymmetric_tridiagonal(self, routes):
+        A = laplacian_1d(8).tolil()
+        A[2, 3] = -1.5
+        with pytest.raises(ValueError, match="symmetric"):
+            sym_eigendecomposition(A.tocsr())
+        assert routes == {"dstevd": 0, "eigh": 0}
+
+    def test_order_cap_before_any_dense_work(self, routes):
+        with pytest.raises(ValueError, match="5000"):
+            sym_eigendecomposition(sp.identity(5001, format="csr"))
+        assert routes == {"dstevd": 0, "eigh": 0}
+
+    def test_nonzero_info_raises(self, monkeypatch):
+        monkeypatch.setattr(densefun, "dstevd",
+                            lambda d, e: (d, np.eye(d.size), 3))
+        with pytest.raises(np.linalg.LinAlgError, match="info = 3"):
+            sym_eigendecomposition(laplacian_1d(8))
 
 
 class TestFunm:
