@@ -60,6 +60,12 @@ def _check_entries(max_abs: float, lower: np.ndarray, upper: np.ndarray) -> None
         raise ValueError("matrix is not symmetric to 1e-12 (max-norm, relative)")
 
 
+def _check_real(x, what: str) -> None:
+    # before any float64 cast, which would drop the imaginary part
+    if np.iscomplexobj(x):
+        raise ValueError(f"{what} must be real, got complex entries")
+
+
 def _tridiagonal_bands(A) -> tuple[np.ndarray, np.ndarray] | None:
     """Diagonal and subdiagonal of a square sparse A of order >= 2 with
     no stored entry beyond its first off-diagonals, checked like
@@ -101,10 +107,11 @@ def sym_eigendecomposition(A) -> tuple[np.ndarray, np.ndarray]:
     single-threaded OpenBLAS).  Q is returned in C order, as ``eigh``
     returns it, so later products with it round the same way.
 
-    Raises ValueError for a non-square, non-finite or nonsymmetric A or
-    an order above 5000, and np.linalg.LinAlgError when the eigensolver
-    does not converge.
+    Raises ValueError for a complex, non-square, non-finite or
+    nonsymmetric A or an order above 5000, and np.linalg.LinAlgError
+    when the eigensolver does not converge.
     """
+    _check_real(A, "matrix")
     bands = _tridiagonal_bands(A)
     if bands is None:
         lam, Q = np.linalg.eigh(_as_dense_sym(A))
@@ -123,6 +130,7 @@ def funm_sym(A, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
 
 
 def _apply(A, v: np.ndarray, f: Callable) -> np.ndarray:
+    _check_real(v, "vector")
     lam, Q = sym_eigendecomposition(A)
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (Q.shape[0],):

@@ -45,14 +45,14 @@ A rational Krylov approximation is near-optimal over its space
 (Guttel, "Rational Krylov approximation of matrix functions: numerical
 methods and optimal pole selection", GAMM-Mitt. 36, 2013), so once the
 projected coefficients f(A_m) e_1 stop changing with m, further columns
-only cost time.  The leading block A_k[:m, :m] is the projection onto
-the first m columns, so settled_dimension finds, without further
-products with A, the smallest m at which a full space's coefficients
-have settled to _SETTLED_RTOL; a filter engine then builds one column
-more than that for its later products, and last_column_settled
-certifies each of them: the last column must move the coefficients by
-at most _SETTLED_RTOL.  On the 2D Laplacian of order 4096 at h = 0.01
-(E, degree 8) that is 9 of 18 columns for psi and 10 for sigma.
+only cost time, and their poles need no factorization.  Given f,
+build_space grows the space until its last column moved those
+coefficients by at most _SETTLED_RTOL; a filter engine starts checking
+each product at the dimension where its previous product stopped, and
+the cache factors only the shifts some product reaches.  On the 2D
+Laplacian of order 4096 at h = 0.01 (E, degree 8) a psi product stops
+at 9 of 18 columns and a sigma product at 10, so 5 of the 9 LUs of the
+two pole sets are ever built.
 """
 
 from __future__ import annotations
@@ -77,13 +77,11 @@ __all__ = [
     "build_space",
     "apply_function",
     "sinc_apply",
-    "settled_dimension",
-    "last_column_settled",
 ]
 
 _BREAKDOWN_RTOL = 1e-10
-# the projected coefficients f(A_m) e_1 have settled at m when the whole
-# space's agree with them, zero-padded, to this relative tolerance
+# the projected coefficients f(A_m) e_1 have settled at m when those of
+# A_{m-1}, zero-padded, agree with them to this relative tolerance
 _SETTLED_RTOL = 1e-13
 _SEED_RTOL = 1e-10
 _REAL_GUARD_RTOL = 1e-6
@@ -229,20 +227,13 @@ class RationalKrylovSpace:
     def dim(self) -> int:
         return self.V.shape[1]
 
-    def project(self, f, c: np.ndarray, m: int | None = None) -> np.ndarray:
-        """f(A_m) c for the leading m x m block A_m of A_k, all of it by
-        default: the projection of A onto the first m basis vectors.
-
-        f acts through an eigendecomposition of the Hermitian part of
-        A_m; for A_k itself it and f's values on it are computed once
-        per space and f.
-        """
-        if m is None or m == self.dim:
-            f_eigh = self._f_eigh.get(f)
-            if f_eigh is None:
-                f_eigh = self._f_eigh[f] = _f_eigh(self.A_k, f)
-        else:
-            f_eigh = _f_eigh(self.A_k[:m, :m], f)
+    def project(self, f, c: np.ndarray) -> np.ndarray:
+        """f(A_k) c, through an eigendecomposition of the Hermitian part
+        of A_k that, with f's values on it, is computed once per space
+        and f."""
+        f_eigh = self._f_eigh.get(f)
+        if f_eigh is None:
+            f_eigh = self._f_eigh[f] = _f_eigh(self.A_k, f)
         f_lam, U = f_eigh
         return U @ (f_lam * (U.conj().T @ c))
 
@@ -252,21 +243,37 @@ def _f_eigh(A_m: np.ndarray, f) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(f(lam)), U
 
 
-def build_space(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
-                cache: ShiftedSolveCache | None = None) -> RationalKrylovSpace:
-    """Grow a rational Krylov space of dimension k from the real seed v.
+def _coefficients(f_eigh) -> np.ndarray:
+    """f(A_m) e_1 from f's eigendecomposition of A_m."""
+    f_lam, U = f_eigh
+    return U @ (f_lam * U[0].conj())
 
-    The first basis vector is v normalized; the remaining k-1 columns
-    consume the poles cyclically (an infinite pole contributes a plain
-    product A v_j).  k defaults to len(poles) + 1 and is capped at the
-    matrix order.  Near-linear dependence (new direction below 1e-10 of
-    its pre-orthogonalization norm) stops growth early and marks the
-    space as exact from that dimension on.  The threshold sits in the
-    gap measured on the synthetic, 2D Laplacian and FEM problems: a
+
+def build_space(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
+                cache: ShiftedSolveCache | None = None,
+                f=None) -> RationalKrylovSpace:
+    """Grow a rational Krylov space from the real seed v.
+
+    The first basis vector is v normalized; the further columns consume
+    the poles cyclically (an infinite pole contributes a plain product
+    A v_j).  Near-linear dependence (new direction below 1e-10 of its
+    pre-orthogonalization norm) stops growth early and marks the space
+    as exact from that dimension on.  The threshold sits in the gap
+    measured on the synthetic, 2D Laplacian and FEM problems: a
     direction taken after the space became invariant keeps at most about
     2e-13 of its norm (roundoff), a genuine one at least 1e-6.  So a
     change in the order of the arithmetic, such as another LU ordering,
     does not move a breakdown.
+
+    Without f the space has dimension k, by default len(poles) + 1,
+    capped at the matrix order.  With f, growth stops at the first
+    dimension m >= k (k defaults to 2) whose last column moved the
+    projected coefficients by at most _SETTLED_RTOL relative,
+    ||u_m - [u_{m-1}; 0]|| <= _SETTLED_RTOL ||u_m|| with u_m = f(A_m) e_1,
+    and otherwise at min(len(poles) + 1, n) or a breakdown.  A_m is
+    formed with one multi-column product with A at dimension k and then
+    extended by one row and column per column, and f's eigendecomposition
+    of the last A_m is kept for apply_function.
 
     When a cache is supplied it already owns the matrix, and its matrix
     is the one used; pass the same operator as A (it is only consulted
@@ -284,24 +291,28 @@ def build_space(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
     nrm = float(np.linalg.norm(v))
     if nrm == 0.0:
         raise ValueError("seed vector must be nonzero")
-    if k is None:
-        k = len(poles) + 1
-    if k < 1:
+    if k is not None and k < 1:
         raise ValueError(f"space dimension must be >= 1, got {k}")
-    k = min(k, n)
+    if f is None:
+        stop = min(len(poles) + 1 if k is None else k, n)
+        check = stop + 1
+    else:
+        stop = min(len(poles) + 1, n)
+        check = max(k or 2, 2)
 
     # Fortran order keeps every leading block V[:, :m] contiguous
-    V = np.zeros((n, k), dtype=np.complex128, order="F")
+    V = np.zeros((n, stop), dtype=np.complex128, order="F")
     V[:, 0] = v / nrm
+    f_eigh = None
     pole_list = list(poles.values)
     breakdown = False
     m = 1
-    for j in range(1, k):
-        zeta = pole_list[(j - 1) % len(pole_list)] if pole_list else complex("inf")
+    while m < stop:
+        zeta = pole_list[(m - 1) % len(pole_list)] if pole_list else complex("inf")
         if cmath.isinf(zeta):
-            w = _real_apply(A.dot, V[:, j - 1])
+            w = _real_apply(A.dot, V[:, m - 1])
         else:
-            w = cache.solve(zeta, V[:, j - 1])
+            w = cache.solve(zeta, V[:, m - 1])
         w0 = float(np.linalg.norm(w))
         Vm = V[:, :m]
         for _ in range(2):
@@ -311,12 +322,36 @@ def build_space(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
         if wn <= _BREAKDOWN_RTOL * max(w0, 1e-300):
             breakdown = True
             break
-        V[:, j] = w / wn
+        V[:, m] = w / wn
         m += 1
+        if m < check:
+            continue
+        if f_eigh is None:
+            # the projection of A onto V[:, :m], grown with the basis
+            A_k = np.empty((stop, stop), dtype=np.complex128)
+            A_k[:m, :m] = V[:, :m].conj().T @ _real_apply(A.dot, V[:, :m])
+            f_eigh = _f_eigh(A_k[:m - 1, :m - 1], f)
+        else:
+            col = V[:, :m].conj().T @ _real_apply(A.dot, V[:, m - 1])
+            A_k[:m, m - 1] = col
+            A_k[m - 1, :m - 1] = col[:m - 1].conj()
+        u_prev = _coefficients(f_eigh)
+        f_eigh = _f_eigh(A_k[:m, :m], f)
+        u = _coefficients(f_eigh)
+        d = u.copy()
+        d[:m - 1] -= u_prev
+        if np.linalg.norm(d) <= _SETTLED_RTOL * np.linalg.norm(u):
+            break
     V = V[:, :m]
-    A_k = V.conj().T @ _real_apply(A.dot, V)
-    return RationalKrylovSpace(V=V, A_k=A_k, poles=poles, seed_norm=nrm,
-                               breakdown=breakdown)
+    if f_eigh is None:
+        A_k = V.conj().T @ _real_apply(A.dot, V)
+    else:
+        A_k = A_k[:m, :m].copy()
+    space = RationalKrylovSpace(V=V, A_k=A_k, poles=poles, seed_norm=nrm,
+                                breakdown=breakdown)
+    if f_eigh is not None:
+        space._f_eigh[f] = f_eigh
+    return space
 
 
 def apply_function(space: RationalKrylovSpace, f, v: np.ndarray) -> np.ndarray:
@@ -360,36 +395,3 @@ def sinc_apply(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
     """sinc(A) v via a rational Krylov space on A with the given poles."""
     space = build_space(A, v, poles, k=k, cache=cache)
     return apply_function(space, sinc, v)
-
-
-def _agrees(space: RationalKrylovSpace, f, u: np.ndarray, m: int) -> bool:
-    """Whether f(A_m) e_1, zero-padded, agrees with u = f(A_k) e_1 to
-    _SETTLED_RTOL relative."""
-    d = u.copy()
-    d[:m] -= space.project(f, np.eye(1, m)[0], m)
-    return np.linalg.norm(d) <= _SETTLED_RTOL * np.linalg.norm(u)
-
-
-def settled_dimension(space: RationalKrylovSpace, f) -> int:
-    """Smallest m whose projected coefficients f(A_m) e_1 agree with the
-    whole space's f(A_k) e_1 to _SETTLED_RTOL relative, by bisection.
-    A_m is the leading block of A_k, so no product with A is needed."""
-    u = space.project(f, np.eye(1, space.dim)[0])
-    lo, hi = 1, space.dim
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _agrees(space, f, u, mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def last_column_settled(space: RationalKrylovSpace, f) -> bool:
-    """Whether the last column moved the projected coefficients by at most
-    _SETTLED_RTOL: ||u_k - [u_{k-1}; 0]|| <= _SETTLED_RTOL ||u_k|| with
-    u_m = f(A_m) e_1.  Costs one (k-1) x (k-1) eigendecomposition beyond
-    the one of A_k, which apply_function shares."""
-    k = space.dim
-    u = space.project(f, np.eye(1, k)[0])
-    return k > 1 and _agrees(space, f, u, k - 1)

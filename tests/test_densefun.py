@@ -197,6 +197,57 @@ class TestTridiagonalRoute:
             sym_eigendecomposition(laplacian_1d(8))
 
 
+def _hermitian_2x2():
+    return np.array([[2.0, 1j], [-1j, 2.0]])
+
+
+def _complex_tridiagonal():
+    """laplacian_1d(4) with +-1j added to the first off-diagonals: a
+    Hermitian tridiagonal matrix that the band scan would accept."""
+    return (laplacian_1d(4) + sp.diags_array(
+        [1j * np.ones(3), -1j * np.ones(3)], offsets=[1, -1])).tocsr()
+
+
+def _complex_sparse_general():
+    """synthetic_problem(20).A (bandwidth 4) plus a Hermitian imaginary
+    pair at (0, 10) and (10, 0)."""
+    A = synthetic_problem(20).A.astype(np.complex128).tolil()
+    A[0, 10], A[10, 0] = 0.5j, -0.5j
+    return A.tocsr()
+
+
+class TestComplexInput:
+    """A complex matrix or vector is refused before any float64 cast,
+    which would drop its imaginary part with only a ComplexWarning."""
+
+    @pytest.mark.parametrize("make", [
+        _hermitian_2x2,
+        lambda: sp.csr_array(_hermitian_2x2()),
+        _complex_sparse_general,
+        _complex_tridiagonal,
+    ], ids=["dense", "sparse-2x2", "sparse-general", "sparse-tridiagonal"])
+    def test_complex_matrix_raises(self, make, routes):
+        with pytest.raises(ValueError, match="complex"):
+            sym_eigendecomposition(make())
+        assert routes == {"dstevd": 0, "eigh": 0}
+
+    @pytest.mark.parametrize("apply", [
+        sinc_apply_dense, psi_apply_dense, sigma_apply_dense])
+    def test_complex_vector_raises(self, apply, routes):
+        v = np.ones(4) + 1j * np.arange(4)
+        with pytest.raises(ValueError, match="vector must be real"):
+            apply(laplacian_1d(4), v)
+        assert routes == {"dstevd": 0, "eigh": 0}
+
+    def test_complex_matrix_raises_in_funm(self):
+        with pytest.raises(ValueError, match="complex"):
+            funm_sym(_hermitian_2x2(), np.exp)
+
+    def test_complex_dtype_with_real_values_raises(self):
+        with pytest.raises(ValueError, match="complex"):
+            sym_eigendecomposition(laplacian_1d(4).astype(np.complex128))
+
+
 class TestFunm:
     def test_identity_function(self, lap64):
         F = funm_sym(lap64, lambda lam: np.ones_like(lam))

@@ -294,13 +294,19 @@ def _complex_vector(n, seed=5):
 class TestOneFactorizationPerPair:
     def test_E8_engine_factors_one_lu_per_pair(self, monkeypatch):
         """psi and sigma of E degree 8 have 17 shifts between them: the
-        shared real origin and 8 conjugate pairs."""
+        shared real origin and 8 conjugate pairs.  The engine's products
+        settle before they reach all of them and factor 5; full spaces
+        on its cache factor the other 4 pairs, one LU each."""
         dtypes = _count_factorizations(monkeypatch)
         engine = make_filters(15**2 * laplacian_2d(256), 0.01,
                               RationalKrylovBackend("E", n=8))
         v = _seed_vector(256)
         engine.psi(v)
         engine.sigma(v)
+        assert len(dtypes) == 5
+        assert dtypes.count(np.float64) == 1
+        for poles in (engine._psi_poles, engine._sigma_poles):
+            build_space(engine._B, v, poles, cache=engine._cache)
         assert len(dtypes) == 9
         assert dtypes.count(np.float64) == 1
 
@@ -408,9 +414,10 @@ class TestDenseRoute:
         inputs = [rng.standard_normal(Atil.shape[0]) for _ in range(3)]
         products = [(psi, [engine.psi(w) for w in inputs]),
                     (sigma, [engine.sigma(w) for w in inputs])]
-        # the real origin pole and 4 conjugate pairs each for psi and sigma
+        # the products settle before they reach more than the real
+        # origin pole and one conjugate pair each of psi and sigma
         assert superlu == []
-        assert len(lapack) == 9
+        assert lapack == [np.float64, np.complex128, np.complex128]
         B = sp.csc_matrix(Atil) * (h * h)
         sparse_cache = ShiftedSolveCache(B)
         psi_poles, sigma_poles = filter_poles(poles_E(8))
@@ -544,8 +551,8 @@ def _rel(x, ref):
 
 
 def _recorded_builds(monkeypatch) -> list:
-    """(k, dimension) of every space the engines build, k None for the
-    default full space."""
+    """(k, dimension) of every space the engines build: the first
+    dimension checked and the one where growth stopped."""
     builds = []
     original = integrators_module.build_space
 
@@ -571,12 +578,12 @@ def _counted_solves(monkeypatch) -> list:
 
 
 class TestSettledDimension:
-    """Each filter learns from its first, full space the dimension at
-    which its projected coefficients settle; later products build only
-    that many columns and are accepted only when their last column
-    moved the coefficients by at most the settling tolerance."""
+    """Each product grows its space until the last column moved the
+    projected coefficients by at most the settling tolerance, checking
+    from where the filter's previous product stopped (from 2 for the
+    first), and builds each space once."""
 
-    def test_failed_check_rebuilds_the_full_space(self, monkeypatch):
+    def test_failed_check_grows_on(self, monkeypatch):
         A = _lap_operator()
         engine = make_filters(A, _H, RationalKrylovBackend("E", n=8))
         builds = _recorded_builds(monkeypatch)
@@ -592,13 +599,9 @@ class TestSettledDimension:
             assert _rel(engine.psi(w), _exact_psi(w)) <= 1e-13
             per_product.append(list(builds))
         # near one eigenvector the psi coefficients settle after a few
-        # columns, too few for a random input, whose check fails
-        assert per_product[0] == [(None, 18)]
-        assert len(per_product[1]) == 2 and per_product[1][-1] == (None, 18)
-        assert per_product[1][0][1] < 18
-        for builds_of_product in per_product[2:]:
-            assert len(builds_of_product) == 1
-            assert builds_of_product[0][1] < 18
+        # columns, too few for a random input, whose check there fails
+        # and which grows on in the same space instead of rebuilding 18
+        assert per_product == [[(2, 5)], [(5, 8)], [(8, 8)], [(8, 8)]]
 
     def test_later_products_do_half_the_solves(self, monkeypatch):
         A = _lap_operator()
@@ -613,17 +616,89 @@ class TestSettledDimension:
                   _dst(top)]
         solves = _counted_solves(monkeypatch)
         engine.psi(rng.standard_normal(_M * _M))
-        assert len(solves) == 17
+        assert len(solves) == 7
         for w in inputs:
             del solves[:]
             got = engine.psi(w)
-            assert len(solves) <= 9
+            assert len(solves) == 7
             want = apply_function(build_space(B, w, psi_poles), psi, w)
             assert _rel(got, want) <= 1e-13
         w = inputs[0]
+        del solves[:]
         engine.sigma(rng.standard_normal(_M * _M))
+        assert len(solves) == 7
         del solves[:]
         got = engine.sigma(w)
-        assert len(solves) <= 9
+        assert len(solves) == 7
         want = apply_function(build_space(B, w, sigma_poles), sigma, w)
         assert _rel(got, want) <= 1e-13
+
+
+_FEM_ATIL = wave_demo_problem(structured_mesh(8)).Atil
+_FEM_Q = sym_eigendecomposition(_FEM_ATIL)[1]
+
+
+def _property_input(kind: str, operator: str, rng) -> np.ndarray:
+    """A seed of the given kind: random, one eigenvector plus 1e-8
+    noise, a mix of the 10 highest modes, or A times a random vector."""
+    if operator == "lap2d":
+        A, to_grid = _lap_operator(), _dst
+        ascending = np.argsort(_LAP_LAM)
+    else:
+        A, to_grid = _FEM_ATIL, lambda c: _FEM_Q @ c
+        ascending = np.arange(_FEM_ATIL.shape[0])
+    n = A.shape[0]
+    if kind == "random":
+        return rng.standard_normal(n)
+    if kind == "A_random":
+        return A @ rng.standard_normal(n)
+    c = np.zeros(n)
+    if kind == "eigenvector":
+        c[rng.integers(n)] = 1.0
+        return to_grid(c) + 1e-8 * rng.standard_normal(n)
+    c[ascending[-10:]] = rng.standard_normal(10)
+    return to_grid(c)
+
+
+# one to three products per filter and engine, so that later products,
+# which check from where the one before stopped, are covered too
+_INPUT_KINDS = st.lists(st.sampled_from(["random", "eigenvector", "top",
+                                         "A_random"]),
+                        min_size=1, max_size=3)
+
+
+class TestEngineMatchesFullSpace:
+    """The engine's products, first ones included, which stop where
+    their coefficients settle, agree with the full space of every pole.
+
+    The bound is relative to the input: psi and sigma have norm at most
+    1, and where the product is small against its input (the highest
+    modes at h near 0.1 shrink to 1e-4 of it) two full spaces that
+    differ only in the order of their rounding already differ by up to
+    5e-13 of the product."""
+
+    @staticmethod
+    def _check_products(operator, backend, h, kinds, seed):
+        A = _lap_operator() if operator == "lap2d" else _FEM_ATIL
+        engine = make_filters(A, h, backend)
+        rng = np.random.default_rng(seed)
+        for f, poles, product in ((psi, engine._psi_poles, engine.psi),
+                                  (sigma, engine._sigma_poles, engine.sigma)):
+            for kind in kinds:
+                w = _property_input(kind, operator, rng)
+                got = product(w)
+                want = apply_function(build_space(engine._B, w, poles), f, w)
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(w)
+
+    @given(st.integers(min_value=4, max_value=10),
+           st.floats(min_value=0.01, max_value=0.1), _INPUT_KINDS,
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_lap2d_E_products(self, degree, h, kinds, seed):
+        self._check_products("lap2d", RationalKrylovBackend("E", n=degree),
+                             h, kinds, seed)
+
+    @given(st.floats(min_value=0.01, max_value=0.1), _INPUT_KINDS,
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_fem_Lbar4_products(self, h, kinds, seed):
+        self._check_products("fem", RationalKrylovBackend("Lbar", n=4),
+                             h, kinds, seed)
