@@ -168,10 +168,12 @@ class RationalKrylovBackend:
     The engine stores h^2 A dense when more than half of its entries
     are nonzero (_DENSE_FILL), and as float64 CSC otherwise, and its
     ShiftedSolveCache factors the shifted matrices in that storage:
-    LAPACK LU for the dense one, SuperLU for the sparse one (see the
-    krylov module docstring, also for why LU and not LDL^T).  Of the
-    benchmark operators only the full FEM Atil is kept dense; the 2D
-    Laplacian (0.12% full) and the synthetic problem (23%) stay sparse.
+    LAPACK LU (getrf) for the dense one, solved by two BLAS triangular
+    solves rather than getrs, and SuperLU for the sparse one (see the
+    krylov module docstring, also for why LU and not LDL^T, and why trsv
+    and not getrs).  Of the benchmark operators only the full FEM Atil
+    is kept dense; the 2D Laplacian (0.12% full) and the synthetic
+    problem (23%) stay sparse.
     """
 
     family: str = "E"

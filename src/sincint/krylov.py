@@ -27,9 +27,20 @@ COLAMD, a column order for unsymmetric patterns: on the 2D Laplacian of
 order 4096 this halves the LU fill, and with it the factorization and
 solve times (George and Liu, "The evolution of the minimum degree
 ordering algorithm", SIAM Review 31, 1989).  An ndarray goes to LAPACK's
-LU with partial pivoting, looked up at call time as sla.lu_factor, with
-the same pair sharing.  The filter engine keeps h^2 A dense when more
-than half of its entries are nonzero (integrators._DENSE_FILL), as for
+LU with partial pivoting (getrf), looked up at call time as
+sla.lu_factor, with the same pair sharing.  Its solves do not go through
+LAPACK's getrs: getrf's row interchanges become one permutation per
+factorization, and each solve is two BLAS triangular solves (trsv) on
+the Fortran-ordered factor.  With one right-hand side and one BLAS
+thread, OpenBLAS's complex getrs took 1.97 ms at order 961 against
+0.83 ms for the two ztrsv calls (0.131 against 0.037 ms at order 225,
+14.1 against 7.4 ms at 2209; medians), most likely because its ztrsm
+packs the whole factor for one column.  The real getrs is not slow
+(0.45 against 0.40 ms at order 961, and 1.05 ms for two columns
+against 0.89 ms for four dtrsv calls), so both dtypes take the trsv
+path, a real shift's two real columns one at a time.  The filter
+engine keeps h^2 A dense when more than half of its entries are
+nonzero (integrators._DENSE_FILL), as for
 the full FEM operator Atil of order 961: there SuperLU fills the LU
 completely anyway and took 0.18 s per complex shift against 0.06 s for
 LAPACK, and a product of h^2 A with 20 columns took 9.5 ms in CSC
@@ -60,6 +71,7 @@ from __future__ import annotations
 import cmath
 import warnings
 from dataclasses import dataclass, field
+from itertools import cycle, islice
 from typing import Callable
 
 import numpy as np
@@ -122,8 +134,8 @@ class ShiftedSolveCache:
     step, so the cache is shared across calls.  A pair zeta, conj(zeta)
     shares the complex LU of its member with Im > 0, since the solve at
     conj(zeta) is conj((zeta I - A)^{-1} conj(b)); a real shift is
-    factored in float64 and takes a complex right-hand side as one
-    two-column real solve.  Pairs share only when they are exact
+    factored in float64 and takes a complex right-hand side as two real
+    columns.  Pairs share only when they are exact
     conjugates, as in the built-in pole sets.  The matrix is checked for
     symmetry here, once, rather than on every space built with it.
 
@@ -135,7 +147,11 @@ class ShiftedSolveCache:
     singular shift (a zero pivot, getrf's info > 0) raises
     PoleCollisionError instead of lu_factor's LinAlgWarning.  It is LU
     and not the complex-symmetric LDL^T, which lost accuracy on the FEM
-    operator (see the module docstring).
+    operator (see the module docstring).  A dense solve permutes b by
+    getrf's row interchanges and runs two BLAS trsv calls, unit lower
+    then upper, instead of getrs, whose complex version took twice as
+    long with one right-hand side (module docstring); the factor stays
+    Fortran-contiguous, so the f2py wrapper passes it without a copy.
     """
 
     def __init__(self, A):
@@ -179,19 +195,33 @@ class ShiftedSolveCache:
         return lu.solve
 
     def _factor_dense(self, shift) -> Callable:
-        # Fortran order, so that getrf factors M in place without a copy
+        # Fortran order, so that getrf factors M in place and every trsv
+        # call takes the factor without a copy
         M = np.negative(self._A, dtype=np.result_type(shift, self._A),
                         order="F")
         M[np.diag_indices_from(M)] += shift
         with warnings.catch_warnings():
             warnings.simplefilter("error", sla.LinAlgWarning)
             try:
-                lu = sla.lu_factor(M, overwrite_a=True, check_finite=False)
+                lu, piv = sla.lu_factor(M, overwrite_a=True,
+                                        check_finite=False)
             except sla.LinAlgWarning as exc:
                 raise PoleCollisionError(
                     f"shift {shift} makes (zeta I - A) singular: {exc}"
                 ) from exc
-        return lambda b: sla.lu_solve(lu, b, check_finite=False)
+        # getrf's row interchanges, applied in order, as one permutation
+        perm = np.arange(lu.shape[0])
+        for i, p in enumerate(piv):
+            perm[i], perm[p] = perm[p], perm[i]
+        trsv = sla.get_blas_funcs("trsv", (lu,))
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            if b.ndim == 2:
+                return np.column_stack([solve(col) for col in b.T])
+            y = trsv(lu, b[perm], lower=1, diag=1, overwrite_x=1)
+            return trsv(lu, y, overwrite_x=1)
+
+        return solve
 
     def solve(self, zeta: complex, b: np.ndarray) -> np.ndarray:
         zeta = complex(zeta)
@@ -364,9 +394,13 @@ def apply_function(space: RationalKrylovSpace, f, v: np.ndarray) -> np.ndarray:
     A_k must be Hermitian up to roundoff, as build_space guarantees by
     projecting the certified symmetric matrix of a ShiftedSolveCache.
 
-    When v is real and the pole set is closed under conjugation the
-    result is real up to roundoff and is returned as float64; an
-    imaginary residue above 1e-6 of its norm raises FloatingPointError.
+    When v is real and the pole set is closed under conjugation, the
+    result is returned as float64 if its imaginary residue is at most
+    1e-6 of its norm, as it is up to roundoff when the poles the space
+    used (the first dim - 1 of the cyclic pole list) are closed too.
+    Above that guard, a space cut inside a conjugate pair (by k or by
+    settling) returns the complex result, and one whose used poles are
+    closed raises FloatingPointError.
     """
     v = np.asarray(v).reshape(-1)
     c = (v.conj() @ space.V).conj()
@@ -381,12 +415,16 @@ def apply_function(space: RationalKrylovSpace, f, v: np.ndarray) -> np.ndarray:
     y = space.V @ space.project(f, c)
     if np.isrealobj(v) and space.poles.is_conjugate_closed():
         scale = max(float(np.linalg.norm(y)), 1e-300)
-        if float(np.linalg.norm(y.imag)) > _REAL_GUARD_RTOL * scale:
+        if float(np.linalg.norm(y.imag)) <= _REAL_GUARD_RTOL * scale:
+            return np.ascontiguousarray(y.real)
+        # the poles build_space consumed: the first dim - 1 of the cycle
+        used = PoleSet(tuple(islice(cycle(space.poles), space.dim - 1)))
+        if used.is_conjugate_closed():
             raise FloatingPointError(
-                "imaginary residue exceeds guard although the pole set is "
-                "conjugate closed; the space is numerically degenerate"
+                "imaginary residue exceeds guard although the poles of "
+                "the space are conjugate closed; the space is "
+                "numerically degenerate"
             )
-        return np.ascontiguousarray(y.real)
     return y
 
 

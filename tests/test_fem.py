@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+import sincint.fem as fem_module
 from sincint.fem import (
     TriMesh,
     apply_dirichlet_nullspace,
@@ -147,6 +149,32 @@ class TestWaveProblem:
         assert np.max(np.abs(A - A.T)) <= 1e-12
         lam = np.linalg.eigvalsh(A)
         assert lam[0] >= 0.0
+
+    @pytest.mark.parametrize("m", [8, 16])
+    def test_symmetric_definite_reduction(self, m):
+        """Atil is exactly symmetric and equals L^{-1} Kc L^{-T} formed
+        by two full triangular solves; L is the lower Cholesky factor."""
+        wp = wave_demo_problem(structured_mesh(m), tf=0.5)
+        A = wp.Atil.toarray()
+        assert np.array_equal(A, A.T)
+        L = wp.L
+        assert np.array_equal(L, np.tril(L))
+        Mc = wp.system.Mc.toarray()
+        assert np.linalg.norm(L @ L.T - Mc) <= 1e-14 * np.linalg.norm(Mc)
+        inv_L_Kc = sla.solve_triangular(L, wp.system.Kc.toarray(), lower=True)
+        want = sla.solve_triangular(L, inv_L_Kc.T, lower=True).T
+        assert np.linalg.norm(A - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("routine", ["dpotrf", "dsygst"])
+    def test_lapack_failure_raises(self, monkeypatch, routine):
+        original = getattr(fem_module.sla.lapack, routine)
+
+        def failing(*args, **kwargs):
+            return original(*args, **kwargs)[0], 3
+
+        monkeypatch.setattr(fem_module.sla.lapack, routine, failing)
+        with pytest.raises(np.linalg.LinAlgError, match=routine):
+            wave_demo_problem(structured_mesh(4))
 
     def test_displacement_inverts_initial_state(self):
         wp = wave_demo_problem(structured_mesh(8), tf=0.5)

@@ -427,6 +427,75 @@ class TestDenseRoute:
                 want = apply_function(space, f, w)
                 assert np.linalg.norm(y - want) <= 1e-12 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("operator", ["random", "fem8", "fem16"])
+    def test_solves_agree_with_numpy(self, operator):
+        """Complex shifts and their conjugates, a real shift below the
+        spectrum and one in its widest gap, each on a vector and on two
+        columns.  The shifts inside the spectrum's range make getrf
+        interchange rows."""
+        if operator == "random":
+            A = random_spd(40, 9).toarray()
+        else:
+            A = wave_demo_problem(
+                structured_mesh(int(operator[3:]))).Atil.toarray()
+        n = A.shape[0]
+        lam = np.linalg.eigvalsh(A)
+        scale = lam[-1]
+        gap = int(np.argmax(np.diff(lam)))
+        cache = ShiftedSolveCache(A)
+        rng = np.random.default_rng(n)
+        shifts = [scale * (-0.8 + 1.3j), scale * (-0.8 - 1.3j),
+                  scale * (0.5 + 0.3j), scale * (0.5 - 0.3j),
+                  -0.5 * scale + 0j, 0.5 * (lam[gap] + lam[gap + 1]) + 0j]
+        for zeta in shifts:
+            for shape in ((n,), (n, 2)):
+                b = (rng.standard_normal(shape)
+                     + 1j * rng.standard_normal(shape))
+                x = cache.solve(zeta, b)
+                want = np.linalg.solve(zeta * np.eye(n) - A, b)
+                assert x.shape == b.shape
+                assert (np.linalg.norm(x - want)
+                        <= 1e-13 * np.linalg.norm(want))
+
+    def test_factor_reaches_trsv_fortran_contiguous(self, monkeypatch):
+        """A factor in C order would be copied by the f2py wrapper on
+        every solve."""
+        contiguous = []
+        original = krylov_module.sla.get_blas_funcs
+
+        def recording(*args, **kwargs):
+            trsv = original(*args, **kwargs)
+
+            def recorded(a, *trsv_args, **trsv_kwargs):
+                contiguous.append(a.flags.f_contiguous)
+                return trsv(a, *trsv_args, **trsv_kwargs)
+
+            return recorded
+
+        monkeypatch.setattr(krylov_module.sla, "get_blas_funcs", recording)
+        A = random_spd(30, 3).toarray()
+        cache = ShiftedSolveCache(A)
+        b = _complex_vector(30)
+        for zeta in (-0.8 + 1.3j, -0.8 - 1.3j, -0.5):
+            cache.solve(zeta, b)
+        # two calls per column: 1 + 1 for the pair, 2 for the real shift
+        assert contiguous == [True] * 8
+
+    def test_fem_engine_never_calls_lu_solve(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("sla.lu_solve called")
+
+        monkeypatch.setattr(krylov_module.sla, "lu_solve", refused)
+        h = 0.01
+        Atil = wave_demo_problem(structured_mesh(8)).Atil
+        engine = make_filters(Atil, h, RationalKrylovBackend("Lbar", n=4))
+        w = _seed_vector(Atil.shape[0])
+        for f, poles, product in ((psi, engine._psi_poles, engine.psi),
+                                  (sigma, engine._sigma_poles,
+                                   engine.sigma)):
+            want = apply_function(build_space(engine._B, w, poles), f, w)
+            assert np.linalg.norm(product(w) - want) <= 1e-13
+
     def test_sparse_operator_still_uses_superlu(self, monkeypatch):
         superlu = _count_factorizations(monkeypatch)
         lapack = _count_dense_factorizations(monkeypatch)
@@ -702,3 +771,60 @@ class TestEngineMatchesFullSpace:
     def test_fem_Lbar4_products(self, h, kinds, seed):
         self._check_products("fem", RationalKrylovBackend("Lbar", n=4),
                              h, kinds, seed)
+
+
+class TestTruncatedSpace:
+    """apply_function returns a real result when the poles a space used
+    are closed under conjugation, or its imaginary residue is below the
+    guard; a space cut inside a conjugate pair may return a complex one."""
+
+    _B = (0.097**2) * _lap_operator()
+
+    @staticmethod
+    def _unguarded(space, f, w):
+        c = (w.conj() @ space.V).conj()
+        return space.V @ space.project(f, c)
+
+    @staticmethod
+    def _used_closed(space):
+        used = [space.poles.values[j % len(space.poles)]
+                for j in range(space.dim - 1)]
+        return PoleSet(tuple(used)).is_conjugate_closed()
+
+    @pytest.mark.parametrize("filter_,k", [("psi", 5), ("sigma", 5),
+                                           ("sinc", 6)])
+    def test_cut_inside_a_pair_returns_complex(self, filter_, k):
+        psi_poles, sigma_poles = filter_poles(poles_E(7))
+        f, poles = {"psi": (psi, psi_poles), "sigma": (sigma, sigma_poles),
+                    "sinc": (sinc, poles_E(7))}[filter_]
+        w = np.random.default_rng(0).standard_normal(self._B.shape[0])
+        space = build_space(self._B, w, poles, k=k)
+        assert not self._used_closed(space)
+        y = apply_function(space, f, w)
+        assert y.dtype == np.complex128
+        assert np.linalg.norm(y.imag) > 1e-3 * np.linalg.norm(y)
+        assert np.array_equal(y, self._unguarded(space, f, w))
+
+    def test_closed_space_with_large_residue_raises(self, lap64):
+        v = _seed_vector(64)
+        space = build_space(lap64, v, poles_E(3))
+        assert self._used_closed(space)
+        with pytest.raises(FloatingPointError, match="degenerate"):
+            apply_function(space, lambda lam: (1 + 1e-3j) * sinc(lam), v)
+
+    @given(st.integers(min_value=1, max_value=16),
+           st.sampled_from(["psi", "sigma"]),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_real_exactly_when_closed_or_under_guard(self, k, filter_,
+                                                     seed):
+        psi_poles, sigma_poles = filter_poles(poles_E(7))
+        f, poles = ((psi, psi_poles) if filter_ == "psi"
+                    else (sigma, sigma_poles))
+        w = np.random.default_rng(seed).standard_normal(self._B.shape[0])
+        space = build_space(self._B, w, poles, k=k)
+        z = self._unguarded(space, f, w)
+        under_guard = (np.linalg.norm(z.imag)
+                       <= krylov_module._REAL_GUARD_RTOL * np.linalg.norm(z))
+        y = apply_function(space, f, w)
+        assert (y.dtype == np.float64) == (self._used_closed(space)
+                                           or under_guard)
