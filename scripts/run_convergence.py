@@ -15,7 +15,7 @@ BACKENDS = (
     ("dense", "dense"),
     ("ratkrylov_E_tol", "ratkrylov:E:1e-12"),
     ("ratkrylov_pade_n6", "ratkrylov:pade-sinc:n6"),
-    ("expsum", "expsum:12:12"),
+    ("expsum", "expsum:12"),
 )
 
 

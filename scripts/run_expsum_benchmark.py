@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Exponential sum accuracy against the node count, both inner routes."""
+"""Exponential sum accuracy against the node count, one CSV per matrix."""
 
 import argparse
 import pathlib
@@ -18,16 +18,15 @@ def run(argv=None):
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for matrix in ("lap1d", "lap2d"):
-        for inner in ("krylov", "dense"):
-            out = outdir / f"expsum_{matrix}_{inner}.csv"
-            cmd = ["expsum-bench", "--matrix", matrix, "--inner", inner,
-                   "--nu-max", str(args.nu_max), "--out", str(out)]
-            if args.small:
-                cmd.append("--small")
-            rc = cli(cmd)
-            if rc != 0:
-                return rc
-            print(f"wrote {out}")
+        out = outdir / f"expsum_{matrix}.csv"
+        cmd = ["expsum-bench", "--matrix", matrix,
+               "--nu-max", str(args.nu_max), "--out", str(out)]
+        if args.small:
+            cmd.append("--small")
+        rc = cli(cmd)
+        if rc != 0:
+            return rc
+        print(f"wrote {out}")
     return 0
 
 

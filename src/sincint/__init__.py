@@ -4,8 +4,9 @@ The package computes products f(A)v for sparse symmetric positive
 semidefinite A, where f is sinc or one of the filter functions psi and
 sigma appearing in Gautschi-type schemes for y'' + Ay = f(t).  Three
 routes are provided: a dense spectral reference, rational Krylov spaces
-driven by Laguerre-derived pole families, and exponential sums obtained
-from quadrature combined with Pade approximants of the exponential.
+driven by Laguerre-derived and Pade pole families, and exponential sums,
+Gauss-Legendre quadratures of sinc's integral representation applied
+on the dense eigendecomposition.
 """
 
 from .special import (
@@ -28,7 +29,6 @@ from .poles import (
     poles_L,
     poles_Lbar,
     poles_pade_sinc,
-    poles_pade_exp,
     scale_poles,
     square_poles,
 )
@@ -49,7 +49,6 @@ from .krylov import (
     sinc_apply,
 )
 from .expsum import (
-    ExpSumPlan,
     expsum_sinc,
     expsum_sinc2,
     expsum_error_check,
@@ -99,12 +98,12 @@ __all__ = [
     "sinc_approx_exp_pade", "sinc_approx_hyp_sym",
     "sinc_family_bound", "expsum_bound", "select_pole_count",
     "PoleSet", "poles_E", "poles_L", "poles_Lbar", "poles_pade_sinc",
-    "poles_pade_exp", "scale_poles", "square_poles",
+    "scale_poles", "square_poles",
     "sym_eigendecomposition", "funm_sym", "sinc_apply_dense",
     "psi_apply_dense", "sigma_apply_dense", "expm_i_dense",
     "PoleCollisionError", "RationalKrylovSpace", "ShiftedSolveCache",
     "build_space", "apply_function", "sinc_apply",
-    "ExpSumPlan", "expsum_sinc", "expsum_sinc2", "expsum_error_check",
+    "expsum_sinc", "expsum_sinc2", "expsum_error_check",
     "estimate_spectral_radius",
     "SecondOrderIVP", "IntegratorState", "Trajectory", "DenseBackend",
     "RationalKrylovBackend", "ExpSumBackend", "BlowUpError",

@@ -13,8 +13,8 @@ Backends are selected with a compact grammar:
     dense
     ratkrylov:FAMILY:nN      fixed degree, e.g. ratkrylov:E:n4
     ratkrylov:FAMILY:TOL     bound-driven degree, e.g. ratkrylov:E:1e-8
-    expsum:NU:K              quadrature nodes and inner pole count
-    (append :dense for the dense inner route)
+    expsum:NU                NU-node exponential sums, e.g. expsum:8
+                             (expsum:NU:K:dense is read as expsum:NU)
 
 Exit codes: 0 success, 2 usage, 3 guard violation (invalid sizes or
 parameters), 4 numerical failure (pole collision, instability,
@@ -32,7 +32,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .densefun import sinc_apply_dense, sym_eigendecomposition
-from .expsum import ExpSumPlan, expsum_sinc, scalar_sum_sinc
+from .expsum import scalar_sum_sinc
 from .fem import structured_mesh, wave_demo_problem
 from .integrators import (
     BlowUpError,
@@ -43,7 +43,7 @@ from .integrators import (
     make_filters,
 )
 from .krylov import PoleCollisionError, ShiftedSolveCache, sinc_apply
-from .poles import POLE_FAMILIES, SINC_FAMILIES, sinc_family
+from .poles import POLE_FAMILIES, sinc_family
 from .problems import (
     laplacian_1d,
     laplacian_2d,
@@ -72,11 +72,13 @@ def parse_backend(text: str):
                 return RationalKrylovBackend(family=family, n=int(spec[1:]))
             return RationalKrylovBackend(family=family, tol=float(spec))
         if kind == "expsum":
-            if len(parts) not in (3, 4) or (len(parts) == 4
-                                            and parts[3] != "dense"):
-                raise ValueError("expected expsum:NU:K[:dense]")
-            inner = "dense" if len(parts) == 4 else "krylov"
-            return ExpSumBackend(nu=int(parts[1]), k=int(parts[2]), inner=inner)
+            # expsum:NU:K:dense is the older spelling of expsum:NU
+            if len(parts) == 4 and parts[3] == "dense":
+                if not parts[2].isdigit() or int(parts[2]) < 1:
+                    raise ValueError("K must be a positive integer")
+            elif len(parts) != 2:
+                raise ValueError("expected expsum:NU")
+            return ExpSumBackend(nu=int(parts[1]))
         raise ValueError(f"unknown backend kind {kind!r}")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
@@ -180,28 +182,22 @@ def cmd_expsum_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    # one eigendecomposition serves the reference and, for the dense
-    # inner, every nu: the products below are the ones sinc_apply_dense
-    # and the dense route of expsum_sinc form, on the same Q
+    # one eigendecomposition serves the reference and every nu: the
+    # products below are the ones sinc_apply_dense and expsum_sinc form,
+    # on the same Q
     lam, Q = sym_eigendecomposition(A)
     qv = Q.T @ v
     y_ref = Q @ (sinc(lam) * qv)
     ref_norm = np.linalg.norm(y_ref)
-    cache = ShiftedSolveCache(A) if args.inner == "krylov" else None
     with _open_out(args.out) as fh:
         w = _writer(fh)
-        w.writerow(["matrix", "nu", "k", "inner", "rel_error", "seconds"])
+        w.writerow(["matrix", "nu", "rel_error", "seconds"])
         for nu in range(1, args.nu_max + 1):
-            plan = ExpSumPlan(nu=nu, inner=args.inner, k=args.k)
             t0 = time.perf_counter()
-            if plan.inner == "dense":
-                y = Q @ (scalar_sum_sinc(lam, nu) * qv)
-            else:
-                y = expsum_sinc(A, v, plan, cache=cache)
+            y = Q @ (scalar_sum_sinc(lam, nu) * qv)
             dt = time.perf_counter() - t0
             err = float(np.linalg.norm(y - y_ref) / ref_norm)
-            w.writerow([args.matrix, nu, args.k, args.inner,
-                        "%.6e" % err, "%.4f" % dt])
+            w.writerow([args.matrix, nu, "%.6e" % err, "%.4f" % dt])
     return 0
 
 
@@ -301,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pole-family accuracy sweep for sinc(A)v")
     p.add_argument("--matrix", default="lap1d",
                    choices=["lap1d", "lap2d", "fem"])
-    p.add_argument("--families", default=",".join(SINC_FAMILIES),
+    p.add_argument("--families", default=",".join(POLE_FAMILIES),
                    help="comma list of families (default all four)")
     p.add_argument("--n-max", type=int, default=12)
     add_common(p, small=True)
@@ -310,12 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expsum-bench",
                        help="exponential-sum accuracy sweep over nu")
     p.add_argument("--matrix", default="lap1d", choices=["lap1d", "lap2d"])
-    p.add_argument("--nu-max", type=int, default=15)
-    p.add_argument("--inner", default="krylov", choices=["dense", "krylov"],
-                   help="inner propagator route; dense reuses the one "
-                        "eigendecomposition of the reference for every nu, "
-                        "so its seconds time only the sum's product")
-    p.add_argument("--k", type=int, default=15, help="inner pole count")
+    p.add_argument("--nu-max", type=int, default=15,
+                   help="largest node count; the one eigendecomposition "
+                        "of the reference serves every nu, so seconds "
+                        "times only the sum's product")
     add_common(p, small=True)
     p.set_defaults(func=cmd_expsum_bench)
 
@@ -326,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h-list", default="1e-1,5e-2,2.5e-2,1e-2")
     p.add_argument("--backend", type=parse_backend,
                    default=DenseBackend(),
-                   help="dense | ratkrylov:FAM:nN|TOL | expsum:NU:K[:dense]")
+                   help="dense | ratkrylov:FAM:nN|TOL | expsum:NU")
     add_common(p, seed=False)
     p.set_defaults(func=cmd_converge)
 

@@ -47,7 +47,7 @@ def _check_order(n: int) -> None:
     if n > _MAX_DENSE_ORDER:
         raise ValueError(
             f"dense route refuses order {n} > {_MAX_DENSE_ORDER}; "
-            "use the Krylov or exponential-sum route instead"
+            "use the rational Krylov route instead"
         )
 
 

@@ -15,9 +15,10 @@ provided for comparison.
 Filters are evaluated by interchangeable backends: a dense spectral
 oracle, rational Krylov spaces with mapped pole families (optionally
 sized automatically from the a-priori bounds and a power-iteration
-spectral estimate), or exponential sums on the dense eigendecomposition
-or on one projected matrix per product.  make_filters builds the engine
-once per (A, h); the steps only call its psi and sigma.
+spectral estimate), or exponential sums, the Gauss-Legendre quadratures
+of psi and sigma applied on the dense eigendecomposition.  make_filters
+builds the engine once per (A, h); the steps only call its psi and
+sigma.
 """
 
 from __future__ import annotations
@@ -31,8 +32,10 @@ import scipy.sparse as sp
 
 from .bounds import select_pole_count
 from .densefun import sym_eigendecomposition
-from .expsum import (ExpSumPlan, estimate_spectral_radius, expsum_sinc,
-                     expsum_sinc2, scalar_sum_sinc, scalar_sum_sinc2)
+from .expsum import (estimate_spectral_radius, scalar_sum_sinc,
+                     scalar_sum_sinc2)
+# perfbench/spans.py wraps these two by name in this module
+from .expsum import expsum_sinc, expsum_sinc2  # noqa: F401
 from .krylov import ShiftedSolveCache, apply_function, build_space
 from .poles import PoleSet, filter_poles, sinc_family
 from .special import psi as psi_scalar
@@ -187,11 +190,15 @@ class RationalKrylovBackend:
 
 @dataclass(frozen=True)
 class ExpSumBackend:
-    """Filters via exponential sums with nu nodes and k inner poles."""
+    """Filters via nu-node exponential sums on one eigendecomposition of
+    A: psi(h^2 lam) is the sinc^2 sum at (h/2) sqrt(lam), sigma(h^2 lam)
+    the sinc sum at h sqrt(lam)."""
 
     nu: int = 10
-    k: int = 10
-    inner: str = "krylov"
+
+    def __post_init__(self):
+        if not isinstance(self.nu, int) or self.nu < 1:
+            raise ValueError(f"nu must be a positive integer, got {self.nu!r}")
 
 
 class _DenseFilters:
@@ -274,35 +281,6 @@ class _KrylovFilters:
         return self._filter(w, self._sigma_poles, sigma_scalar)
 
 
-def _sqrt_map(c: float) -> Callable:
-    """lam -> c sqrt(lam): psi(h^2 lam) is sinc^2 of it at c = h/2,
-    sigma(h^2 lam) sinc of it at c = h."""
-    return lambda lam: c * np.sqrt(np.clip(lam, 0.0, None))
-
-
-class _ExpSumFilters:
-    """Exponential sums on one projected rational Krylov space per product."""
-
-    def __init__(self, A, h: float, plan: ExpSumPlan):
-        self._cache = ShiftedSolveCache(sp.csc_matrix(A, dtype=np.float64))
-        self._A = self._cache.matrix
-        self._plan = plan
-        self._mu_psi, self._mu_sigma = _sqrt_map(0.5 * h), _sqrt_map(h)
-        self.pole_degree = plan.k
-
-    def _filter(self, w, expsum_fn, eig_map):
-        if np.linalg.norm(w) == 0.0:
-            return np.zeros_like(w)
-        return expsum_fn(self._A, w, self._plan, eig_map=eig_map,
-                         cache=self._cache)
-
-    def psi(self, w: np.ndarray) -> np.ndarray:
-        return self._filter(w, expsum_sinc2, self._mu_psi)
-
-    def sigma(self, w: np.ndarray) -> np.ndarray:
-        return self._filter(w, expsum_sinc, self._mu_sigma)
-
-
 class _IdentityFilters:
     """psi = sigma = identity: the classical leapfrog limit."""
 
@@ -330,13 +308,14 @@ def make_filters(A, h: float, backend):
     if isinstance(backend, RationalKrylovBackend):
         return _KrylovFilters(A, h, backend)
     if isinstance(backend, ExpSumBackend):
-        plan = ExpSumPlan(nu=backend.nu, inner=backend.inner, k=backend.k)
-        if plan.inner == "krylov":
-            return _ExpSumFilters(A, h, plan)
-        mu_psi, mu_sigma = _sqrt_map(0.5 * h), _sqrt_map(h)
+        nu = backend.nu
+
+        def root(lam):
+            return np.sqrt(np.clip(lam, 0.0, None))
+
         return _DenseFilters(A,
-                             lambda lam: scalar_sum_sinc2(mu_psi(lam), plan.nu),
-                             lambda lam: scalar_sum_sinc(mu_sigma(lam), plan.nu))
+                             lambda lam: scalar_sum_sinc2(0.5 * h * root(lam), nu),
+                             lambda lam: scalar_sum_sinc(h * root(lam), nu))
     raise TypeError(f"unknown backend {backend!r}")
 
 

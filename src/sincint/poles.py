@@ -1,4 +1,4 @@
-"""Pole families for rational approximation of sinc and exp.
+"""Pole families for rational approximation of sinc.
 
 Each family is derived from zeros of generalized Laguerre polynomials
 with negative integer parameter:
@@ -9,8 +9,9 @@ with negative integer parameter:
 * ``Lbar``: the conjugate-symmetrized variant of ``L`` (2n poles).
 * ``pade-sinc``: zeros of the tabulated diagonal Pade denominators of
   sinc (n poles, even n <= 10).
-* ``pade-exp``: zeros of the [k/k] exponential Pade denominator
-  (2k)!/k! 1F1(-k; -2k; x), all in the open left half-plane (k poles).
+
+POLE_FAMILIES maps each name to its constructor; sinc_family looks a
+name up and refuses any other.
 
 Pole sets live on the "sinc plane": they target sinc(A)v directly.  The
 integrator filters act on h^2 A, and :func:`filter_poles` transports a
@@ -34,12 +35,10 @@ __all__ = [
     "poles_L",
     "poles_Lbar",
     "poles_pade_sinc",
-    "poles_pade_exp",
     "scale_poles",
     "square_poles",
     "filter_poles",
     "POLE_FAMILIES",
-    "SINC_FAMILIES",
     "sinc_family",
 ]
 
@@ -59,7 +58,7 @@ class PoleSet:
 
     values are sorted by (|zeta|, arg zeta); math.inf is a permitted
     sentinel meaning a plain Krylov (multiplication) step.  The
-    conjugate-closed families (E, Lbar, pade-sinc, pade-exp) and their
+    conjugate-closed families (E, Lbar, pade-sinc) and their
     filter_poles transports hold exact conjugate pairs, with exactly
     real real poles: their generators are real polynomials, whose roots
     poly_roots computes in real arithmetic.  So a ShiftedSolveCache
@@ -148,19 +147,6 @@ def poles_pade_sinc(n: int) -> PoleSet:
     return PoleSet(tuple(poly_roots(p)), family="pade-sinc", degree=n)
 
 
-def poles_pade_exp(k: int) -> PoleSet:
-    """Poles of the [k/k] Pade approximant of exp, all with Re < 0.
-
-    These are the zeros of L_k^(-2k-1)(x), which up to normalization is
-    the reversed denominator 1F1(-k; -2k; x) of the diagonal approximant;
-    they drive the shifted solves inside the exponential-sum route.
-    """
-    _check_degree(k)
-    x = poly_roots(laguerre_coeffs(k, -2 * k - 1))
-    vals = tuple(complex(r) for r in x)
-    return PoleSet(vals, family="pade-exp", degree=k)
-
-
 def _check_degree(n: int) -> None:
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"degree must be a positive integer, got {n!r}")
@@ -201,16 +187,14 @@ POLE_FAMILIES = {
     "L": poles_L,
     "Lbar": poles_Lbar,
     "pade-sinc": poles_pade_sinc,
-    "pade-exp": poles_pade_exp,
 }
-# pade-exp approximates exp, not sinc: it only drives the exponential sums.
-SINC_FAMILIES = tuple(f for f in POLE_FAMILIES if f != "pade-exp")
 
 
 def sinc_family(family: str):
     """Constructor (degree -> PoleSet) of a sinc pole family."""
-    if family not in SINC_FAMILIES:
+    if family not in POLE_FAMILIES:
         raise ValueError(
-            f"unknown pole family {family!r}; expected one of {SINC_FAMILIES}"
+            f"unknown pole family {family!r}; expected one of "
+            f"{tuple(POLE_FAMILIES)}"
         )
     return POLE_FAMILIES[family]

@@ -86,7 +86,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             sinc_family_bound("X", 1, 1.0)
 
-    @pytest.mark.parametrize("family", ["pade-sinc", "pade-exp"])
+    @pytest.mark.parametrize("family", ["pade-sinc"])
     def test_family_without_bound_says_give_degree(self, family):
         with pytest.raises(ValueError,
                            match=f"{family}.*no a-priori bound.*fixed degree n"):

@@ -12,7 +12,7 @@ import scipy.io as sio
 from sincint import cli
 from sincint.cli import main, parse_backend
 from sincint.densefun import sinc_apply_dense
-from sincint.expsum import ExpSumPlan, expsum_sinc
+from sincint.expsum import expsum_sinc
 from sincint.integrators import (
     BlowUpError,
     DenseBackend,
@@ -46,13 +46,15 @@ class TestBackendGrammar:
             parse_backend("ratkrylov:E:n4:raw")
 
     def test_expsum(self):
-        assert parse_backend("expsum:8:12") == ExpSumBackend(nu=8, k=12)
-        assert parse_backend("expsum:8:12:dense") == ExpSumBackend(
-            nu=8, k=12, inner="dense")
+        assert parse_backend("expsum:8") == ExpSumBackend(nu=8)
+        # the older spelling names the same backend
+        assert parse_backend("expsum:8:8:dense") == ExpSumBackend(nu=8)
+        assert parse_backend("expsum:8:12:dense") == ExpSumBackend(nu=8)
 
     @pytest.mark.parametrize("text", [
         "bogus", "ratkrylov", "ratkrylov:E", "ratkrylov:Q:n4",
-        "ratkrylov:E:n4:fancy", "expsum:8", "expsum:a:b", "dense:extra",
+        "ratkrylov:E:n4:fancy", "expsum:8:12", "expsum:a:b", "dense:extra",
+        "expsum:8:x:dense",
     ])
     def test_rejects_malformed(self, text):
         with pytest.raises(argparse.ArgumentTypeError):
@@ -134,8 +136,7 @@ class TestBenchCommands:
                    "--small", "--out", str(out), "--quiet"])
         assert rc == 0
         rows = _rows(out)
-        assert set(rows[0]) == {"matrix", "nu", "k", "inner", "rel_error",
-                                "seconds"}
+        assert list(rows[0]) == ["matrix", "nu", "rel_error", "seconds"]
         assert [int(r["nu"]) for r in rows] == list(range(1, 7))
         assert float(rows[-1]["rel_error"]) < float(rows[0]["rel_error"])
 
@@ -150,7 +151,7 @@ class TestBenchCommands:
 
         monkeypatch.setattr(cli, "sym_eigendecomposition", counted)
         out = tmp_path / "e.csv"
-        rc = main(["expsum-bench", "--matrix", "lap1d", "--inner", "dense",
+        rc = main(["expsum-bench", "--matrix", "lap1d",
                    "--nu-max", "4", "--small", "--out", str(out), "--quiet"])
         assert rc == 0
         assert calls == [(256, 256)]
@@ -161,7 +162,7 @@ class TestBenchCommands:
         v /= np.linalg.norm(v)
         y_ref = sinc_apply_dense(A, v)
         want = ["%.6e" % (np.linalg.norm(
-                    expsum_sinc(A, v, ExpSumPlan(nu=nu, inner="dense"))
+                    expsum_sinc(A, v, nu)
                     - y_ref) / np.linalg.norm(y_ref))
                 for nu in range(1, 5)]
         assert [r["rel_error"] for r in _rows(out)] == want
@@ -219,12 +220,15 @@ class TestExitCodes:
         assert rc == 3
         assert "error=guard" in capsys.readouterr().err
 
-    def test_invalid_dense_inner_expsum_is_3(self, capsys):
-        rc = main(["converge", "--N", "20", "--h-list", "0.5",
-                   "--backend", "expsum:8:0:dense", "--quiet"])
-        assert rc == 3
-        err = capsys.readouterr().err
-        assert "error=guard" in err and "k must be a positive integer" in err
+    def test_invalid_expsum_is_usage_error(self, capsys):
+        for spec, why in (("expsum:8:12", "expected expsum:NU"),
+                          ("expsum:8:0:dense", "K must be a positive integer"),
+                          ("expsum:0", "nu must be a positive integer")):
+            with pytest.raises(SystemExit) as exc:
+                main(["converge", "--N", "20", "--h-list", "0.5",
+                      "--backend", spec, "--quiet"])
+            assert exc.value.code == 2
+            assert why in capsys.readouterr().err
 
     def test_tolerance_mode_without_bound_is_3(self, capsys):
         rc = main(["converge", "--N", "8", "--h-list", "0.5",

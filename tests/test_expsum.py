@@ -1,19 +1,21 @@
-"""Exponential sums: quadrature identities, inner routes, error bound."""
+"""Exponential sums: quadrature identities, the dense engine, error bound."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 import sincint.expsum as expsum_module
+from sincint.bounds import expsum_bound
 from sincint.densefun import sigma_apply_dense, sinc_apply_dense, sym_eigendecomposition
 from sincint.expsum import (
-    ExpSumPlan,
     estimate_spectral_radius,
     expsum_error_check,
     expsum_sinc,
     expsum_sinc2,
 )
-from sincint.krylov import ShiftedSolveCache
+from sincint.integrators import DenseBackend, ExpSumBackend, make_filters
 from sincint.problems import laplacian_1d, laplacian_2d
 from sincint.special import sinc
 
@@ -29,19 +31,16 @@ class TestScalarLimits:
     def test_zero_matrix_is_identity(self):
         A = sp.csr_matrix((4, 4))
         v = _unit(4)
-        for route in ("dense", "krylov"):
-            plan = ExpSumPlan(nu=3, inner=route, k=4)
-            assert np.allclose(expsum_sinc(A, v, plan), v, atol=1e-13)
-            assert np.allclose(expsum_sinc2(A, v, plan), v, atol=1e-13)
+        assert np.allclose(expsum_sinc(A, v, 3), v, atol=1e-13)
+        assert np.allclose(expsum_sinc2(A, v, 3), v, atol=1e-13)
 
     def test_scalar_diagonal_values(self):
         mu = np.array([0.5, np.pi / 2, 3.0])
         A = sp.csr_matrix(np.diag(mu))
         v = np.ones(3)
-        plan = ExpSumPlan(nu=10, inner="dense")
-        got = expsum_sinc(A, v, plan)
+        got = expsum_sinc(A, v, 10)
         assert got == pytest.approx(np.sin(mu) / mu, abs=1e-10)
-        got2 = expsum_sinc2(A, v, plan)
+        got2 = expsum_sinc2(A, v, 10)
         assert got2 == pytest.approx((np.sin(mu) / mu) ** 2, abs=1e-10)
 
 
@@ -52,32 +51,17 @@ class TestConvergence:
         ref = sinc_apply_dense(A, v)
         errs = []
         for nu in (2, 4, 6, 8):
-            y = expsum_sinc(A, v, ExpSumPlan(nu=nu, inner="dense"))
+            y = expsum_sinc(A, v, nu)
             errs.append(np.linalg.norm(y - ref))
         # a-priori bound at nu=8 on this spectrum is about 1e-8
         assert errs[-1] < 1e-8
         assert all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
 
-    def test_krylov_with_full_space_matches_dense_route(self):
-        # k = n - 1 poles span the whole space, so the projected sum is exact
-        A = random_spd(16, 8, lam_max=5.0)
-        v = _unit(16)
-        y_d = expsum_sinc(A, v, ExpSumPlan(nu=9, inner="dense"))
-        y_k = expsum_sinc(A, v, ExpSumPlan(nu=9, inner="krylov", k=15))
-        assert np.linalg.norm(y_d - y_k) <= 1e-10
-
-    def test_krylov_route_on_laplacian(self):
-        A = laplacian_1d(256)
-        v = _unit(256)
-        ref = sinc_apply_dense(A, v)
-        y = expsum_sinc(A, v, ExpSumPlan(nu=12, inner="krylov", k=12))
-        assert np.linalg.norm(y - ref) / np.linalg.norm(ref) <= 1e-6
-
     def test_sinc2_matches_squared_oracle(self, lap64):
         v = _unit(64)
         lam, Q = sym_eigendecomposition(lap64)
         ref = Q @ (np.asarray(sinc(lam)) ** 2 * (Q.T @ v))
-        y = expsum_sinc2(lap64, v, ExpSumPlan(nu=14, inner="dense"))
+        y = expsum_sinc2(lap64, v, 14)
         assert np.linalg.norm(y - ref) <= 1e-10
 
 
@@ -85,8 +69,7 @@ class TestEigenvalueMap:
     def test_sigma_filter_through_map(self, lap64):
         v = _unit(64)
         h = 0.5
-        plan = ExpSumPlan(nu=10, inner="dense")
-        y = expsum_sinc(lap64, v, plan,
+        y = expsum_sinc(lap64, v, 10,
                         eig_map=lambda lam: h * np.sqrt(np.clip(lam, 0, None)))
         ref = sigma_apply_dense(lap64, v, h=h)
         assert np.linalg.norm(y - ref) <= 1e-9
@@ -96,8 +79,7 @@ class TestEigenvalueMap:
 
         v = _unit(64)
         h = 0.5
-        plan = ExpSumPlan(nu=10, inner="krylov", k=12)
-        y = expsum_sinc2(lap64, v, plan,
+        y = expsum_sinc2(lap64, v, 10,
                          eig_map=lambda lam: 0.5 * h * np.sqrt(np.clip(lam, 0, None)))
         ref = psi_apply_dense(lap64, v, h=h)
         assert np.linalg.norm(y - ref) <= 1e-7
@@ -115,6 +97,29 @@ class TestErrorBound:
         _, b4 = expsum_error_check(A, 4)
         _, b8 = expsum_error_check(A, 8)
         assert b8 < 1e-6 * b4
+
+    def test_bound_taken_at_exact_spectral_radius(self):
+        # the power estimate reads 0.987 lambda_max here, under the radius
+        A = sp.csr_matrix(np.diag(np.linspace(0.0, 8.0, 257)))
+        for nu in (1, 4, 8, 12):
+            _, bound = expsum_error_check(A, nu)
+            assert bound >= expsum_bound(nu, 8.0)
+
+
+class TestEngineWithinBound:
+    @given(st.integers(min_value=2, max_value=30),
+           st.integers(min_value=0, max_value=10**6),
+           st.floats(min_value=1e-2, max_value=1e4),
+           st.floats(min_value=1e-3, max_value=0.5),
+           st.integers(min_value=1, max_value=12))
+    def test_sigma_within_bound_of_dense(self, n, seed, lam_max, h, nu):
+        A = random_spd(n, seed, lam_max=lam_max)
+        top = float(np.linalg.eigvalsh(A.toarray())[-1])
+        w = np.random.default_rng(seed).standard_normal(n)
+        got = make_filters(A, h, ExpSumBackend(nu)).sigma(w)
+        want = make_filters(A, h, DenseBackend()).sigma(w)
+        bound = expsum_bound(nu, h * np.sqrt(top))
+        assert np.linalg.norm(got - want) <= (bound + 1e-13) * np.linalg.norm(w)
 
 
 class TestSpectralRadius:
@@ -137,55 +142,44 @@ class TestSpectralRadius:
 class TestRealnessAndValidation:
     def test_outputs_real_dtype(self, lap64):
         v = _unit(64)
-        for route, k in (("dense", 1), ("krylov", 10)):
-            y = expsum_sinc(lap64, v, ExpSumPlan(nu=8, inner=route, k=k))
-            assert y.dtype == np.float64
+        assert expsum_sinc(lap64, v, 8).dtype == np.float64
+        assert expsum_sinc2(lap64, v, 8).dtype == np.float64
 
-    def test_plan_validation(self):
-        with pytest.raises(ValueError):
-            ExpSumPlan(nu=0)
-        with pytest.raises(ValueError):
-            ExpSumPlan(nu=3, inner="magic")
-        with pytest.raises(ValueError):
-            ExpSumPlan(nu=3, k=0)
+    @pytest.mark.parametrize("nu", [0, -1, 2.0])
+    def test_node_count_validation(self, monkeypatch, nu):
+        def no_eigh(A):
+            raise AssertionError("decomposed before validating nu")
 
-    @pytest.mark.parametrize("route", ["dense", "krylov"])
-    def test_complex_vector_rejected(self, route):
+        monkeypatch.setattr(expsum_module, "sym_eigendecomposition", no_eigh)
+        for fn in (expsum_sinc, expsum_sinc2):
+            with pytest.raises(ValueError, match="node count"):
+                fn(laplacian_1d(8), np.ones(8), nu)
+        with pytest.raises(ValueError, match="nu must be a positive integer"):
+            ExpSumBackend(nu)
+
+    def test_complex_vector_rejected(self):
         A = laplacian_1d(8)
         v = np.ones(8) + 1j * np.arange(8)
         for fn in (expsum_sinc, expsum_sinc2):
             with pytest.raises(ValueError, match="complex"):
-                fn(A, v, ExpSumPlan(nu=6, inner=route, k=4))
-
-    def test_cache_shared_between_calls(self, lap64):
-        v = _unit(64)
-        cache = ShiftedSolveCache(lap64)
-        plan = ExpSumPlan(nu=8, inner="krylov", k=8)
-        y1 = expsum_sinc(lap64, v, plan, cache=cache)
-        y2 = expsum_sinc2(lap64, v, plan, cache=cache)
-        y1b = expsum_sinc(lap64, v, plan)
-        assert np.allclose(y1, y1b, atol=1e-13)
-        assert y2.dtype == np.float64
+                fn(A, v, 6)
 
 
-class TestPlanFactsOnce:
-    def test_poles_and_rule_built_once(self, monkeypatch, lap64):
-        """Across products with one Krylov-inner plan, the pade-exp poles
-        and the Gauss-Legendre rule are each built once."""
-        calls = {"poles_pade_exp": 0, "gauss_legendre": 0}
-        for name in calls:
-            original = getattr(expsum_module, name)
+class TestRuleBuiltOnce:
+    def test_rule_built_once(self, monkeypatch, lap64):
+        """Across products with one node count the Gauss-Legendre rule
+        is built once."""
+        calls = []
+        original = expsum_module.gauss_legendre
 
-            def counted(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
 
-            monkeypatch.setattr(expsum_module, name, counted)
+        monkeypatch.setattr(expsum_module, "gauss_legendre", counted)
         expsum_module._coeffs.cache_clear()
-        plan = ExpSumPlan(nu=7, inner="krylov", k=6)
-        cache = ShiftedSolveCache(lap64)
         for seed in range(3):
             v = _unit(64, seed)
-            expsum_sinc(lap64, v, plan, cache=cache)
-            expsum_sinc2(lap64, v, plan, cache=cache)
-        assert calls == {"poles_pade_exp": 1, "gauss_legendre": 1}
+            expsum_sinc(lap64, v, 7)
+            expsum_sinc2(lap64, v, 7)
+        assert len(calls) == 1

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import sincint.expsum as expsum_module
 import sincint.integrators as integrators_module
 from sincint.densefun import psi_apply_dense, sigma_apply_dense
-from sincint.expsum import ExpSumPlan, expsum_sinc, expsum_sinc2
+from sincint.expsum import expsum_sinc, expsum_sinc2
 from sincint.integrators import (
     BlowUpError,
     DenseBackend,
@@ -106,15 +106,7 @@ class TestOrderAndAccuracy:
         prob = synthetic_problem(20)
         ivp = prob.as_ivp(tf=1.0)
         dense = gautschi_integrate(ivp, 0.05, DenseBackend())
-        es = gautschi_integrate(ivp, 0.05, ExpSumBackend(nu=10, k=10))
-        assert np.linalg.norm(es.final - dense.final) <= 1e-10
-
-    def test_dense_inner_expsum_backend_tracks_dense(self):
-        prob = synthetic_problem(20)
-        ivp = prob.as_ivp(tf=1.0)
-        dense = gautschi_integrate(ivp, 0.05, DenseBackend())
-        es = gautschi_integrate(
-            ivp, 0.05, ExpSumBackend(nu=10, k=10, inner="dense"))
+        es = gautschi_integrate(ivp, 0.05, ExpSumBackend(nu=10))
         assert np.linalg.norm(es.final - dense.final) <= 1e-10
 
 
@@ -134,7 +126,7 @@ def _count_eigendecompositions(monkeypatch):
 
 class TestDenseInnerExpSumEngine:
     A = 1e4 * laplacian_1d(200)
-    backend = ExpSumBackend(nu=8, k=8, inner="dense")
+    backend = ExpSumBackend(nu=8)
     h = 0.01
 
     def test_one_eigendecomposition_per_engine(self, monkeypatch):
@@ -150,28 +142,16 @@ class TestDenseInnerExpSumEngine:
 
     def test_engine_matches_expsum_products(self):
         h = self.h
-        plan = ExpSumPlan(nu=8, inner="dense", k=8)
         w = np.random.default_rng(1).standard_normal(200)
         engine = make_filters(self.A, h, self.backend)
         want_psi = expsum_sinc2(
-            self.A, w, plan,
+            self.A, w, 8,
             eig_map=lambda lam: 0.5 * h * np.sqrt(np.clip(lam, 0.0, None)))
         want_sigma = expsum_sinc(
-            self.A, w, plan,
+            self.A, w, 8,
             eig_map=lambda lam: h * np.sqrt(np.clip(lam, 0.0, None)))
         assert np.array_equal(engine.psi(w), want_psi)
         assert np.array_equal(engine.sigma(w), want_sigma)
-
-    @pytest.mark.parametrize("nu,k,inner", [
-        (8, 0, "dense"), (0, 8, "dense"), (8, 0, "krylov"), (0, 8, "krylov"),
-        (8, 8, "magic"),
-    ])
-    def test_plan_validated_before_eigendecomposition(self, monkeypatch,
-                                                      nu, k, inner):
-        calls = _count_eigendecompositions(monkeypatch)
-        with pytest.raises(ValueError):
-            make_filters(self.A, self.h, ExpSumBackend(nu=nu, k=k, inner=inner))
-        assert calls == []
 
 
 class TestStability:
@@ -234,8 +214,7 @@ _ENGINE_BACKENDS = [
     RationalKrylovBackend(family="E", n=8),
     RationalKrylovBackend(family="Lbar", n=6),
     RationalKrylovBackend(family="E", tol=1e-10),
-    ExpSumBackend(nu=10, k=10),
-    ExpSumBackend(nu=10, k=10, inner="dense"),
+    ExpSumBackend(nu=10),
 ]
 
 

@@ -43,7 +43,7 @@ _KRYLOV_SOLVES = {"krylov.build_space", "krylov.lu", "krylov.solve"}
 ROUTES = {
     "dense": {"densefun.eigh"},
     "expsum:6:6:dense": {"densefun.eigh"},
-    "expsum:6:6": {"expsum.apply"} | _KRYLOV_SOLVES,
+    "expsum:6": {"densefun.eigh"},
     "ratkrylov:E:1e-8": {"expsum.spectral_radius", "bounds.select",
                          "krylov.apply_function"} | _KRYLOV_SOLVES,
 }
