@@ -3,8 +3,8 @@
 Each family is derived from zeros of generalized Laguerre polynomials
 with negative integer parameter:
 
-* ``E``: zeros of L_n^(-2n-1) rotated to the imaginary axis in
-  conjugate pairs, plus the origin (2n+1 poles).
+* ``E``: the [n/n] Pade poles of exp (zeros of L_n^(-2n-1)) rotated to
+  the imaginary axis in conjugate pairs, plus the origin (2n+1 poles).
 * ``L``: zeros of L_n^(-2n-2) divided by 2i (n poles, one-sided).
 * ``Lbar``: the conjugate-symmetrized variant of ``L`` (2n poles).
 * ``pade-sinc``: zeros of the tabulated diagonal Pade denominators of
@@ -35,6 +35,7 @@ __all__ = [
     "poles_L",
     "poles_Lbar",
     "poles_pade_sinc",
+    "poles_pade_exp",
     "scale_poles",
     "square_poles",
     "filter_poles",
@@ -58,7 +59,7 @@ class PoleSet:
 
     values are sorted by (|zeta|, arg zeta); math.inf is a permitted
     sentinel meaning a plain Krylov (multiplication) step.  The
-    conjugate-closed families (E, Lbar, pade-sinc) and their
+    conjugate-closed sets (E, Lbar, pade-sinc, pade-exp) and their
     filter_poles transports hold exact conjugate pairs, with exactly
     real real poles: their generators are real polynomials, whose roots
     poly_roots computes in real arithmetic.  So a ShiftedSolveCache
@@ -112,12 +113,17 @@ def _conjugate_closed(values) -> bool:
     return True
 
 
+def poles_pade_exp(k: int) -> PoleSet:
+    """[k/k] Pade poles of exp (Re < 0), zeros of L_k^(-2k-1); E rotates them."""
+    _check_degree(k)
+    p = laguerre_coeffs(k, -2 * k - 1)
+    return PoleSet(tuple(poly_roots(p)), family="pade-exp", degree=k)
+
+
 def poles_E(n: int) -> PoleSet:
-    """Exponential-Pade sinc poles: {+-i x : L_n^(-2n-1)(x) = 0} plus 0."""
-    _check_degree(n)
-    x = poly_roots(laguerre_coeffs(n, -2 * n - 1))
+    """Exponential-Pade sinc poles: {+-i x : x a pade-exp pole} plus 0."""
     vals = [0.0 + 0.0j]
-    for r in x:
+    for r in poles_pade_exp(n):
         vals.append(1j * r)
         vals.append(-1j * r)
     return PoleSet(tuple(vals), family="E", degree=n)

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 import sincint.expsum as expsum_module
 import sincint.integrators as integrators_module
+from sincint.cli import parse_backend
 from sincint.densefun import psi_apply_dense, sigma_apply_dense
 from sincint.expsum import expsum_sinc, expsum_sinc2
 from sincint.integrators import (
@@ -107,6 +108,14 @@ class TestOrderAndAccuracy:
         ivp = prob.as_ivp(tf=1.0)
         dense = gautschi_integrate(ivp, 0.05, DenseBackend())
         es = gautschi_integrate(ivp, 0.05, ExpSumBackend(nu=10))
+        assert np.linalg.norm(es.final - dense.final) <= 1e-10
+
+    def test_dense_inner_expsum_backend_tracks_dense(self):
+        # the older expsum:NU:K:dense spelling runs the same engine
+        prob = synthetic_problem(20)
+        ivp = prob.as_ivp(tf=1.0)
+        dense = gautschi_integrate(ivp, 0.05, DenseBackend())
+        es = gautschi_integrate(ivp, 0.05, parse_backend("expsum:10:10:dense"))
         assert np.linalg.norm(es.final - dense.final) <= 1e-10
 
 

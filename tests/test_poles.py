@@ -14,6 +14,7 @@ from sincint.poles import (
     poles_E,
     poles_L,
     poles_Lbar,
+    poles_pade_exp,
     poles_pade_sinc,
     scale_poles,
     sinc_family,
@@ -28,6 +29,7 @@ class TestCardinalities:
         assert len(poles_E(n)) == 2 * n + 1
         assert len(poles_L(n)) == n
         assert len(poles_Lbar(n)) == 2 * n
+        assert len(poles_pade_exp(n)) == n
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_pade_sinc_counts(self, n):
@@ -47,6 +49,12 @@ class TestFrozenLowDegrees:
         vals = sorted(poles_Lbar(1).values, key=lambda z: z.imag)
         assert vals == pytest.approx([-3j, 3j], abs=1e-12)
 
+    def test_pade_exp_low(self):
+        assert poles_pade_exp(1).values == pytest.approx((-2.0 + 0j,), abs=1e-12)
+        vals = sorted(poles_pade_exp(2).values, key=lambda z: z.imag)
+        assert vals == pytest.approx(
+            [-3 - 1j * math.sqrt(3), -3 + 1j * math.sqrt(3)], abs=1e-12)
+
 
 class TestStructure:
     @pytest.mark.parametrize("n", range(1, 7))
@@ -64,9 +72,13 @@ class TestStructure:
     def test_pade_sinc_closed(self, n):
         assert poles_pade_sinc(n).is_conjugate_closed()
 
+    @pytest.mark.parametrize("k", range(1, 16))
+    def test_pade_exp_strictly_left_half_plane(self, k):
+        assert all(z.real < 0 for z in poles_pade_exp(k))
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_sorted_by_modulus(self, n):
-        for ps in (poles_E(n), poles_L(n), poles_Lbar(n)):
+        for ps in (poles_E(n), poles_L(n), poles_Lbar(n), poles_pade_exp(n)):
             mags = np.array([abs(z) for z in ps])
             slack = 1e-12 * max(mags.max(), 1.0)
             assert np.all(np.diff(mags) >= -slack)
@@ -113,6 +125,13 @@ class TestResiduals:
         for z in poles_pade_sinc(n):
             assert abs(p(z)) <= 1e-8 * scale
 
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_pade_exp_residuals(self, k):
+        p = laguerre_coeffs(k, -2 * k - 1)
+        scale = np.abs(p.as_array()).max()
+        for z in poles_pade_exp(k):
+            assert abs(p(z)) <= 1e-8 * scale
+
 
 class TestTransforms:
     def test_square_E1(self):
@@ -145,7 +164,7 @@ class TestTransforms:
         assert scale_poles(ps, 2.0).degree == 3
 
     def test_degree_guard(self):
-        for fn in (poles_E, poles_L, poles_Lbar):
+        for fn in (poles_E, poles_L, poles_Lbar, poles_pade_exp):
             with pytest.raises(ValueError):
                 fn(0)
         with pytest.raises(ValueError):
@@ -170,10 +189,14 @@ class TestRegistry:
         assert sigma_poles == square_poles(ps)
 
 
+# the sinc families plus the exp pole set that E rotates
+_POLE_SETS = {**POLE_FAMILIES, "pade-exp": poles_pade_exp}
+
+
 def _closure_cases():
     """Every family and degree, their filter_poles transports, and the
     all-infinity set."""
-    cases = [(f"{f}{n}", POLE_FAMILIES[f](n)) for f in POLE_FAMILIES
+    cases = [(f"{f}{n}", _POLE_SETS[f](n)) for f in _POLE_SETS
              if f != "pade-sinc" for n in range(1, 9)]
     cases += [(f"pade-sinc{n}", poles_pade_sinc(n)) for n in (2, 4, 6, 8, 10)]
     cases += [(f"{name}-{plane}", ps) for name, base in list(cases)
@@ -193,10 +216,11 @@ class TestConjugateClosureMemo:
 def _exact_pair_cases():
     """Every conjugate-closed family at every degree it supports up to
     20, with both filter_poles transports of the sinc families."""
-    cases = [(f"{f}{n}", POLE_FAMILIES[f](n)) for f in ("E", "Lbar")
+    cases = [(f"{f}{n}", _POLE_SETS[f](n)) for f in ("E", "Lbar", "pade-exp")
              for n in range(1, 21)]
     cases += [(f"pade-sinc{n}", poles_pade_sinc(n)) for n in (2, 4, 6, 8, 10)]
     cases += [(f"{name}-{plane}", ps) for name, base in list(cases)
+              if base.family != "pade-exp"
               for plane, ps in zip(("psi", "sigma"), filter_poles(base))]
     return [pytest.param(ps, id=name) for name, ps in cases]
 
