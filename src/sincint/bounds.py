@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+from .special import _check_count
+
 __all__ = ["sinc_family_bound", "expsum_bound", "select_pole_count"]
 
 _FAMILIES = ("E", "L", "Lbar")
@@ -43,8 +45,7 @@ def sinc_family_bound(family: str, n: int, zmax: float) -> float:
     if family not in _FAMILIES:
         raise ValueError(f"family {family!r} has no a-priori bound (only "
                          f"{_FAMILIES} do); give it a fixed degree n instead")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"degree must be a positive integer, got {n!r}")
+    _check_count(n, "degree")
     if n > _MAX_POLE_DEGREE:
         raise ValueError(f"degree {n} exceeds the supported maximum {_MAX_POLE_DEGREE}")
     if zmax < 0:
@@ -62,8 +63,7 @@ def sinc_family_bound(family: str, n: int, zmax: float) -> float:
 
 def expsum_bound(nu: int, rho: float) -> float:
     """Quadrature error bound pi/(2 nu)! (rho/2)^(2 nu) of the nu-node sum."""
-    if not isinstance(nu, int) or nu < 1:
-        raise ValueError(f"node count must be a positive integer, got {nu!r}")
+    _check_count(nu, "node count")
     if rho < 0:
         raise ValueError(f"spectral radius must be nonnegative, got {rho}")
     if rho == 0.0:

@@ -220,12 +220,14 @@ def cmd_converge(args) -> int:
         order = ""
         if prev is not None and err > 0 and prev[1] > 0:
             order = "%.3f" % (np.log(prev[1] / err) / np.log(prev[0] / h))
-        rows.append([("%g" % h), engine.pole_degree, "%.6e" % err, order,
-                     "%.4f" % dt])
+        # the size of the method: family degree, node count, or 0 (dense)
+        degree = (args.backend.nu if isinstance(args.backend, ExpSumBackend)
+                  else engine.pole_degree)
+        rows.append([("%g" % h), degree, "%.6e" % err, order, "%.4f" % dt])
         prev = (h, err)
     with _open_out(args.out) as fh:
         w = _writer(fh)
-        w.writerow(["h", "n_poles", "rel_error", "observed_order", "seconds"])
+        w.writerow(["h", "degree", "rel_error", "observed_order", "seconds"])
         w.writerows(rows)
     _say(args, f"converge: N={args.N} T={args.T} done ({len(rows)} runs)")
     return 0

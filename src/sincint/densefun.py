@@ -51,48 +51,50 @@ def _check_order(n: int) -> None:
         )
 
 
-def _check_entries(max_abs: float, lower: np.ndarray, upper: np.ndarray) -> None:
-    """Finite entries, and the lower triangle (or subdiagonal) equal to
-    the upper one to 1e-12 of max(max|A|, 1)."""
-    if not np.isfinite(max_abs):
-        raise ValueError("matrix has non-finite entries")
-    if np.abs(lower - upper).max() > _SYM_TOL * max(max_abs, 1.0):
-        raise ValueError("matrix is not symmetric to 1e-12 (max-norm, relative)")
-
-
 def _check_real(x, what: str) -> None:
     # before any float64 cast, which would drop the imaginary part
     if np.iscomplexobj(x):
         raise ValueError(f"{what} must be real, got complex entries")
 
 
+def _max_abs(X) -> float:
+    """max|X| over the entries of an ndarray, CSR or CSC X, 0 when it has
+    none."""
+    if sp.issparse(X):
+        return abs(X).max() if X.nnz else 0.0
+    return np.max(np.abs(X), initial=0.0)
+
+
+def _check_symmetric(A) -> None:
+    """Refuse an A that is not real, square, finite and symmetric to
+    1e-12 of max(max|A|, 1), in the storage it is given (sparse or
+    not).  This is the one check of the operator: sym_eigendecomposition
+    runs it for both its routes, and every ShiftedSolveCache, and so
+    every rational Krylov engine, when it is built."""
+    _check_real(A, "matrix")
+    if not sp.issparse(A):
+        A = np.asarray(A)
+    elif A.format not in ("csr", "csc"):
+        A = A.tocsr()  # DIA, LIL, DOK have no max(); COO sorts for it
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    max_abs = _max_abs(A)
+    if not np.isfinite(max_abs):
+        raise ValueError("matrix has non-finite entries")
+    if _max_abs(A - A.T) > _SYM_TOL * max(max_abs, 1.0):
+        raise ValueError("matrix is not symmetric to 1e-12 (max-norm, relative)")
+
+
 def _tridiagonal_bands(A) -> tuple[np.ndarray, np.ndarray] | None:
-    """Diagonal and subdiagonal of a square sparse A of order >= 2 with
-    no stored entry beyond its first off-diagonals, checked like
-    _as_dense_sym; None for any other input."""
-    if (dstevd is None or not sp.issparse(A) or A.ndim != 2
-            or A.shape[0] != A.shape[1] or A.shape[0] < 2):
+    """Diagonal and subdiagonal of a sparse A of order >= 2 with no
+    stored entry beyond its first off-diagonals; None for any other
+    input."""
+    if dstevd is None or not sp.issparse(A) or A.shape[0] < 2:
         return None
-    _check_order(A.shape[0])
     coo = A.tocoo()
     if coo.nnz and np.abs(coo.row - coo.col).max() > 1:
         return None
-    d, e, f = (np.asarray(A.diagonal(k), dtype=np.float64) for k in (0, -1, 1))
-    _check_entries(max(np.abs(d).max(), np.abs(e).max(), np.abs(f).max()), e, f)
-    return d, e
-
-
-def _as_dense_sym(A) -> np.ndarray:
-    if sp.issparse(A):
-        if A.ndim == 2 and A.shape[0] == A.shape[1]:
-            _check_order(A.shape[0])
-        A = A.toarray()
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    _check_order(A.shape[0])
-    _check_entries(np.abs(A).max(), A, A.T)
-    return A
+    return tuple(np.asarray(A.diagonal(k), dtype=np.float64) for k in (0, -1))
 
 
 def sym_eigendecomposition(A) -> tuple[np.ndarray, np.ndarray]:
@@ -111,10 +113,12 @@ def sym_eigendecomposition(A) -> tuple[np.ndarray, np.ndarray]:
     nonsymmetric A or an order above 5000, and np.linalg.LinAlgError
     when the eigensolver does not converge.
     """
-    _check_real(A, "matrix")
+    _check_symmetric(A)
+    _check_order(np.shape(A)[0])
     bands = _tridiagonal_bands(A)
     if bands is None:
-        lam, Q = np.linalg.eigh(_as_dense_sym(A))
+        lam, Q = np.linalg.eigh(np.asarray(
+            A.toarray() if sp.issparse(A) else A, dtype=np.float64))
         return lam, Q
     lam, Q, info = dstevd(*bands)
     if info != 0:

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .bounds import expsum_bound
-from .densefun import sym_eigendecomposition
+from .densefun import _apply, sym_eigendecomposition
 # perfbench/spans.py wraps build_space by name in this module
 from .krylov import build_space  # noqa: F401
 from .special import gauss_legendre, sinc
@@ -71,16 +71,11 @@ def scalar_sum_sinc2(mu: np.ndarray, nu: int) -> np.ndarray:
     return np.cos(np.outer(mu, nodes)) @ (2.0 * w)
 
 
-def _apply(A, v: np.ndarray, nu: int, scalar_sum: Callable,
-           eig_map: Callable | None) -> np.ndarray:
-    # checked before the float64 cast, which would drop the imaginary part
-    if np.iscomplexobj(v):
-        raise ValueError("vector must be real, got complex entries")
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    _coeffs(nu)  # an invalid nu fails before the eigendecomposition
-    lam, Q = sym_eigendecomposition(A)
-    mu = eig_map(lam) if eig_map is not None else lam
-    return Q @ (scalar_sum(mu, nu) * (Q.T @ v))
+def _scalar(scalar_sum: Callable, nu: int, eig_map: Callable | None):
+    """lam -> scalar_sum(eig_map(lam), nu), with nu checked now, before
+    any eigendecomposition."""
+    _coeffs(nu)
+    return lambda lam: scalar_sum(lam if eig_map is None else eig_map(lam), nu)
 
 
 def expsum_sinc(A, v: np.ndarray, nu: int,
@@ -91,7 +86,7 @@ def expsum_sinc(A, v: np.ndarray, nu: int,
     mu = eig_map(lambda) before the scalar sum is applied; sigma(h^2 A)
     corresponds to mu = h sqrt(lambda).
     """
-    return _apply(A, v, nu, scalar_sum_sinc, eig_map)
+    return _apply(A, np.reshape(v, -1), _scalar(scalar_sum_sinc, nu, eig_map))
 
 
 def expsum_sinc2(A, v: np.ndarray, nu: int,
@@ -101,7 +96,7 @@ def expsum_sinc2(A, v: np.ndarray, nu: int,
     With mu = (h/2) sqrt(lambda) as eig_map this evaluates the inner
     filter psi(h^2 A) v of the one-step scheme.
     """
-    return _apply(A, v, nu, scalar_sum_sinc2, eig_map)
+    return _apply(A, np.reshape(v, -1), _scalar(scalar_sum_sinc2, nu, eig_map))
 
 
 def expsum_error_check(A, nu: int) -> tuple[float, float]:

@@ -38,6 +38,7 @@ from .expsum import (estimate_spectral_radius, scalar_sum_sinc,
 from .expsum import expsum_sinc, expsum_sinc2  # noqa: F401
 from .krylov import ShiftedSolveCache, apply_function, build_space
 from .poles import PoleSet, filter_poles, sinc_family
+from .special import _ROOTS_MAX_DEGREE, _check_count
 from .special import psi as psi_scalar
 from .special import sigma as sigma_scalar
 
@@ -147,9 +148,10 @@ class RationalKrylovBackend:
     Either fix the family degree n, or give tol to let the a-priori
     bound pick the smallest degree whose bound on [0, h^2 lambda_max]
     is below tol (lambda_max from the power-iteration estimate
-    estimate_spectral_radius).  The sinc-plane poles zeta of the family
-    are transported by filter_poles to zeta^2 for sigma and (2 zeta)^2
-    for psi.
+    estimate_spectral_radius); a selected degree above 20, the largest
+    the families are built to, raises ValueError.  The sinc-plane poles
+    zeta of the family are transported by filter_poles to zeta^2 for
+    sigma and (2 zeta)^2 for psi.
 
     In tol mode the bound is evaluated at the wrong argument: it bounds
     the sinc approximant on the sinc plane, |x| <= zmax, but receives
@@ -197,8 +199,7 @@ class ExpSumBackend:
     nu: int = 10
 
     def __post_init__(self):
-        if not isinstance(self.nu, int) or self.nu < 1:
-            raise ValueError(f"nu must be a positive integer, got {self.nu!r}")
+        _check_count(self.nu, "nu")
 
 
 class _DenseFilters:
@@ -236,14 +237,16 @@ _DENSE_FILL = 0.5
 
 
 def _scaled_operator(A, c: float):
-    """c A in float64: an ndarray when more than _DENSE_FILL of A is
-    nonzero, CSC otherwise."""
+    """c A in float64 (complex128 for a complex A, which the cache then
+    refuses): an ndarray when more than _DENSE_FILL of A is nonzero, CSC
+    otherwise."""
     n = A.shape[0]
     nnz = A.nnz if sp.issparse(A) else np.count_nonzero(A)
+    dtype = np.promote_types(A.dtype, np.float64)
     if nnz > _DENSE_FILL * n * n:
         dense = A.toarray() if sp.issparse(A) else A
-        return np.asarray(dense, dtype=np.float64) * c
-    return sp.csc_matrix(A, dtype=np.float64) * c
+        return np.asarray(dense, dtype=dtype) * c
+    return sp.csc_matrix(A, dtype=dtype) * c
 
 
 class _KrylovFilters:
@@ -254,16 +257,22 @@ class _KrylovFilters:
     def __init__(self, A, h: float, backend: RationalKrylovBackend):
         family = backend.family
         sinc_family(family)  # an unknown family fails before any estimate
+        # the cache checks the operator, before the estimate reads it
+        self._cache = ShiftedSolveCache(_scaled_operator(A, h * h))
+        self._B = self._cache.matrix
         if backend.tol is not None:
-            lam_max = estimate_spectral_radius(A)
-            zmax = h * h * lam_max
+            zmax = h * h * estimate_spectral_radius(A)
             n = select_pole_count(family, zmax, backend.tol)
+            if n > _ROOTS_MAX_DEGREE:
+                raise ValueError(
+                    f"tol={backend.tol:g} at zmax={zmax:g} selects degree "
+                    f"{n}, but the pole families are built only up to "
+                    f"degree {_ROOTS_MAX_DEGREE}; use a smaller h or a "
+                    "fixed degree")
         else:
             n = backend.n
         self.pole_degree = n
         self._psi_poles, self._sigma_poles = _filter_pole_sets(family, n)
-        self._cache = ShiftedSolveCache(_scaled_operator(A, h * h))
-        self._B = self._cache.matrix
         self._dims: dict[Callable, int] = {}
 
     def _filter(self, w, poles, f):

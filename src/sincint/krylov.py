@@ -7,18 +7,20 @@ Gram-Schmidt, run twice per column, keeps the basis orthonormal to
 machine precision, and the function is then applied to the small
 projected matrix A_k = V^H A V.
 
-A is certified real symmetric when its ShiftedSolveCache is built, so
-the projection is Hermitian regardless of where the poles sit and the
-small problem is solved by a Hermitian eigendecomposition; when the
-pole multiset is closed under conjugation and the data are real, the
-assembled result is real up to roundoff and is returned as such.
+A is certified real, finite and symmetric when its ShiftedSolveCache is
+built (densefun's one operator check), so the projection is Hermitian
+regardless of where the poles sit and the small problem is solved by a
+Hermitian eigendecomposition; when the pole multiset is closed under
+conjugation and the data are real, the assembled result is real up to
+roundoff and is returned as such.
 
 Because A is real, (conj(zeta) I - A) is the conjugate of (zeta I - A):
 the cache factors one complex LU per conjugate pair of poles and a real
 LU for a real pole (Ruhe, "The rational Krylov algorithm for
 nonsymmetric eigenvalue problems III: complex shifts for real
-matrices", BIT 34, 1994).  The built-in pole sets are exactly closed
-under conjugation, so every pair shares its factorization.
+matrices", BIT 34, 1994).  A pole set counts as closed under
+conjugation only when its poles pair exactly, as the built-in sets do,
+so every pair of a closed set shares its factorization.
 
 The cache factors A in the storage it is given.  A sparse A goes to
 SuperLU.  Every shifted matrix has the symmetric pattern of A, so
@@ -79,6 +81,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .densefun import _check_real, _check_symmetric
 from .poles import PoleSet
 from .special import sinc
 
@@ -103,19 +106,6 @@ class PoleCollisionError(RuntimeError):
     """A shift zeta coincides with an eigenvalue: (zeta I - A) is singular."""
 
 
-def _check_symmetric(A, rtol: float = 1e-12) -> None:
-    if sp.issparse(A):
-        diff = abs(A - A.T)
-        dmax = diff.max() if diff.nnz else 0.0
-        scale = abs(A).max() if A.nnz else 1.0
-    else:
-        dmax = np.max(np.abs(A - A.T), initial=0.0)
-        scale = np.max(np.abs(A), initial=0.0)
-    if dmax > rtol * max(scale, 1.0):
-        raise ValueError("matrix must be real symmetric "
-                         "(max |A - A^T| too large)")
-
-
 def _real_apply(op, X: np.ndarray) -> np.ndarray:
     """op(X) for a real linear operator op (a real sparse product or a
     real LU solve) and a complex X: the real and imaginary parts go
@@ -136,8 +126,9 @@ class ShiftedSolveCache:
     conj(zeta) is conj((zeta I - A)^{-1} conj(b)); a real shift is
     factored in float64 and takes a complex right-hand side as two real
     columns.  Pairs share only when they are exact
-    conjugates, as in the built-in pole sets.  The matrix is checked for
-    symmetry here, once, rather than on every space built with it.
+    conjugates, which is what PoleSet counts as closed.  The matrix is
+    checked here (real, square, finite, symmetric: densefun's
+    _check_symmetric), once, rather than on every space built with it.
 
     A is factored in the storage it is given.  A sparse matrix goes to
     SuperLU: the shifted matrices keep the symmetric pattern of A, so
@@ -155,15 +146,11 @@ class ShiftedSolveCache:
     """
 
     def __init__(self, A):
-        # checked before the float64 cast, which would drop the imaginary part
-        if np.iscomplexobj(A):
-            raise ValueError("matrix must be real symmetric, got complex "
-                             "entries")
+        _check_symmetric(A)
         if sp.issparse(A):
             self._A = A.tocsc()
         else:
             self._A = np.asarray(A, dtype=np.float64)
-        _check_symmetric(self._A)
         # zeta -> solver of (zeta I - A), for Im zeta >= 0
         self._solvers: dict[complex, Callable] = {}
 
@@ -247,7 +234,6 @@ class RationalKrylovSpace:
     V: np.ndarray
     A_k: np.ndarray
     poles: PoleSet
-    seed_norm: float
     breakdown: bool = False
     # f -> (f at the eigenvalues of A_k's Hermitian part, its eigenvectors)
     _f_eigh: dict = field(default_factory=dict, init=False, repr=False,
@@ -313,8 +299,7 @@ def build_space(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
         cache = ShiftedSolveCache(A)
     A = cache.matrix
     n = A.shape[0]
-    if np.iscomplexobj(v):
-        raise ValueError("seed vector must be real, got complex entries")
+    _check_real(v, "seed vector")
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     if v.shape[0] != n:
         raise ValueError(f"seed length {v.shape[0]} does not match order {n}")
@@ -377,8 +362,7 @@ def build_space(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
         A_k = V.conj().T @ _real_apply(A.dot, V)
     else:
         A_k = A_k[:m, :m].copy()
-    space = RationalKrylovSpace(V=V, A_k=A_k, poles=poles, seed_norm=nrm,
-                                breakdown=breakdown)
+    space = RationalKrylovSpace(V=V, A_k=A_k, poles=poles, breakdown=breakdown)
     if f_eigh is not None:
         space._f_eigh[f] = f_eigh
     return space

@@ -11,7 +11,9 @@ with negative integer parameter:
   sinc (n poles, even n <= 10).
 
 POLE_FAMILIES maps each name to its constructor; sinc_family looks a
-name up and refuses any other.
+name up and refuses any other.  A PoleSet counts as closed under
+conjugation only when its poles pair exactly, the condition under
+which a ShiftedSolveCache shares one LU per pair.
 
 Pole sets live on the "sinc plane": they target sinc(A)v directly.  The
 integrator filters act on h^2 A, and :func:`filter_poles` transports a
@@ -22,12 +24,14 @@ zeta -> (2 zeta)^2 for psi).
 from __future__ import annotations
 
 import cmath
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .special import laguerre_coeffs, pade_sinc_denominator, poly_roots
+from .special import (_check_count, laguerre_coeffs, pade_sinc_denominator,
+                      poly_roots)
 
 __all__ = [
     "PoleSet",
@@ -42,9 +46,6 @@ __all__ = [
     "POLE_FAMILIES",
     "sinc_family",
 ]
-
-
-_CONJ_RTOL = 1e-9  # conjugate partners agree to this times max(|zeta|, 1)
 
 
 def _canonical_order(values) -> tuple[complex, ...]:
@@ -84,7 +85,7 @@ class PoleSet:
 
     def is_conjugate_closed(self) -> bool:
         """True when the multiset of poles equals its complex conjugate
-        (computed once: the set is frozen)."""
+        exactly (computed once: the set is frozen)."""
         return self._conjugate_closed
 
     @cached_property
@@ -93,29 +94,17 @@ class PoleSet:
 
 
 def _conjugate_closed(values) -> bool:
-    """Greedy nearest-neighbor matching of the finite poles with their
-    conjugates, rather than sort-based: a set built from computed values
-    (such as roots found in complex arithmetic) may pair conjugates only
-    up to roundoff, which can reorder a lexicographic sort and misalign
-    the comparison.
-    """
-    vals = np.asarray([v for v in values if not cmath.isinf(v)])
-    if vals.size == 0:
-        return True
-    scale = max(np.abs(vals).max(), 1.0)
-    remaining = list(np.conj(vals))
-    for v in vals:
-        dist = np.abs(np.asarray(remaining) - v)
-        j = int(np.argmin(dist))
-        if dist[j] > _CONJ_RTOL * scale:
-            return False
-        remaining.pop(j)
-    return True
+    """Exact multiset test: every finite pole's conjugate is in the set
+    as often as the pole itself.  A ShiftedSolveCache shares an LU only
+    between exact conjugates, and a set closed only up to roundoff
+    gives complex products."""
+    finite = [complex(v) for v in values if not cmath.isinf(v)]
+    return Counter(finite) == Counter(v.conjugate() for v in finite)
 
 
 def poles_pade_exp(k: int) -> PoleSet:
     """[k/k] Pade poles of exp (Re < 0), zeros of L_k^(-2k-1); E rotates them."""
-    _check_degree(k)
+    _check_count(k, "degree")
     p = laguerre_coeffs(k, -2 * k - 1)
     return PoleSet(tuple(poly_roots(p)), family="pade-exp", degree=k)
 
@@ -131,14 +120,14 @@ def poles_E(n: int) -> PoleSet:
 
 def poles_L(n: int) -> PoleSet:
     """One-sided hypergeometric sinc poles: zeros of L_n^(-2n-2) over 2i."""
-    _check_degree(n)
+    _check_count(n, "degree")
     x = poly_roots(laguerre_coeffs(n, -2 * n - 2))
     return PoleSet(tuple(r / 2j for r in x), family="L", degree=n)
 
 
 def poles_Lbar(n: int) -> PoleSet:
     """Conjugate-symmetrized hypergeometric poles: {+-i x} for the same zeros."""
-    _check_degree(n)
+    _check_count(n, "degree")
     x = poly_roots(laguerre_coeffs(n, -2 * n - 2))
     vals = []
     for r in x:
@@ -151,11 +140,6 @@ def poles_pade_sinc(n: int) -> PoleSet:
     """Zeros of the tabulated diagonal Pade denominator of sinc."""
     p = pade_sinc_denominator(n)
     return PoleSet(tuple(poly_roots(p)), family="pade-sinc", degree=n)
-
-
-def _check_degree(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"degree must be a positive integer, got {n!r}")
 
 
 def scale_poles(ps: PoleSet, c: complex) -> PoleSet:

@@ -152,6 +152,13 @@ class Polynomial:
         return np.asarray(self.coeffs, dtype=np.complex128)
 
 
+def _check_count(n, what: str, low: int = 1) -> None:
+    """Refuse an n that is not a Python or numpy integer >= low (1 or 0)."""
+    if not isinstance(n, (int, np.integer)) or n < low:
+        kind = "positive" if low == 1 else "nonnegative"
+        raise ValueError(f"{what} must be a {kind} integer, got {n!r}")
+
+
 _LAGUERRE_MAX_DEGREE = 64
 
 
@@ -165,8 +172,7 @@ def laguerre_coeffs(n: int, alpha: float) -> Polynomial:
     coefficients overflow the double range long before that and the pole
     generators never need them.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"degree must be a nonnegative integer, got {n!r}")
+    _check_count(n, "degree", low=0)
     if n > _LAGUERRE_MAX_DEGREE:
         raise ValueError(
             f"degree {n} exceeds the supported maximum {_LAGUERRE_MAX_DEGREE}"
@@ -308,8 +314,7 @@ def gauss_legendre(nu: int, a: float = -1.0, b: float = 1.0) -> QuadratureRule:
 
     Exact for polynomials of degree 2*nu - 1.
     """
-    if not isinstance(nu, (int, np.integer)) or nu < 1:
-        raise ValueError(f"node count must be a positive integer, got {nu!r}")
+    _check_count(nu, "node count")
     if not a < b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
     x, w = np.polynomial.legendre.leggauss(int(nu))

@@ -177,9 +177,9 @@ class TestConvergeCommand:
                    "--out", str(out), "--quiet"])
         assert rc == 0
         rows = _rows(out)
-        assert set(rows[0]) == {"h", "n_poles", "rel_error", "observed_order",
+        assert set(rows[0]) == {"h", "degree", "rel_error", "observed_order",
                                 "seconds"}
-        degrees = [int(r["n_poles"]) for r in rows]
+        degrees = [int(r["degree"]) for r in rows]
         assert degrees == sorted(degrees, reverse=True)
         errs = [float(r["rel_error"]) for r in rows]
         assert errs[-1] < errs[0]

@@ -1,0 +1,112 @@
+"""One guard per input condition, the same on every route: the operator
+check, the real-vector check, the integer-count guard, exact conjugate
+closure and the tolerance-mode degree ceiling."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from sincint.bounds import expsum_bound, sinc_family_bound
+from sincint.cli import main, parse_backend
+from sincint.expsum import expsum_sinc, expsum_sinc2
+from sincint.integrators import ExpSumBackend, make_filters
+from sincint.krylov import ShiftedSolveCache, sinc_apply
+from sincint.poles import (PoleSet, poles_E, poles_L, poles_Lbar,
+                           poles_pade_exp)
+from sincint.problems import laplacian_1d
+from sincint.special import gauss_legendre, laguerre_coeffs
+
+_BACKENDS = ["dense", "expsum:8", "ratkrylov:E:n4", "ratkrylov:E:1e-10"]
+
+
+def _with_entry(value, storage):
+    """100 * laplacian_1d(16) with value at (5, 5), sparse or dense."""
+    A = (100.0 * laplacian_1d(16)).tolil()
+    A[5, 5] = value
+    return A.tocsr() if storage == "sparse" else A.toarray()
+
+
+class TestNonFiniteOperator:
+    @pytest.mark.parametrize("storage", ["sparse", "dense"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("spec", _BACKENDS)
+    def test_every_engine_refuses(self, spec, value, storage):
+        A = _with_entry(value, storage)
+        with pytest.raises(ValueError, match="non-finite"):
+            make_filters(A, 0.1, parse_backend(spec))
+
+    @pytest.mark.parametrize("storage", ["sparse", "dense"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_cache_refuses(self, value, storage):
+        with pytest.raises(ValueError, match="non-finite"):
+            ShiftedSolveCache(_with_entry(value, storage))
+
+
+class TestOperatorShapeAndDtype:
+    @pytest.mark.parametrize("to_storage", [np.asarray, sp.csr_matrix],
+                             ids=["dense", "sparse"])
+    def test_cache_names_nonsquare_shape(self, to_storage):
+        with pytest.raises(ValueError, match=r"square.*\(3, 4\)"):
+            ShiftedSolveCache(to_storage(np.ones((3, 4))))
+
+    @pytest.mark.parametrize("spec", ["ratkrylov:E:n4", "ratkrylov:E:1e-10"])
+    def test_krylov_engine_refuses_complex_matrix(self, spec):
+        A = laplacian_1d(16).astype(np.complex128)
+        with pytest.raises(ValueError, match="complex"):
+            make_filters(A, 0.1, parse_backend(spec))
+
+
+_COUNT_GUARDS = {
+    "laguerre_coeffs": lambda n: laguerre_coeffs(n, -2.0).coeffs,
+    "gauss_legendre": lambda n: gauss_legendre(n).nodes,
+    "poles_pade_exp": lambda n: poles_pade_exp(n).values,
+    "poles_E": lambda n: poles_E(n).values,
+    "poles_L": lambda n: poles_L(n).values,
+    "poles_Lbar": lambda n: poles_Lbar(n).values,
+    "sinc_family_bound": lambda n: sinc_family_bound("E", n, 2.0),
+    "expsum_bound": lambda n: expsum_bound(n, 2.0),
+    "ExpSumBackend": lambda n: ExpSumBackend(n),
+    "expsum_sinc": lambda n: expsum_sinc(laplacian_1d(8), np.ones(8), n),
+    "expsum_sinc2": lambda n: expsum_sinc2(laplacian_1d(8), np.ones(8), n),
+}
+
+
+class TestCountGuard:
+    @pytest.mark.parametrize("name", list(_COUNT_GUARDS))
+    def test_numpy_integer_accepted(self, name):
+        fn = _COUNT_GUARDS[name]
+        assert np.array_equal(fn(np.int64(3)), fn(3))
+
+    @pytest.mark.parametrize("name", list(_COUNT_GUARDS))
+    @pytest.mark.parametrize("bad", [3.0, -1, "3"])
+    def test_non_integer_refused(self, name, bad):
+        with pytest.raises(ValueError, match="integer"):
+            _COUNT_GUARDS[name](bad)
+
+
+class TestExactConjugateClosure:
+    def test_roundoff_partners_are_not_closed(self):
+        z = -0.5 + 2.0j
+        near = PoleSet((z, z.conjugate() * (1.0 + 1e-15)))
+        assert not near.is_conjugate_closed()
+        assert PoleSet((z, z.conjugate())).is_conjugate_closed()
+
+    def test_products_of_a_near_conjugate_set_are_complex(self):
+        z = -0.5 + 2.0j
+        near = PoleSet((z, z.conjugate() * (1.0 + 1e-15)))
+        A = laplacian_1d(16)
+        v = np.linspace(1.0, 2.0, 16)
+        y = sinc_apply(A, v, near)
+        assert y.dtype == np.complex128
+
+
+class TestDegreeCeiling:
+    def test_cli_reports_the_ceiling_with_exit_3(self, capsys):
+        rc = main(["converge", "--h-list", "0.15",
+                   "--backend", "ratkrylov:E:1e-12", "--quiet"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "error=guard" in err
+        for part in ("degree 29", "tol=1e-12", "zmax=", "up to degree 20",
+                     "smaller h", "fixed degree"):
+            assert part in err

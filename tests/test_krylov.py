@@ -131,7 +131,7 @@ class TestSymmetryCheck:
 
     def test_cache_rejects_complex_matrix(self):
         A = sp.csr_matrix(np.array([[2.0, 1.0j], [1.0j, 2.0]]))
-        with pytest.raises(ValueError, match="real symmetric"):
+        with pytest.raises(ValueError, match="matrix must be real"):
             ShiftedSolveCache(A)
 
     def test_cache_rejects_dense_complex_matrix(self):
