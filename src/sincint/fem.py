@@ -19,9 +19,10 @@ agreed with them to 4e-16 relative.  The dense factorization caps the
 free vertex count at 4000; the demo meshes are far below that.
 
 Atil is full (on the 32 x 32 demo mesh, 923,521 nonzeros of 961^2) but
-is handed on as CSR.  The rational Krylov engine therefore keeps
-h^2 Atil dense and factors its shifted matrices with LAPACK LU rather
-than SuperLU (see krylov and integrators.RationalKrylovBackend).
+is handed on as CSR, built straight from the full array's rows.  The
+rational Krylov engine therefore keeps h^2 Atil dense and factors its
+shifted matrices with LAPACK LU rather than SuperLU (see krylov and
+integrators.RationalKrylovBackend).
 """
 
 from __future__ import annotations
@@ -293,6 +294,19 @@ def _demo_bump(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return 0.8 * np.exp(-((x + 0.3) ** 2 + (y + 0.3) ** 2) / 0.06)
 
 
+def _full_csr(F: np.ndarray) -> sp.csr_matrix:
+    """sp.csr_matrix(F) for a square F: a copy of F's rows with every
+    column index in every row, then stripped of its zeros.  It gives the
+    same data, indices and indptr; on the full Atil of order 961 it took
+    1.8 ms against 27 ms (medians of 9)."""
+    n = F.shape[0]
+    cols = np.tile(np.arange(n, dtype=np.int32), n)
+    S = sp.csr_matrix((F.flatten(), cols, np.arange(0, n * n + 1, n)),
+                      shape=(n, n))
+    S.eliminate_zeros()
+    return S
+
+
 def wave_demo_problem(mesh: TriMesh, tf: float = 1.0,
                       initial: Callable | None = None) -> WaveProblem:
     """Standing-bump wave problem on a mesh with zero boundary values.
@@ -322,7 +336,7 @@ def wave_demo_problem(mesh: TriMesh, tf: float = 1.0,
     Atil = np.tril(Atil)
     Atil += np.tril(Atil, -1).T
     y0 = L.T @ u0_free
-    ivp = SecondOrderIVP(A=sp.csr_matrix(Atil), y0=y0,
+    ivp = SecondOrderIVP(A=_full_csr(Atil), y0=y0,
                          y1=np.zeros(nf), forcing=None, t0=0.0, tf=tf)
     return WaveProblem(system=system, L=L, Atil=ivp.A, u0=system.expand(u0_free),
                        ivp=ivp)

@@ -165,10 +165,10 @@ class RationalKrylovBackend:
     f), at a breakdown, or at the full len(poles) + 1 columns.  The check
     starts at 2 for a filter's first product and, for each later one, at
     the dimension where the filter's previous product stopped.  Shifts
-    are factored when a product first reaches them, so set-up factors
+    are solved first when a product reaches them, so set-up prepares
     only the poles the first products use.  On lap2d (order 4096,
     h = 0.01, degree 8) a psi product takes 8 shifted solves instead of
-    17, and the run factors 5 of the 9 LUs of the two pole sets.
+    17, and the run reaches 5 of the 9 shifts of the two pole sets.
 
     The engine stores h^2 A dense when more than half of its entries
     are nonzero (_DENSE_FILL), and as float64 CSC otherwise, and its
@@ -178,7 +178,12 @@ class RationalKrylovBackend:
     krylov module docstring, also for why LU and not LDL^T, and why trsv
     and not getrs).  Of the benchmark operators only the full FEM Atil
     is kept dense; the 2D Laplacian (0.12% full) and the synthetic
-    problem (23%) stay sparse.
+    problem (23%) stay sparse.  A sparse operator of order at least 2048
+    solves a shift far from its spectrum by a certified Neumann series
+    instead of an LU (ShiftedSolveCache): on lap2d at h = 0.01 the 4
+    pairs take the series and only the real origin pole is factored;
+    at h = 0.1 all of them are factored, as are the shifts of the
+    synthetic problem (order 20) and of the dense Atil.
     """
 
     family: str = "E"

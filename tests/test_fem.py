@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 import sincint.fem as fem_module
 from sincint.fem import (
@@ -164,6 +165,28 @@ class TestWaveProblem:
         inv_L_Kc = sla.solve_triangular(L, wp.system.Kc.toarray(), lower=True)
         want = sla.solve_triangular(L, inv_L_Kc.T, lower=True).T
         assert np.linalg.norm(A - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("m", [8, 32])
+    def test_atil_csr_matches_csr_matrix_of_the_full_array(self, m):
+        wp = wave_demo_problem(structured_mesh(m), tf=0.5)
+        want = sp.csr_matrix(wp.Atil.toarray())
+        assert wp.Atil.format == "csr"
+        for name in ("data", "indices", "indptr"):
+            got, ref = getattr(wp.Atil, name), getattr(want, name)
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+
+    def test_full_csr_drops_zeros(self):
+        F = np.arange(16.0).reshape(4, 4)
+        F[1, 2] = -0.0
+        before = F.copy()
+        S = fem_module._full_csr(F)
+        assert np.array_equal(F, before)
+        assert np.array_equal(S.toarray(), F)
+        assert S.nnz == 14
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(S, name),
+                                  getattr(sp.csr_matrix(F), name))
 
     @pytest.mark.parametrize("routine", ["dpotrf", "dsygst"])
     def test_lapack_failure_raises(self, monkeypatch, routine):

@@ -509,8 +509,10 @@ class TestFillReducingOrder:
     def test_lap2d_pair_lu_has_about_half_the_colamd_fill(self, monkeypatch):
         """The shifted matrices keep the symmetric pattern of A, which a
         minimum-degree order on A^T + A fills far less than SuperLU's
-        default COLAMD (0.53 of its fill at order 4096)."""
-        B = 63**2 * laplacian_2d(4096) * 1e-4
+        default COLAMD (0.53 of its fill at order 4096).  The operator is
+        h^2 A at h = 0.1, where the pole lies 4 Gershgorin radii from the
+        spectrum's centre, too near for the Neumann series."""
+        B = 63**2 * laplacian_2d(4096) * 1e-2
         zeta = next(z for z in filter_poles(poles_E(8))[0].values
                     if z.imag > 0)
         M = (zeta * sp.identity(4096, format="csc") - B).tocsc()
@@ -526,6 +528,165 @@ class TestFillReducingOrder:
         ShiftedSolveCache(B).solve(zeta, _seed_vector(4096))
         assert len(lus) == 1
         assert lus[0].nnz <= 0.6 * colamd_nnz
+
+
+def _shift_at(cache, r, angle):
+    """The shift c + (a / r) exp(i angle) for the Gershgorin interval
+    [c - a, c + a] of the cache's matrix."""
+    c, a = krylov_module._gershgorin(cache.matrix)
+    return c + (a / r) * complex(np.cos(angle), np.sin(angle))
+
+
+def _random_sparse_spd(n, seed):
+    """A random sparse symmetric matrix made positive definite by
+    diagonal dominance."""
+    S = sp.random(n, n, density=4.0 / n, random_state=seed, format="csr")
+    S = S + S.T
+    d = np.asarray(abs(S).sum(axis=1)).ravel()
+    rng = np.random.default_rng(seed)
+    return (S + sp.diags(d + rng.uniform(0.1, 1.0, n))).tocsr()
+
+
+class TestNeumannSeries:
+    """A shift far from the spectrum of a large sparse operator is solved
+    by a truncated Neumann series about the centre of its Gershgorin
+    interval instead of a sparse LU."""
+
+    @pytest.mark.parametrize("r", [1e-3, 1e-2, 0.1])
+    @pytest.mark.parametrize("angle", [2.0, np.pi])
+    def test_lap2d_series_solve_matches_the_exact_solve(self, monkeypatch,
+                                                        r, angle):
+        """On 63^2 laplacian_2d(4096), diagonal in the 2D DST-I basis.
+        At r = 0.1 the series needs 16 terms, above the cap, so the cap
+        is lifted to check the series itself."""
+        monkeypatch.setattr(krylov_module, "_SERIES_MAX_TERMS", 20)
+        m = 64
+        mu = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, m + 1) / (m + 1))
+        lam = 63**2 * 1e-4 * (mu[:, None] + mu[None, :]).reshape(-1)
+        cache = ShiftedSolveCache(63**2 * laplacian_2d(4096) * 1e-4)
+        zeta = _shift_at(cache, r, angle)
+        if angle == np.pi:
+            zeta = zeta.real + 0j
+        b = _complex_vector(4096)
+
+        def dst(x):
+            return scipy.fft.dstn(x.reshape(m, m), type=1,
+                                  norm="ortho").reshape(-1)
+
+        want = dst(dst(b) / (zeta - lam))
+        dtypes = _count_factorizations(monkeypatch)
+        x = cache.solve(zeta, b)
+        assert dtypes == []
+        assert _rel(x, want) <= 1e-14
+        want = dst(dst(b) / (zeta.conjugate() - lam))
+        assert _rel(cache.solve(zeta.conjugate(), b), want) <= 1e-14
+        assert dtypes == []
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("r", [1e-3, 1e-2, 0.1])
+    def test_random_sparse_series_solve_matches_a_dense_solve(
+            self, monkeypatch, seed, r):
+        """The series' accuracy does not depend on the order, so the
+        crossover is lowered to check it against a dense solve."""
+        monkeypatch.setattr(krylov_module, "_SERIES_MIN_ORDER", 1)
+        monkeypatch.setattr(krylov_module, "_SERIES_MAX_TERMS", 20)
+        A = _random_sparse_spd(300, seed)
+        cache = ShiftedSolveCache(A)
+        zeta = _shift_at(cache, r, 1.0 + seed)
+        b = _complex_vector(300, seed)
+        dtypes = _count_factorizations(monkeypatch)
+        x = cache.solve(zeta, b)
+        assert dtypes == []
+        want = np.linalg.solve(zeta * np.eye(300) - A.toarray(), b)
+        assert _rel(x, want) <= 1e-14
+
+    @given(st.integers(min_value=1, max_value=40),
+           st.integers(min_value=0, max_value=1000))
+    def test_gershgorin_interval_holds_the_spectrum(self, n, seed):
+        A = random_spd(n, seed)
+        c, a = krylov_module._gershgorin(sp.csc_matrix(A))
+        lam = np.linalg.eigvalsh(A.toarray())
+        assert c - a <= lam[0] and lam[-1] <= c + a
+        assert np.linalg.norm(A.toarray() - c * np.eye(n), 2) <= a
+
+    def test_gershgorin_interval_of_a_diagonal_matrix(self):
+        d = np.array([0.1, 3.0, 1e-3, 2.5, 7.0 / 3.0])
+        c, a = krylov_module._gershgorin(sp.diags(d).tocsc())
+        assert c - a <= d.min() and d.max() <= c + a
+        assert a <= 0.5 * (d.max() - d.min()) * (1 + 1e-12)
+
+    def test_series_terms_are_the_least_that_reach_roundoff(self):
+        for r in (0.0, 1e-6, 1e-3, 3.1e-3, 1e-2, 1.23e-2):
+            K = krylov_module._series_terms(r)
+            assert K is not None and K <= krylov_module._SERIES_MAX_TERMS
+            assert r ** (K + 1) * (1 + r) / (1 - r) <= 2.0**-53
+            if K:
+                assert r ** K * (1 + r) / (1 - r) > 2.0**-53
+        # K = 9 at r = 0.02 and 10 at 0.03, above the cap of 8
+        for r in (0.02, 0.03, 0.1, 0.24, 0.9):
+            assert krylov_module._series_terms(r) is None
+
+    @pytest.mark.parametrize("h, lus", [(0.01, 1), (0.1, 9)])
+    def test_lap2d_engine_factors_only_the_origin_at_small_steps(
+            self, monkeypatch, h, lus):
+        """At h = 0.01 every complex pole of E degree 8 lies at least 81
+        Gershgorin radii from the centre of the spectrum of h^2 A, so only
+        the real origin pole (r = 1) is factored, in float64.  At h = 0.1
+        (r about 0.24) the series needs more than the cap of terms, and
+        the 8 pairs and the origin the full spaces reach are factored as
+        before."""
+        dtypes = _count_factorizations(monkeypatch)
+        engine = make_filters(63**2 * laplacian_2d(4096), h,
+                              RationalKrylovBackend("E", n=8))
+        v = _seed_vector(4096)
+        engine.psi(v)
+        engine.sigma(v)
+        assert len(dtypes) == lus
+        assert dtypes.count(np.float64) == 1
+
+    def test_lap2d_engine_on_the_series_matches_the_exact_filters(self):
+        m, h = 64, 0.01
+        mu = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, m + 1) / (m + 1))
+        z = h * h * 63**2 * (mu[:, None] + mu[None, :]).reshape(-1)
+
+        def dst(x):
+            return scipy.fft.dstn(x.reshape(m, m), type=1,
+                                  norm="ortho").reshape(-1)
+
+        engine = make_filters(63**2 * laplacian_2d(4096), h,
+                              RationalKrylovBackend("E", n=8))
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            w = rng.standard_normal(4096)
+            assert _rel(engine.psi(w), dst(psi(z) * dst(w))) <= 1e-13
+            assert _rel(engine.sigma(w), dst(sigma(z) * dst(w))) <= 1e-13
+
+    def test_dense_storage_never_takes_the_series(self, monkeypatch):
+        monkeypatch.setattr(krylov_module, "_SERIES_MIN_ORDER", 1)
+        A = random_spd(40, 3)
+        zeta = _shift_at(ShiftedSolveCache(A), 1e-3, 2.0)
+        b = _complex_vector(40)
+        superlu = _count_factorizations(monkeypatch)
+        lapack = _count_dense_factorizations(monkeypatch)
+        ShiftedSolveCache(A).solve(zeta, b)
+        assert superlu == [] and lapack == []
+        ShiftedSolveCache(A.toarray()).solve(zeta, b)
+        assert superlu == [] and lapack == [np.complex128]
+
+    def test_small_order_keeps_the_lu(self, monkeypatch):
+        A = random_spd(40, 3)
+        cache = ShiftedSolveCache(A)
+        zeta = _shift_at(cache, 1e-3, 2.0)
+        superlu = _count_factorizations(monkeypatch)
+        cache.solve(zeta, _complex_vector(40))
+        assert superlu == [np.complex128]
+
+    def test_series_solve_keeps_the_non_finite_check(self):
+        cache = ShiftedSolveCache(63**2 * laplacian_2d(4096) * 1e-4)
+        b = _complex_vector(4096)
+        b[7] = np.nan
+        with pytest.raises(PoleCollisionError, match="non-finite"):
+            cache.solve(-500.0 + 150.0j, b)
 
 
 def _synthetic_sweep_spaces() -> list:
