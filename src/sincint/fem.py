@@ -19,10 +19,10 @@ agreed with them to 4e-16 relative.  The dense factorization caps the
 free vertex count at 4000; the demo meshes are far below that.
 
 Atil is full (on the 32 x 32 demo mesh, 923,521 nonzeros of 961^2) but
-is handed on as CSR, built straight from the full array's rows.  The
-rational Krylov engine therefore keeps h^2 Atil dense and factors its
-shifted matrices with LAPACK LU rather than SuperLU (see krylov and
-integrators.RationalKrylovBackend).
+is handed on as CSR, built straight from the full array's rows.  A
+ShiftedSolveCache, the rational Krylov engine's or any other, therefore
+stores h^2 Atil dense and factors its shifted matrices with LAPACK LU
+rather than SuperLU (krylov.ShiftedSolveCache has the rule).
 """
 
 from __future__ import annotations

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bounds import select_pole_count
 from .densefun import sym_eigendecomposition
@@ -170,15 +169,13 @@ class RationalKrylovBackend:
     h = 0.01, degree 8) a psi product takes 8 shifted solves instead of
     17, and the run reaches 5 of the 9 shifts of the two pole sets.
 
-    The engine stores h^2 A dense when more than half of its entries
-    are nonzero (_DENSE_FILL), and as float64 CSC otherwise, and its
-    ShiftedSolveCache factors the shifted matrices in that storage:
-    LAPACK LU (getrf) for the dense one, solved by two BLAS triangular
-    solves rather than getrs, and SuperLU for the sparse one (see the
-    krylov module docstring, also for why LU and not LDL^T, and why trsv
-    and not getrs).  Of the benchmark operators only the full FEM Atil
-    is kept dense; the 2D Laplacian (0.12% full) and the synthetic
-    problem (23%) stay sparse.  A sparse operator of order at least 2048
+    The engine hands h^2 A to a ShiftedSolveCache, which decides how it
+    is stored, checks it and solves its shifted matrices (see
+    ShiftedSolveCache for the storage rule, and the krylov module
+    docstring for why LU and not LDL^T, and why trsv and not getrs);
+    tol mode estimates the spectral radius of that stored matrix.  Of
+    the benchmark operators only the full FEM Atil is stored dense.  A
+    sparse operator of order at least 2048
     solves a shift far from its spectrum by a certified Neumann series
     instead of an LU (ShiftedSolveCache): on lap2d at h = 0.01 the 4
     pairs take the series and only the real origin pole is factored;
@@ -232,28 +229,6 @@ def _filter_pole_sets(family: str, n: int) -> tuple[PoleSet, PoleSet]:
     return filter_poles(sinc_family(family)(n))
 
 
-# h^2 A is kept dense when more than this share of its entries is
-# nonzero.  Above half fill CSR already takes more than 6 n^2 bytes (8
-# for a value and 4 for its index) against 8 n^2 dense, and the LU of a
-# shifted matrix fills in completely either way.  The FEM operator Atil
-# is full; the 2D Laplacian of order 4096 is 0.12% full and the
-# synthetic problem 23%.
-_DENSE_FILL = 0.5
-
-
-def _scaled_operator(A, c: float):
-    """c A in float64 (complex128 for a complex A, which the cache then
-    refuses): an ndarray when more than _DENSE_FILL of A is nonzero, CSC
-    otherwise."""
-    n = A.shape[0]
-    nnz = A.nnz if sp.issparse(A) else np.count_nonzero(A)
-    dtype = np.promote_types(A.dtype, np.float64)
-    if nnz > _DENSE_FILL * n * n:
-        dense = A.toarray() if sp.issparse(A) else A
-        return np.asarray(dense, dtype=dtype) * c
-    return sp.csc_matrix(A, dtype=dtype) * c
-
-
 class _KrylovFilters:
     """Rational Krylov products that grow until they have settled (see
     RationalKrylovBackend); _dims holds the dimension where each
@@ -262,11 +237,10 @@ class _KrylovFilters:
     def __init__(self, A, h: float, backend: RationalKrylovBackend):
         family = backend.family
         sinc_family(family)  # an unknown family fails before any estimate
-        # the cache checks the operator, before the estimate reads it
-        self._cache = ShiftedSolveCache(_scaled_operator(A, h * h))
+        self._cache = ShiftedSolveCache(h * h * A)
         self._B = self._cache.matrix
         if backend.tol is not None:
-            zmax = h * h * estimate_spectral_radius(A)
+            zmax = estimate_spectral_radius(self._B)
             n = select_pole_count(family, zmax, backend.tol)
             if n > _ROOTS_MAX_DEGREE:
                 raise ValueError(
@@ -312,8 +286,11 @@ def make_filters(A, h: float, backend):
 
     The engine owns whatever factorizations or eigendecompositions the
     backend needs, so it is built once per (A, h) and shared across all
-    steps of a run.
+    steps of a run.  A step h that is not finite and positive is
+    refused before any engine is built.
     """
+    if not 0 < h < np.inf:
+        raise ValueError(f"step size h must be finite and positive, got {h}")
     if hasattr(backend, "psi") and hasattr(backend, "sigma"):
         return backend
     if isinstance(backend, DenseBackend):

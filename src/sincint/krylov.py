@@ -22,7 +22,8 @@ matrices", BIT 34, 1994).  A pole set counts as closed under
 conjugation only when its poles pair exactly, as the built-in sets do,
 so every pair of a closed set shares its factorization.
 
-The cache factors A in the storage it is given.  A sparse A goes to
+The cache stores A dense or sparse by its fill (ShiftedSolveCache has
+the rule) and factors it in that storage.  A sparse A goes to
 SuperLU.  Every shifted matrix has the symmetric pattern of A, so
 SuperLU orders it by minimum degree on A^T + A instead of its default
 COLAMD, a column order for unsymmetric patterns: on the 2D Laplacian of
@@ -40,17 +41,11 @@ thread, OpenBLAS's complex getrs took 1.97 ms at order 961 against
 packs the whole factor for one column.  The real getrs is not slow
 (0.45 against 0.40 ms at order 961, and 1.05 ms for two columns
 against 0.89 ms for four dtrsv calls), so both dtypes take the trsv
-path, a real shift's two real columns one at a time.  The filter
-engine keeps h^2 A dense when more than half of its entries are
-nonzero (integrators._DENSE_FILL), as for
-the full FEM operator Atil of order 961: there SuperLU fills the LU
-completely anyway and took 0.18 s per complex shift against 0.06 s for
-LAPACK, and a product of h^2 A with 20 columns took 9.5 ms in CSC
-against 1.6 ms dense (one BLAS thread).  It is LU rather than the
-complex-symmetric LDL^T (zsytrf/zsytrs), which is cheaper but less
-accurate there: over ten FEM wave runs its error against the dense
-reference had median 2.24e-15, against 1.60e-15 with LU.  The basis
-itself stays complex: a real basis built
+path, a real shift's two real columns one at a time.  It is LU rather
+than the complex-symmetric LDL^T (zsytrf/zsytrs), which is cheaper but
+less accurate on the dense FEM operator: over ten FEM wave runs its
+error against the dense reference had median 2.24e-15, against
+1.60e-15 with LU.  The basis itself stays complex: a real basis built
 from Re/Im of one solve per pair lost an order of magnitude of accuracy
 on the mapped poles, which lie far beyond the spectrum of h^2 A.
 
@@ -113,6 +108,13 @@ _BREAKDOWN_RTOL = 1e-10
 _SETTLED_RTOL = 1e-13
 _SEED_RTOL = 1e-10
 _REAL_GUARD_RTOL = 1e-6
+# A is stored dense when more than this share of its entries is
+# nonzero.  Above half fill CSR already takes more than 6 n^2 bytes (8
+# for a value and 4 for its index) against 8 n^2 dense, and the LU of a
+# shifted matrix fills in completely either way.  The FEM operator Atil
+# is full; the 2D Laplacian of order 4096 is 0.12% full and the
+# synthetic problem 23%.
+_DENSE_FILL = 0.5
 # a shift is solved by its Neumann series when A is sparse of at least
 # this order and the series needs at most _SERIES_MAX_TERMS products to
 # reach unit roundoff (ShiftedSolveCache's docstring has the measurements)
@@ -180,23 +182,35 @@ class ShiftedSolveCache:
     conj(zeta) is conj((zeta I - A)^{-1} conj(b)); a real shift is
     factored in float64 and takes a complex right-hand side as two real
     columns.  Pairs share only when they are exact
-    conjugates, which is what PoleSet counts as closed.  The matrix is
-    checked here (real, square, finite, symmetric: densefun's
-    _check_symmetric), once, rather than on every space built with it.
+    conjugates, which is what PoleSet counts as closed.
 
-    A is factored in the storage it is given.  A sparse matrix goes to
-    SuperLU: the shifted matrices keep the symmetric pattern of A, so
-    each is factored in a minimum-degree order on A^T + A, with
-    SuperLU's default partial pivoting.  An ndarray goes to LAPACK's LU
-    with partial pivoting (getrf), called as sla.lu_factor; an exactly
-    singular shift (a zero pivot, getrf's info > 0) raises
-    PoleCollisionError instead of lu_factor's LinAlgWarning.  It is LU
-    and not the complex-symmetric LDL^T, which lost accuracy on the FEM
-    operator (see the module docstring).  A dense solve permutes b by
-    getrf's row interchanges and runs two BLAS trsv calls, unit lower
-    then upper, instead of getrs, whose complex version took twice as
-    long with one right-hand side (module docstring); the factor stays
-    Fortran-contiguous, so the f2py wrapper passes it without a copy.
+    The cache owns the operator: this is the one place that decides how A is
+    stored, for the filter engines, sinc_apply, build_space and every other
+    caller alike.  A complex A is refused before any float64 cast.  A is
+    then stored in float64, as an ndarray when more than _DENSE_FILL of its
+    entries are nonzero (stored entries of a sparse A, nonzero ones of an
+    ndarray, counted against all of them) and as CSC otherwise, whichever
+    storage it came in; an array that is not 2-D stays one, so that the
+    check names its shape.  The stored matrix is checked (real, square,
+    finite, symmetric: densefun's _check_symmetric), once, rather than on
+    every space built with it.  So the full FEM operator Atil of order 961,
+    handed on as CSR, is stored dense: there SuperLU fills the LU completely
+    anyway and took 0.18 s per complex shift against 0.06 s for LAPACK, and
+    a product with 20 columns took 9.5 ms in CSC against 1.6 ms dense (one
+    BLAS thread).  The 2D Laplacian and the synthetic problem stay sparse.
+
+    A matrix stored sparse goes to SuperLU: the shifted matrices keep the
+    symmetric pattern of A, so each is factored in a minimum-degree order on
+    A^T + A, with SuperLU's default partial pivoting.  One stored dense goes
+    to LAPACK's LU with partial pivoting (getrf), called as sla.lu_factor;
+    an exactly singular shift (a zero pivot, getrf's info > 0) raises
+    PoleCollisionError instead of lu_factor's LinAlgWarning.  It is LU and
+    not the complex-symmetric LDL^T, which lost accuracy on the FEM operator
+    (see the module docstring).  A dense solve permutes b by getrf's row
+    interchanges and runs two BLAS trsv calls, unit lower then upper,
+    instead of getrs, whose complex version took twice as long with one
+    right-hand side (module docstring); the factor stays Fortran-contiguous,
+    so the f2py wrapper passes it without a copy.
 
     A shift far from the spectrum is not factored at all.  When A is
     sparse of order at least _SERIES_MIN_ORDER, the cache computes once,
@@ -237,16 +251,21 @@ class ShiftedSolveCache:
     """
 
     def __init__(self, A):
-        _check_symmetric(A)
+        _check_real(A, "matrix")
+        if not sp.issparse(A):
+            A = np.asarray(A)
+        nnz = A.nnz if sp.issparse(A) else np.count_nonzero(A)
+        if A.ndim != 2 or nnz > _DENSE_FILL * np.prod(A.shape):
+            dense = A.toarray() if sp.issparse(A) else A
+            self._A = np.asarray(dense, dtype=np.float64)
+        else:
+            self._A = sp.csc_matrix(A, dtype=np.float64)
+        _check_symmetric(self._A)
         # (centre, half-width) of A's Gershgorin interval, when A is
         # sparse and large enough for the series to pay
         self._interval = None
-        if sp.issparse(A):
-            self._A = A.tocsc()
-            if self._A.shape[0] >= _SERIES_MIN_ORDER:
-                self._interval = _gershgorin(self._A)
-        else:
-            self._A = np.asarray(A, dtype=np.float64)
+        if sp.issparse(self._A) and self._A.shape[0] >= _SERIES_MIN_ORDER:
+            self._interval = _gershgorin(self._A)
         # zeta -> solver of (zeta I - A), for Im zeta >= 0
         self._solvers: dict[complex, Callable] = {}
 
@@ -417,8 +436,9 @@ def build_space(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
     of the last A_m is kept for apply_function.
 
     When a cache is supplied it already owns the matrix, and its matrix
-    is the one used; pass the same operator as A (it is only consulted
-    when cache is None).
+    (A in the cache's storage, see ShiftedSolveCache) is the one used;
+    pass the same operator as A (it is only consulted when cache is
+    None).
     """
     if cache is None:
         cache = ShiftedSolveCache(A)

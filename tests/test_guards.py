@@ -1,6 +1,8 @@
 """One guard per input condition, the same on every route: the operator
 check, the real-vector check, the integer-count guard, exact conjugate
-closure and the tolerance-mode degree ceiling."""
+closure, the step-size check and the tolerance-mode degree ceiling."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -110,3 +112,31 @@ class TestDegreeCeiling:
         for part in ("degree 29", "tol=1e-12", "zmax=", "up to degree 20",
                      "smaller h", "fixed degree"):
             assert part in err
+
+
+_BAD_STEPS = [0.0, -0.1, np.nan, np.inf]
+
+
+class TestStepSize:
+    """A step that is not finite and positive is refused by make_filters
+    before any engine is built, on every backend."""
+
+    @pytest.mark.parametrize("h", _BAD_STEPS, ids=["0", "-0.1", "nan", "inf"])
+    @pytest.mark.parametrize("spec", _BACKENDS)
+    def test_every_engine_refuses(self, spec, h):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="step size h must be "
+                               "finite and positive"):
+                make_filters(100.0 * laplacian_1d(16), h, parse_backend(spec))
+
+    @pytest.mark.parametrize("argv", [
+        ["wave", "--m", "4", "--h", "0"],
+        ["wave", "--m", "4", "--h", "nan", "--backend", "ratkrylov:E:1e-10"],
+        ["converge", "--h-list", "0"],
+        ["converge", "--h-list", "inf", "--backend", "dense"],
+    ], ids=["wave-0", "wave-nan-tol", "converge-0", "converge-inf"])
+    def test_cli_exits_3_naming_the_step(self, argv, capsys):
+        assert main(argv + ["--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "error=guard: step size h must be finite and positive" in err

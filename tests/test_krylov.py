@@ -1,5 +1,6 @@
 """Rational Krylov spaces: orthonormality, exactness, guards, realness."""
 
+import re
 import warnings
 
 import numpy as np
@@ -319,7 +320,7 @@ class TestOneFactorizationPerPair:
 
     def test_conjugate_shift_solves_on_the_pair_lu(self, monkeypatch):
         dtypes = _count_factorizations(monkeypatch)
-        A = random_spd(40, 6)
+        A = _random_sparse_spd(40, 6)
         cache = ShiftedSolveCache(A)
         z = -0.8 + 1.3j
         b = _complex_vector(40)
@@ -330,7 +331,7 @@ class TestOneFactorizationPerPair:
         assert dtypes == [np.complex128]
 
     def test_real_shift_takes_complex_rhs(self, monkeypatch):
-        A = random_spd(40, 7)
+        A = _random_sparse_spd(40, 7)
         b = _complex_vector(40)
         shifted = sp.csc_matrix(-0.5 * np.eye(40) - A.toarray(),
                                 dtype=np.complex128)
@@ -364,9 +365,8 @@ def _count_dense_factorizations(monkeypatch) -> list:
 
 
 class TestDenseRoute:
-    """An ndarray is factored by LAPACK LU, with the sharing rules of
-    the sparse route; the engine keeps a more than half full h^2 A
-    dense."""
+    """A matrix stored dense is factored by LAPACK LU, with the sharing
+    rules of the sparse route."""
 
     def test_conjugate_pair_shares_one_complex_lu(self, monkeypatch):
         dtypes = _count_dense_factorizations(monkeypatch)
@@ -394,11 +394,13 @@ class TestDenseRoute:
         assert dtypes == [np.float64]
 
     def test_exactly_singular_shift_raises_without_warning(self):
-        cache = ShiftedSolveCache(np.diag([1.0, 2.0, 3.0, 4.0]))
+        """1.0 is an eigenvalue, and getrf meets an exact zero pivot in
+        I - A = [[-1, -1], [-1, -1]]."""
+        cache = ShiftedSolveCache(np.array([[2.0, 1.0], [1.0, 2.0]]))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(PoleCollisionError, match="singular"):
-                cache.solve(2.0, np.ones(4))
+                cache.solve(1.0, np.ones(2))
         assert not [w for w in caught
                     if issubclass(w.category, krylov_module.sla.LinAlgWarning)]
 
@@ -418,14 +420,18 @@ class TestDenseRoute:
         # origin pole and one conjugate pair each of psi and sigma
         assert superlu == []
         assert lapack == [np.float64, np.complex128, np.complex128]
+        # the reference is kept in CSC, so that SuperLU factors it
+        monkeypatch.setattr(krylov_module, "_DENSE_FILL", 1.0)
         B = sp.csc_matrix(Atil) * (h * h)
         sparse_cache = ShiftedSolveCache(B)
+        assert sp.issparse(sparse_cache.matrix)
         psi_poles, sigma_poles = filter_poles(poles_E(8))
         for (f, got), poles in zip(products, (psi_poles, sigma_poles)):
             for w, y in zip(inputs, got):
                 space = build_space(B, w, poles, cache=sparse_cache)
                 want = apply_function(space, f, w)
                 assert np.linalg.norm(y - want) <= 1e-12 * np.linalg.norm(want)
+        assert superlu
 
     @pytest.mark.parametrize("operator", ["random", "fem8", "fem16"])
     def test_solves_agree_with_numpy(self, operator):
@@ -503,6 +509,65 @@ class TestDenseRoute:
         engine = make_filters(A, 0.05, RationalKrylovBackend("E", n=8))
         engine.psi(_seed_vector(20))
         assert superlu and not lapack
+
+
+class TestStorageRule:
+    """The cache stores its matrix by fill, whatever storage it is given:
+    dense when more than _DENSE_FILL of the entries are nonzero, CSC
+    otherwise."""
+
+    def test_full_csr_is_stored_dense(self):
+        A = random_spd(40, 1)
+        B = ShiftedSolveCache(A).matrix
+        assert isinstance(B, np.ndarray) and B.dtype == np.float64
+        assert np.array_equal(B, A.toarray())
+
+    def test_sparse_ndarray_is_stored_csc(self, lap64):
+        B = ShiftedSolveCache(lap64.toarray()).matrix
+        assert sp.issparse(B) and B.format == "csc"
+        assert B.dtype == np.float64
+        assert (B != lap64).nnz == 0
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+    def test_check_names_the_shape_of_a_mostly_zero_array(self, shape):
+        with pytest.raises(ValueError,
+                           match=rf"square.*{re.escape(str(shape))}"):
+            ShiftedSolveCache(np.zeros(shape))
+
+    def test_large_sparse_ndarray_takes_the_series(self, monkeypatch):
+        n = krylov_module._SERIES_MIN_ORDER
+        A = laplacian_1d(n)
+        sparse_cache = ShiftedSolveCache(A)
+        zeta = _shift_at(sparse_cache, 1e-3, 2.0)
+        b = _complex_vector(n)
+        superlu = _count_factorizations(monkeypatch)
+        lapack = _count_dense_factorizations(monkeypatch)
+        x = ShiftedSolveCache(A.toarray()).solve(zeta, b)
+        assert superlu == [] and lapack == []
+        assert np.array_equal(x, sparse_cache.solve(zeta, b))
+
+    @pytest.mark.parametrize("to_storage", [np.asarray, sp.csr_matrix],
+                             ids=["ndarray", "csr"])
+    @pytest.mark.parametrize("fill", ["sparse", "full"])
+    def test_complex_matrix_refused_before_any_cast(self, to_storage, fill):
+        if fill == "full":
+            A = np.array([[2.0, 1.0j], [1.0j, 2.0]])
+        else:
+            A = laplacian_1d(16).toarray().astype(np.complex128)
+            A[3, 4] += 0.5j
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="matrix must be real"):
+                ShiftedSolveCache(to_storage(A))
+        assert not [w for w in caught
+                    if issubclass(w.category, np.exceptions.ComplexWarning)]
+
+    def test_sinc_apply_on_fem_operator_never_calls_splu(self, monkeypatch):
+        Atil = wave_demo_problem(structured_mesh(8)).Atil
+        superlu = _count_factorizations(monkeypatch)
+        lapack = _count_dense_factorizations(monkeypatch)
+        sinc_apply(1e-4 * Atil, _seed_vector(Atil.shape[0]), poles_E(4))
+        assert superlu == [] and lapack
 
 
 class TestFillReducingOrder:
@@ -662,6 +727,8 @@ class TestNeumannSeries:
             assert _rel(engine.sigma(w), dst(sigma(z) * dst(w))) <= 1e-13
 
     def test_dense_storage_never_takes_the_series(self, monkeypatch):
+        """A more than half full matrix is stored dense and factored by
+        LAPACK, whether it is given as CSR or as an ndarray."""
         monkeypatch.setattr(krylov_module, "_SERIES_MIN_ORDER", 1)
         A = random_spd(40, 3)
         zeta = _shift_at(ShiftedSolveCache(A), 1e-3, 2.0)
@@ -669,12 +736,12 @@ class TestNeumannSeries:
         superlu = _count_factorizations(monkeypatch)
         lapack = _count_dense_factorizations(monkeypatch)
         ShiftedSolveCache(A).solve(zeta, b)
-        assert superlu == [] and lapack == []
-        ShiftedSolveCache(A.toarray()).solve(zeta, b)
         assert superlu == [] and lapack == [np.complex128]
+        ShiftedSolveCache(A.toarray()).solve(zeta, b)
+        assert superlu == [] and lapack == [np.complex128] * 2
 
     def test_small_order_keeps_the_lu(self, monkeypatch):
-        A = random_spd(40, 3)
+        A = _random_sparse_spd(40, 3)
         cache = ShiftedSolveCache(A)
         zeta = _shift_at(cache, 1e-3, 2.0)
         superlu = _count_factorizations(monkeypatch)
