@@ -49,17 +49,17 @@ error against the dense reference had median 2.24e-15, against
 from Re/Im of one solve per pair lost an order of magnitude of accuracy
 on the mapped poles, which lie far beyond the spectrum of h^2 A.
 
-So far beyond it, at a small step, that a sparse shifted matrix of a
-large order is not factored at all.  On the 2D Laplacian of order 4096
-at h = 0.01 every complex pole of E degree 8 lies 81 to 330 Gershgorin
-radii from the centre c of the spectrum of h^2 A, so zeta I - h^2 A is
-within 1.2% of the multiple (zeta - c) I, and a truncated Neumann
-series about c reaches unit roundoff in 6 to 8 sparse products, each
-cheaper than a SuperLU solve.  The cache takes such a series when its
-bound certifies it and the order and term count are in the measured
-range where it pays (ShiftedSolveCache), and factors every other shift.
-This is the observation that polynomials win at small steps, applied as
-the linear solver inside the rational Krylov engine.
+A space whose poles are all real or infinite is built in float64: the
+seed is real, a real shift on a real vector is a real solve, and an
+infinite pole is a real product.  An infinite-pole step also costs no
+second product for the projection.  Its direction is w = A v_j, and its
+two Gram-Schmidt passes give the coefficients h of the Arnoldi relation
+A v_j = V h + ||w'|| v_{j+1}, which are column j of A_k.  So a space of
+infinite poles only is the Lanczos process, with full
+reorthogonalization, and in real arithmetic.  The filter engine
+(integrators) makes every pole far from the spectrum of h^2 A an
+infinite one (RationalKrylovBackend has the rule); build_space keeps the
+poles it is given.
 
 A rational Krylov approximation is near-optimal over its space
 (Guttel, "Rational Krylov approximation of matrix functions: numerical
@@ -69,11 +69,9 @@ only cost time, and their poles need no factorization.  Given f,
 build_space grows the space until its last column moved those
 coefficients by at most _SETTLED_RTOL; a filter engine starts checking
 each product at the dimension where its previous product stopped, and
-the cache solves only the shifts some product reaches.  On the 2D
-Laplacian of order 4096 at h = 0.01 (E, degree 8) a psi product stops
-at 9 of 18 columns and a sigma product at 10, so 5 of the 9 shifts of
-the two pole sets are ever solved, and of those only the real origin
-pole is factored; the 4 pairs take the series.
+the cache solves only the shifts some product reaches.  The product
+A v_{m-1} that completes A_m at a check is the direction of the next
+column when that column's pole is infinite.
 """
 
 from __future__ import annotations
@@ -115,12 +113,6 @@ _REAL_GUARD_RTOL = 1e-6
 # is full; the 2D Laplacian of order 4096 is 0.12% full and the
 # synthetic problem 23%.
 _DENSE_FILL = 0.5
-# a shift is solved by its Neumann series when A is sparse of at least
-# this order and the series needs at most _SERIES_MAX_TERMS products to
-# reach unit roundoff (ShiftedSolveCache's docstring has the measurements)
-_SERIES_MIN_ORDER = 2048
-_SERIES_MAX_TERMS = 8
-_UNIT_ROUNDOFF = 2.0**-53
 
 
 class PoleCollisionError(RuntimeError):
@@ -139,7 +131,8 @@ def _real_apply(op, X: np.ndarray) -> np.ndarray:
 
 def _gershgorin(B) -> tuple[float, float]:
     """Centre c and half-width a of an interval [c - a, c + a] that
-    holds the spectrum of the sparse symmetric B, with ||B - cI||_2 <= a.
+    holds the spectrum of the symmetric B, sparse or dense, with
+    ||B - cI||_2 <= a.
 
     Each disc's radius is the larger of its row's and its column's
     off-diagonal absolute sum, so that a bounds B - cI in the 1- and the
@@ -147,6 +140,8 @@ def _gershgorin(B) -> tuple[float, float]:
     _check_symmetric admits.  a is widened by n units of roundoff, which
     covers the rounding of sums of at most n terms."""
     n = B.shape[0]
+    if n == 0:
+        return 0.0, 0.0
     d = B.diagonal()
     absB = abs(B)
     off = np.maximum(np.asarray(absB.sum(axis=0)).ravel(),
@@ -157,32 +152,18 @@ def _gershgorin(B) -> tuple[float, float]:
     return c, max(hi - c, c - lo) * (1.0 + n * np.finfo(np.float64).eps)
 
 
-def _series_terms(r: float) -> int | None:
-    """The least K with r^(K+1) (1 + r) / (1 - r) <= 2^-53 for
-    0 <= r < 1, or None when it exceeds _SERIES_MAX_TERMS."""
-    bound = r * (1.0 + r) / (1.0 - r)
-    terms = 0
-    while bound > _UNIT_ROUNDOFF:
-        terms += 1
-        if terms > _SERIES_MAX_TERMS:
-            return None
-        bound *= r
-    return terms
-
-
 class ShiftedSolveCache:
-    """Solvers of (zeta I - A), one per conjugate pair: an LU
-    factorization, or a Neumann series for a shift far from the
-    spectrum of a large sparse A.
+    """Solvers of (zeta I - A), one LU factorization per conjugate pair.
 
     Building a factorization is the dominant cost of a rational Krylov
     step; inside a time integrator the same pole set is reused at every
     step, so the cache is shared across calls.  A pair zeta, conj(zeta)
     shares the complex LU of its member with Im > 0, since the solve at
     conj(zeta) is conj((zeta I - A)^{-1} conj(b)); a real shift is
-    factored in float64 and takes a complex right-hand side as two real
-    columns.  Pairs share only when they are exact
-    conjugates, which is what PoleSet counts as closed.
+    factored in float64, solves a real right-hand side in real
+    arithmetic and takes a complex one as two real columns.  Pairs share
+    only when they are exact conjugates, which is what PoleSet counts as
+    closed.
 
     The cache owns the operator: this is the one place that decides how A is
     stored, for the filter engines, sinc_apply, build_space and every other
@@ -198,6 +179,10 @@ class ShiftedSolveCache:
     anyway and took 0.18 s per complex shift against 0.06 s for LAPACK, and
     a product with 20 columns took 9.5 ms in CSC against 1.6 ms dense (one
     BLAS thread).  The 2D Laplacian and the synthetic problem stay sparse.
+    The cache also computes, once, the centre c and half-width a of the
+    Gershgorin interval of the stored matrix (interval, with
+    ||A - cI||_2 <= a), in O(nnz) sparse and O(n^2) dense; the filter
+    engine measures the distance of its poles from the spectrum by it.
 
     A matrix stored sparse goes to SuperLU: the shifted matrices keep the
     symmetric pattern of A, so each is factored in a minimum-degree order on
@@ -211,43 +196,6 @@ class ShiftedSolveCache:
     instead of getrs, whose complex version took twice as long with one
     right-hand side (module docstring); the factor stays Fortran-contiguous,
     so the f2py wrapper passes it without a copy.
-
-    A shift far from the spectrum is not factored at all.  When A is
-    sparse of order at least _SERIES_MIN_ORDER, the cache computes once,
-    in O(nnz), the centre c and half-width a of A's Gershgorin interval
-    (||A - cI||_2 <= a).  With s = zeta - c and r = a/|s| < 1,
-    (zeta I - A)^{-1} = s^{-1} sum_k ((A - cI)/s)^k, and the series cut
-    after the power K has relative error at most r^(K+1) (1+r)/(1-r).
-    The least K that brings this to 2^-53 is taken when it is at most
-    _SERIES_MAX_TERMS, and the shift is then solved by the series in
-    Horner form, x = s^{-1} (b + (A - cI)/s (b + ...)): K real sparse
-    products, each on the (n, 2) float64 view of the complex iterate,
-    with no copy.  Every other shift is factored as above.  The series
-    never sees a pole on the spectrum (r < 1), so PoleCollisionError
-    keeps its meaning, and the pair sharing and the non-finite check
-    apply to it unchanged.
-
-    The two constants come from this table: one BLAS thread, medians
-    through this cache, at the distance r = 0.0031 (K = 6) of psi's
-    nearest complex E-8 pole on lap2d at h = 0.01, and at r = 0.0123
-    (K = 8) and 0.03 (K = 10); operators h^2 A at h = 0.01.
-
-    | operator | LU factor | LU solve | series K=6 | K=8 | K=10 |
-    |---|---|---|---|---|---|
-    | synthetic(20) | 0.39 ms | 13 us | 72 us | 113 us | 138 us |
-    | lap1d, order 1500 | 1.7 ms | 72 us | 216 us | 282 us | 351 us |
-    | lap2d, order 1024 | 3.8 ms | 148 us | 222 us | 294 us | 346 us |
-    | lap2d, order 2025 | 7.5 ms | 305 us | 330 us | 442 us | 526 us |
-    | lap2d, order 4096 | 17 ms | 663 us | 580 us | 708 us | 952 us |
-    | lap2d, order 16384 | 127 ms | 2.6 ms | 1.9 ms | 2.9 ms | 3.4 ms |
-
-    From order 2048 on a K = 6 series solve costs at most about one LU
-    solve (1.08 of it at order 2025), and a K = 8 one at most 1.1 of it
-    at orders 4096 and 16384, while the factorization it saves costs 25
-    to 50 LU solves; at K = 10 a solve costs 1.3 to 1.4 LU solves.  So
-    _SERIES_MIN_ORDER is 2048 and _SERIES_MAX_TERMS 8, which the psi
-    (K = 6) and sigma (K = 8) pairs of lap2d at h = 0.01 both meet; at
-    h = 0.1 (r about 0.24, K about 26) they are factored.
     """
 
     def __init__(self, A):
@@ -261,11 +209,7 @@ class ShiftedSolveCache:
         else:
             self._A = sp.csc_matrix(A, dtype=np.float64)
         _check_symmetric(self._A)
-        # (centre, half-width) of A's Gershgorin interval, when A is
-        # sparse and large enough for the series to pay
-        self._interval = None
-        if sp.issparse(self._A) and self._A.shape[0] >= _SERIES_MIN_ORDER:
-            self._interval = _gershgorin(self._A)
+        self._interval = _gershgorin(self._A)
         # zeta -> solver of (zeta I - A), for Im zeta >= 0
         self._solvers: dict[complex, Callable] = {}
 
@@ -273,45 +217,21 @@ class ShiftedSolveCache:
     def matrix(self):
         return self._A
 
+    @property
+    def interval(self) -> tuple[float, float]:
+        """(c, a): the spectrum of the matrix lies in [c - a, c + a]."""
+        return self._interval
+
     def _solver(self, zeta: complex) -> Callable:
         """A solver of (zeta I - A) for Im zeta >= 0, real when zeta is."""
         solve = self._solvers.get(zeta)
         if solve is None:
             shift = zeta if zeta.imag else zeta.real
             if sp.issparse(self._A):
-                solve = self._series(shift) or self._factor_sparse(shift)
+                solve = self._factor_sparse(shift)
             else:
                 solve = self._factor_dense(shift)
             self._solvers[zeta] = solve
-        return solve
-
-    def _series(self, shift) -> Callable | None:
-        """The truncated Neumann series of (zeta I - A)^{-1} in Horner
-        form, or None when the shift does not qualify for it."""
-        if self._interval is None:
-            return None
-        c, a = self._interval
-        s = shift - c
-        if not abs(s) > a:  # also refuses a NaN shift
-            return None
-        terms = _series_terms(a / abs(s))
-        if terms is None:
-            return None
-        B, t = self._A, 1.0 / s
-
-        def solve(b: np.ndarray) -> np.ndarray:
-            b = np.ascontiguousarray(b)
-            x = b
-            for _ in range(terms):
-                # b + (A - cI) x / s, A applied to the float64 view of x
-                y = B @ x.view(np.float64).reshape(x.shape[0], -1)
-                y = y.view(x.dtype).reshape(x.shape)
-                y -= c * x
-                y *= t
-                y += b
-                x = y
-            return x * t
-
         return solve
 
     def _factor_sparse(self, shift) -> Callable:
@@ -355,14 +275,18 @@ class ShiftedSolveCache:
         return solve
 
     def solve(self, zeta: complex, b: np.ndarray) -> np.ndarray:
+        """(zeta I - A)^{-1} b, real when zeta and b are."""
         zeta = complex(zeta)
-        b = np.asarray(b, dtype=np.complex128)
-        if zeta.imag < 0:
-            x = self._solver(zeta.conjugate())(b.conj()).conj()
-        elif zeta.imag > 0:
-            x = self._solver(zeta)(b)
+        if zeta.imag == 0 and not np.iscomplexobj(b):
+            x = self._solver(zeta)(np.asarray(b, dtype=np.float64))
         else:
-            x = _real_apply(self._solver(zeta), b)
+            b = np.asarray(b, dtype=np.complex128)
+            if zeta.imag < 0:
+                x = self._solver(zeta.conjugate())(b.conj()).conj()
+            elif zeta.imag > 0:
+                x = self._solver(zeta)(b)
+            else:
+                x = _real_apply(self._solver(zeta), b)
         if not np.all(np.isfinite(x)):
             raise PoleCollisionError(
                 f"shifted solve at zeta={zeta} returned non-finite values; "
@@ -430,10 +354,16 @@ def build_space(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
     dimension m >= k (k defaults to 2) whose last column moved the
     projected coefficients by at most _SETTLED_RTOL relative,
     ||u_m - [u_{m-1}; 0]|| <= _SETTLED_RTOL ||u_m|| with u_m = f(A_m) e_1,
-    and otherwise at min(len(poles) + 1, n) or a breakdown.  A_m is
-    formed with one multi-column product with A at dimension k and then
-    extended by one row and column per column, and f's eigendecomposition
-    of the last A_m is kept for apply_function.
+    and otherwise at min(len(poles) + 1, n) or a breakdown.  f's
+    eigendecomposition of the last A_m is kept for apply_function.
+
+    A_m is grown one column j at a time, with its mirror row, once A v_j
+    is known.  An infinite pole's direction A v_j gives column j from its
+    Gram-Schmidt passes, by the Arnoldi relation; the other columns take
+    one multi-column product with A at the next check, or at the end.
+    So at a check the product A v_{m-1} that completes A_m is, when the
+    next pole is infinite, the direction of the next column.  The space
+    is real when every pole is real or infinite (module docstring).
 
     When a cache is supplied it already owns the matrix, and its matrix
     (A in the cache's storage, see ShiftedSolveCache) is the one used;
@@ -459,58 +389,82 @@ def build_space(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
     else:
         stop = min(len(poles) + 1, n)
         check = max(k or 2, 2)
+    pole_list = list(poles.values) or [complex("inf")]
+    real = all(zeta.imag == 0 for zeta in pole_list)
+    dtype = np.float64 if real else np.complex128
+
+    def product(X):
+        return A @ X if real else _real_apply(A.dot, X)
+
+    def set_columns(cols, P):
+        """Columns cols of A_k[:m, :m] from P = V_m^H A V[:, cols]."""
+        A_k[:m, cols] = P
+        A_k[cols, :m] = P.conj().T
+
+    def set_unset():
+        """The columns that wait for their product, from one product."""
+        cols = unset[0] if len(unset) == 1 else unset
+        set_columns(cols, V[:, :m].conj().T @ product(V[:, cols]))
+        unset.clear()
 
     # Fortran order keeps every leading block V[:, :m] contiguous
-    V = np.zeros((n, stop), dtype=np.complex128, order="F")
+    V = np.zeros((n, stop), dtype=dtype, order="F")
     V[:, 0] = v / nrm
+    A_k = np.empty((stop, stop), dtype=dtype)
+    unset = []  # the columns j < m of A_k that wait for A v_j
     f_eigh = None
-    pole_list = list(poles.values)
     breakdown = False
     m = 1
-    while m < stop:
-        zeta = pole_list[(m - 1) % len(pole_list)] if pole_list else complex("inf")
-        if cmath.isinf(zeta):
-            w = _real_apply(A.dot, V[:, m - 1])
+    while True:
+        zeta = pole_list[(m - 1) % len(pole_list)] if m < stop else None
+        if zeta is not None and cmath.isinf(zeta):
+            w, h, w0 = _orthogonalize(product(V[:, m - 1]), V[:, :m])
+            set_columns(m - 1, h)
         else:
-            w = cache.solve(zeta, V[:, m - 1])
-        w0 = float(np.linalg.norm(w))
-        Vm = V[:, :m]
-        for _ in range(2):
-            # V^H w without materializing V^H
-            w = w - Vm @ (w.conj() @ Vm).conj()
+            unset.append(m - 1)
+        if m >= check:
+            if unset:
+                set_unset()
+            if f_eigh is None:
+                f_eigh = _f_eigh(A_k[:m - 1, :m - 1], f)
+            u_prev = _coefficients(f_eigh)
+            f_eigh = _f_eigh(A_k[:m, :m], f)
+            u = _coefficients(f_eigh)
+            d = u.copy()
+            d[:m - 1] -= u_prev
+            if np.linalg.norm(d) <= _SETTLED_RTOL * np.linalg.norm(u):
+                break
+        if zeta is None:
+            break
+        if not cmath.isinf(zeta):
+            w, _, w0 = _orthogonalize(cache.solve(zeta, V[:, m - 1]),
+                                      V[:, :m])
         wn = float(np.linalg.norm(w))
         if wn <= _BREAKDOWN_RTOL * max(w0, 1e-300):
             breakdown = True
             break
         V[:, m] = w / wn
         m += 1
-        if m < check:
-            continue
-        if f_eigh is None:
-            # the projection of A onto V[:, :m], grown with the basis
-            A_k = np.empty((stop, stop), dtype=np.complex128)
-            A_k[:m, :m] = V[:, :m].conj().T @ _real_apply(A.dot, V[:, :m])
-            f_eigh = _f_eigh(A_k[:m - 1, :m - 1], f)
-        else:
-            col = V[:, :m].conj().T @ _real_apply(A.dot, V[:, m - 1])
-            A_k[:m, m - 1] = col
-            A_k[m - 1, :m - 1] = col[:m - 1].conj()
-        u_prev = _coefficients(f_eigh)
-        f_eigh = _f_eigh(A_k[:m, :m], f)
-        u = _coefficients(f_eigh)
-        d = u.copy()
-        d[:m - 1] -= u_prev
-        if np.linalg.norm(d) <= _SETTLED_RTOL * np.linalg.norm(u):
-            break
-    V = V[:, :m]
-    if f_eigh is None:
-        A_k = V.conj().T @ _real_apply(A.dot, V)
-    else:
-        A_k = A_k[:m, :m].copy()
-    space = RationalKrylovSpace(V=V, A_k=A_k, poles=poles, breakdown=breakdown)
+    if unset:
+        set_unset()
+    space = RationalKrylovSpace(V=V[:, :m], A_k=A_k[:m, :m].copy(),
+                                poles=poles, breakdown=breakdown)
     if f_eigh is not None:
         space._f_eigh[f] = f_eigh
     return space
+
+
+def _orthogonalize(w: np.ndarray, V: np.ndarray):
+    """Classical Gram-Schmidt of w against the orthonormal columns of V,
+    run twice: (w - V h, h, ||w||) with h = V^H w."""
+    w0 = float(np.linalg.norm(w))
+    h = 0.0
+    for _ in range(2):
+        # V^H w without materializing V^H
+        c = (w.conj() @ V).conj()
+        w = w - V @ c
+        h = h + c
+    return w, h, w0
 
 
 def apply_function(space: RationalKrylovSpace, f, v: np.ndarray) -> np.ndarray:

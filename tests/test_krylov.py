@@ -24,6 +24,7 @@ from sincint.krylov import (
     sinc_apply,
 )
 from sincint.integrators import (
+    DenseBackend,
     RationalKrylovBackend,
     gautschi_integrate,
     make_filters,
@@ -40,6 +41,9 @@ from sincint.problems import laplacian_1d, laplacian_2d, synthetic_problem
 from sincint.special import psi, sigma, sinc
 
 from conftest import random_spd
+
+
+_INF = complex(np.inf, 0.0)
 
 
 def _seed_vector(n, seed=7):
@@ -295,16 +299,17 @@ def _complex_vector(n, seed=5):
 class TestOneFactorizationPerPair:
     def test_E8_engine_factors_one_lu_per_pair(self, monkeypatch):
         """psi and sigma of E degree 8 have 17 shifts between them: the
-        shared real origin and 8 conjugate pairs.  The engine's products
-        settle before they reach all of them and factor 5; full spaces
-        on its cache factor the other 4 pairs, one LU each."""
+        shared real origin and 8 conjugate pairs.  At h = 0.15 every one
+        of them is near the spectrum.  The engine's products settle
+        before they reach all of them and factor 8; full spaces on its
+        cache factor the last pair, one LU each."""
         dtypes = _count_factorizations(monkeypatch)
-        engine = make_filters(15**2 * laplacian_2d(256), 0.01,
+        engine = make_filters(15**2 * laplacian_2d(256), 0.15,
                               RationalKrylovBackend("E", n=8))
         v = _seed_vector(256)
         engine.psi(v)
         engine.sigma(v)
-        assert len(dtypes) == 5
+        assert len(dtypes) == 8
         assert dtypes.count(np.float64) == 1
         for poles in (engine._psi_poles, engine._sigma_poles):
             build_space(engine._B, v, poles, cache=engine._cache)
@@ -313,7 +318,7 @@ class TestOneFactorizationPerPair:
 
     def test_Lbar4_psi_factors_two(self, monkeypatch):
         dtypes = _count_factorizations(monkeypatch)
-        engine = make_filters(laplacian_1d(64), 0.25,
+        engine = make_filters(laplacian_1d(64), 2.0,
                               RationalKrylovBackend("Lbar", n=4))
         engine.psi(_seed_vector(64))
         assert len(dtypes) == 2
@@ -343,11 +348,29 @@ class TestOneFactorizationPerPair:
 
     def test_singular_real_shift_raises(self):
         """E's origin pole on a singular PSD matrix (Neumann Laplacian)."""
-        A = laplacian_1d(50).tolil()
-        A[0, 0] = A[-1, -1] = 1.0
-        engine = make_filters(A.tocsr(), 0.1, RationalKrylovBackend("E", n=4))
         with pytest.raises(PoleCollisionError, match="singular"):
-            engine.psi(_seed_vector(50))
+            ShiftedSolveCache(_neumann_laplacian(50)).solve(
+                0.0, _seed_vector(50))
+
+    def test_zero_mode_works_at_a_small_step(self):
+        """At h = 0.1 every pole of E degree 4 is far from the spectrum
+        of the Neumann Laplacian's h^2 A, so the origin pole is a
+        polynomial step too and the zero mode is never solved for."""
+        A = _neumann_laplacian(50)
+        engine = make_filters(A, 0.1, RationalKrylovBackend("E", n=4))
+        dense = make_filters(A, 0.1, DenseBackend())
+        v = _seed_vector(50)
+        for product, want in ((engine.psi, dense.psi),
+                              (engine.sigma, dense.sigma)):
+            assert _rel(product(v), want(v)) <= 1e-13
+
+
+def _neumann_laplacian(n):
+    """The 1D Laplacian with Neumann ends: PSD, with the constant vector
+    as its zero mode."""
+    A = laplacian_1d(n).tolil()
+    A[0, 0] = A[-1, -1] = 1.0
+    return A.tocsr()
 
 
 def _count_dense_factorizations(monkeypatch) -> list:
@@ -406,8 +429,9 @@ class TestDenseRoute:
 
     def test_full_fem_operator_is_factored_dense(self, monkeypatch):
         """Atil of the FEM wave demo is full, so the engine factors its
-        shifted matrices with LAPACK and matches the SuperLU route."""
-        h = 0.01
+        shifted matrices with LAPACK and matches the SuperLU route.  At
+        h = 0.2 every pole of E degree 8 is near the spectrum."""
+        h = 0.2
         Atil = wave_demo_problem(structured_mesh(8)).Atil
         superlu = _count_factorizations(monkeypatch)
         lapack = _count_dense_factorizations(monkeypatch)
@@ -417,9 +441,9 @@ class TestDenseRoute:
         products = [(psi, [engine.psi(w) for w in inputs]),
                     (sigma, [engine.sigma(w) for w in inputs])]
         # the products settle before they reach more than the real
-        # origin pole and one conjugate pair each of psi and sigma
+        # origin pole and six conjugate pairs of psi and sigma
         assert superlu == []
-        assert lapack == [np.float64, np.complex128, np.complex128]
+        assert lapack == [np.float64] + [np.complex128] * 6
         # the reference is kept in CSC, so that SuperLU factors it
         monkeypatch.setattr(krylov_module, "_DENSE_FILL", 1.0)
         B = sp.csc_matrix(Atil) * (h * h)
@@ -492,7 +516,7 @@ class TestDenseRoute:
             raise AssertionError("sla.lu_solve called")
 
         monkeypatch.setattr(krylov_module.sla, "lu_solve", refused)
-        h = 0.01
+        h = 0.15
         Atil = wave_demo_problem(structured_mesh(8)).Atil
         engine = make_filters(Atil, h, RationalKrylovBackend("Lbar", n=4))
         w = _seed_vector(Atil.shape[0])
@@ -506,7 +530,7 @@ class TestDenseRoute:
         superlu = _count_factorizations(monkeypatch)
         lapack = _count_dense_factorizations(monkeypatch)
         A = synthetic_problem(20).A
-        engine = make_filters(A, 0.05, RationalKrylovBackend("E", n=8))
+        engine = make_filters(A, 0.15, RationalKrylovBackend("E", n=8))
         engine.psi(_seed_vector(20))
         assert superlu and not lapack
 
@@ -533,18 +557,6 @@ class TestStorageRule:
         with pytest.raises(ValueError,
                            match=rf"square.*{re.escape(str(shape))}"):
             ShiftedSolveCache(np.zeros(shape))
-
-    def test_large_sparse_ndarray_takes_the_series(self, monkeypatch):
-        n = krylov_module._SERIES_MIN_ORDER
-        A = laplacian_1d(n)
-        sparse_cache = ShiftedSolveCache(A)
-        zeta = _shift_at(sparse_cache, 1e-3, 2.0)
-        b = _complex_vector(n)
-        superlu = _count_factorizations(monkeypatch)
-        lapack = _count_dense_factorizations(monkeypatch)
-        x = ShiftedSolveCache(A.toarray()).solve(zeta, b)
-        assert superlu == [] and lapack == []
-        assert np.array_equal(x, sparse_cache.solve(zeta, b))
 
     @pytest.mark.parametrize("to_storage", [np.asarray, sp.csr_matrix],
                              ids=["ndarray", "csr"])
@@ -598,7 +610,7 @@ class TestFillReducingOrder:
 def _shift_at(cache, r, angle):
     """The shift c + (a / r) exp(i angle) for the Gershgorin interval
     [c - a, c + a] of the cache's matrix."""
-    c, a = krylov_module._gershgorin(cache.matrix)
+    c, a = cache.interval
     return c + (a / r) * complex(np.cos(angle), np.sin(angle))
 
 
@@ -612,19 +624,31 @@ def _random_sparse_spd(n, seed):
     return (S + sp.diags(d + rng.uniform(0.1, 1.0, n))).tocsr()
 
 
+def _series_terms(r):
+    """The least K with r^(K+1) (1 + r) / (1 - r) <= 2^-53: the Neumann
+    series of (zeta I - B)^{-1} about the centre c of B's Gershgorin
+    interval [c - a, c + a], at r = a/|zeta - c|, cut after the power K,
+    is then within unit roundoff of the solve."""
+    K = 0
+    while r ** (K + 1) * (1 + r) / (1 - r) > 2.0**-53:
+        K += 1
+    return K
+
+
 class TestNeumannSeries:
-    """A shift far from the spectrum of a large sparse operator is solved
-    by a truncated Neumann series about the centre of its Gershgorin
-    interval instead of a sparse LU."""
+    """A shift far from the spectrum is not solved by a series: the
+    cache factors every shift it is handed, and the engine turns far
+    poles into polynomial steps (TestFarPoles).  These tests check why
+    that loses nothing: the solve at a shift r half-widths out is its
+    Neumann series, a polynomial in B applied to b, so a polynomial
+    Krylov space from b holds it."""
 
     @pytest.mark.parametrize("r", [1e-3, 1e-2, 0.1])
     @pytest.mark.parametrize("angle", [2.0, np.pi])
-    def test_lap2d_series_solve_matches_the_exact_solve(self, monkeypatch,
-                                                        r, angle):
-        """On 63^2 laplacian_2d(4096), diagonal in the 2D DST-I basis.
-        At r = 0.1 the series needs 16 terms, above the cap, so the cap
-        is lifted to check the series itself."""
-        monkeypatch.setattr(krylov_module, "_SERIES_MAX_TERMS", 20)
+    def test_lap2d_series_solve_matches_the_exact_solve(self, r, angle):
+        """On 63^2 laplacian_2d(4096) at h = 0.01, diagonal in the 2D
+        DST-I basis: the space of infinite poles of dimension K + 1
+        holds the solve to roundoff.  At r = 0.1, K = 16."""
         m = 64
         mu = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, m + 1) / (m + 1))
         lam = 63**2 * 1e-4 * (mu[:, None] + mu[None, :]).reshape(-1)
@@ -632,38 +656,37 @@ class TestNeumannSeries:
         zeta = _shift_at(cache, r, angle)
         if angle == np.pi:
             zeta = zeta.real + 0j
-        b = _complex_vector(4096)
+        b = _seed_vector(4096)
 
         def dst(x):
             return scipy.fft.dstn(x.reshape(m, m), type=1,
                                   norm="ortho").reshape(-1)
 
-        want = dst(dst(b) / (zeta - lam))
-        dtypes = _count_factorizations(monkeypatch)
-        x = cache.solve(zeta, b)
-        assert dtypes == []
-        assert _rel(x, want) <= 1e-14
-        want = dst(dst(b) / (zeta.conjugate() - lam))
-        assert _rel(cache.solve(zeta.conjugate(), b), want) <= 1e-14
-        assert dtypes == []
+        V = build_space(None, b, PoleSet((_INF,) * _series_terms(r)),
+                        cache=cache).V
+        for shift in (zeta, zeta.conjugate()):
+            want = dst(dst(b) / (shift - lam))
+            assert _rel(V @ (V.T @ want), want) <= 1e-14
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("r", [1e-3, 1e-2, 0.1])
-    def test_random_sparse_series_solve_matches_a_dense_solve(
-            self, monkeypatch, seed, r):
-        """The series' accuracy does not depend on the order, so the
-        crossover is lowered to check it against a dense solve."""
-        monkeypatch.setattr(krylov_module, "_SERIES_MIN_ORDER", 1)
-        monkeypatch.setattr(krylov_module, "_SERIES_MAX_TERMS", 20)
+    def test_random_sparse_series_solve_matches_a_dense_solve(self, seed, r):
         A = _random_sparse_spd(300, seed)
         cache = ShiftedSolveCache(A)
         zeta = _shift_at(cache, r, 1.0 + seed)
-        b = _complex_vector(300, seed)
-        dtypes = _count_factorizations(monkeypatch)
-        x = cache.solve(zeta, b)
-        assert dtypes == []
+        b = _seed_vector(300, seed)
+        V = build_space(None, b, PoleSet((_INF,) * _series_terms(r)),
+                        cache=cache).V
         want = np.linalg.solve(zeta * np.eye(300) - A.toarray(), b)
-        assert _rel(x, want) <= 1e-14
+        assert _rel(V @ (V.T @ want), want) <= 1e-14
+
+    def test_series_terms_are_the_least_that_reach_roundoff(self):
+        """The engine's threshold: a pole is far when 8 terms of its
+        series reach roundoff, so that polynomial steps of degree 8
+        stand in for its solve."""
+        r = integrators_module._FAR_POLE_RATIO
+        assert _series_terms(r) == 8
+        assert _series_terms(r + 1e-4) == 9
 
     @given(st.integers(min_value=1, max_value=40),
            st.integers(min_value=0, max_value=1000))
@@ -680,26 +703,14 @@ class TestNeumannSeries:
         assert c - a <= d.min() and d.max() <= c + a
         assert a <= 0.5 * (d.max() - d.min()) * (1 + 1e-12)
 
-    def test_series_terms_are_the_least_that_reach_roundoff(self):
-        for r in (0.0, 1e-6, 1e-3, 3.1e-3, 1e-2, 1.23e-2):
-            K = krylov_module._series_terms(r)
-            assert K is not None and K <= krylov_module._SERIES_MAX_TERMS
-            assert r ** (K + 1) * (1 + r) / (1 - r) <= 2.0**-53
-            if K:
-                assert r ** K * (1 + r) / (1 - r) > 2.0**-53
-        # K = 9 at r = 0.02 and 10 at 0.03, above the cap of 8
-        for r in (0.02, 0.03, 0.1, 0.24, 0.9):
-            assert krylov_module._series_terms(r) is None
-
-    @pytest.mark.parametrize("h, lus", [(0.01, 1), (0.1, 9)])
+    @pytest.mark.parametrize("h, lus", [(0.1, 9)])
     def test_lap2d_engine_factors_only_the_origin_at_small_steps(
             self, monkeypatch, h, lus):
-        """At h = 0.01 every complex pole of E degree 8 lies at least 81
-        Gershgorin radii from the centre of the spectrum of h^2 A, so only
-        the real origin pole (r = 1) is factored, in float64.  At h = 0.1
-        (r about 0.24) the series needs more than the cap of terms, and
-        the 8 pairs and the origin the full spaces reach are factored as
-        before."""
+        """At h = 0.1 every pole of E degree 8 lies within 4.3 Gershgorin
+        half-widths of the centre of the spectrum of h^2 A, so the 8
+        pairs and the origin the products reach are factored, the
+        origin in float64.  At h = 0.01 nothing is factored
+        (TestFarPoles)."""
         dtypes = _count_factorizations(monkeypatch)
         engine = make_filters(63**2 * laplacian_2d(4096), h,
                               RationalKrylovBackend("E", n=8))
@@ -710,6 +721,8 @@ class TestNeumannSeries:
         assert dtypes.count(np.float64) == 1
 
     def test_lap2d_engine_on_the_series_matches_the_exact_filters(self):
+        """At h = 0.01 every pole of E degree 8 is far, and the engine's
+        polynomial products match the exact filters."""
         m, h = 64, 0.01
         mu = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, m + 1) / (m + 1))
         z = h * h * 63**2 * (mu[:, None] + mu[None, :]).reshape(-1)
@@ -729,7 +742,6 @@ class TestNeumannSeries:
     def test_dense_storage_never_takes_the_series(self, monkeypatch):
         """A more than half full matrix is stored dense and factored by
         LAPACK, whether it is given as CSR or as an ndarray."""
-        monkeypatch.setattr(krylov_module, "_SERIES_MIN_ORDER", 1)
         A = random_spd(40, 3)
         zeta = _shift_at(ShiftedSolveCache(A), 1e-3, 2.0)
         b = _complex_vector(40)
@@ -758,7 +770,8 @@ class TestNeumannSeries:
 
 def _synthetic_sweep_spaces() -> list:
     """(dimension, breakdown) of every space the synthetic_problem(20)
-    sweep over h = 0.1 .. 0.01 builds with ratkrylov:E:1e-12."""
+    sweep over h = 0.5, 0.25, 0.2 builds with ratkrylov:E:n10, whose
+    poles are all near the spectrum there."""
     spaces = []
     original = integrators_module.build_space
 
@@ -770,8 +783,8 @@ def _synthetic_sweep_spaces() -> list:
     ivp = synthetic_problem(20).as_ivp(tf=1.0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(integrators_module, "build_space", recorded)
-        for h in (0.1, 0.05, 0.025, 0.01):
-            gautschi_integrate(ivp, h, RationalKrylovBackend("E", tol=1e-12))
+        for h in (0.5, 0.25, 0.2):
+            gautschi_integrate(ivp, h, RationalKrylovBackend("E", n=10))
     return spaces
 
 
@@ -805,7 +818,8 @@ class TestPoleSetsOncePerProcess:
 
         monkeypatch.setattr(poles_module, "poly_roots", counted)
         integrators_module._filter_pole_sets.cache_clear()
-        A = laplacian_1d(16)
+        # the grid scaling keeps every pole near the spectrum at both steps
+        A = 17**2 * laplacian_1d(16)
         first = make_filters(A, 0.1, RationalKrylovBackend("E", n=5))
         second = make_filters(A, 0.2, RationalKrylovBackend("E", n=5))
         assert first._psi_poles is second._psi_poles
@@ -821,10 +835,11 @@ class TestPoleSetsOncePerProcess:
                 make_filters(A, 0.1, RationalKrylovBackend("E", n=n))
 
 
-# 31^2 * laplacian_2d(1024) at h = 0.01, whose filters are diagonal in
-# the 2D DST-I basis (grid index of entry i*m + j is (i, j))
+# 31^2 * laplacian_2d(1024) at h = 0.06, where every pole of E degree 8
+# is near the spectrum, and whose filters are diagonal in the 2D DST-I
+# basis (grid index of entry i*m + j is (i, j))
 _M = 31
-_H = 0.01
+_H = 0.06
 _LAP_MU = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, _M + 1) / (_M + 1))
 _LAP_LAM = _M**2 * (_LAP_MU[:, None] + _LAP_MU[None, :]).reshape(-1)
 
@@ -898,7 +913,7 @@ class TestSettledDimension:
         # near one eigenvector the psi coefficients settle after a few
         # columns, too few for a random input, whose check there fails
         # and which grows on in the same space instead of rebuilding 18
-        assert per_product == [[(2, 5)], [(5, 8)], [(8, 8)], [(8, 8)]]
+        assert per_product == [[(2, 8)], [(8, 12)], [(12, 12)], [(12, 12)]]
 
     def test_later_products_do_half_the_solves(self, monkeypatch):
         A = _lap_operator()
@@ -911,22 +926,24 @@ class TestSettledDimension:
         inputs = [rng.standard_normal(_M * _M),
                   A @ rng.standard_normal(_M * _M),
                   _dst(top)]
+        # a full space takes 17 solves, a settled psi product 11 and a
+        # sigma product 13
         solves = _counted_solves(monkeypatch)
         engine.psi(rng.standard_normal(_M * _M))
-        assert len(solves) == 7
+        assert len(solves) == 11
         for w in inputs:
             del solves[:]
             got = engine.psi(w)
-            assert len(solves) == 7
+            assert len(solves) == 11
             want = apply_function(build_space(B, w, psi_poles), psi, w)
             assert _rel(got, want) <= 1e-13
         w = inputs[0]
         del solves[:]
         engine.sigma(rng.standard_normal(_M * _M))
-        assert len(solves) == 7
+        assert len(solves) == 13
         del solves[:]
         got = engine.sigma(w)
-        assert len(solves) == 7
+        assert len(solves) == 13
         want = apply_function(build_space(B, w, sigma_poles), sigma, w)
         assert _rel(got, want) <= 1e-13
 
@@ -1056,3 +1073,150 @@ class TestTruncatedSpace:
         y = apply_function(space, f, w)
         assert (y.dtype == np.float64) == (self._used_closed(space)
                                            or under_guard)
+
+
+def _random_tridiagonal_spd(n, seed):
+    """A random tridiagonal SPD matrix, diagonally dominant, whose fill
+    is low enough that the cache stores it as CSC from order 6 on."""
+    rng = np.random.default_rng(seed)
+    off = rng.uniform(-1.0, 1.0, n - 1)
+    return sp.diags([off, rng.uniform(2.0, 3.0, n), off], [-1, 0, 1]).tocsr()
+
+
+class _CountingMatrix:
+    """A stored matrix that counts its products with blocks of vectors."""
+
+    def __init__(self, B):
+        self.B, self.shape, self.products = B, B.shape, 0
+
+    def __matmul__(self, X):
+        self.products += 1
+        return self.B @ X
+
+    def dot(self, X):
+        return self @ X
+
+
+class TestFarPoles:
+    """The engine replaces every pole far from the spectrum of h^2 A,
+    a <= 0.0168 |zeta - c| for its Gershgorin interval [c - a, c + a],
+    by the infinity sentinel, and E's origin pole too once every other
+    finite pole is far.  A space of real and infinite poles is real."""
+
+    def test_rule_on_a_hand_made_set(self):
+        far_off = integrators_module._far_poles_to_infinity
+        # c = a = 1: -70 +- 1j lie 71 half-widths away, -50 +- 1j 51
+        near, far = (-50 + 1j, -50 - 1j), (-70 + 1j, -70 - 1j)
+        mixed = far_off(PoleSet((0j,) + near + far, family="E"), 1.0, 1.0)
+        assert mixed.values[:3] == PoleSet((0j,) + near).values
+        assert mixed.values[3:] == (_INF, _INF)
+        assert mixed.family == "E"
+        assert far_off(PoleSet((0j,) + far), 1.0, 1.0).values == (_INF,) * 3
+        kept = PoleSet((0j,) + near)
+        assert far_off(kept, 1.0, 1.0) is kept
+
+    def test_lap2d_poles_at_small_and_large_steps(self):
+        A = 63**2 * laplacian_2d(4096)
+        small = make_filters(A, 0.01, RationalKrylovBackend("E", n=8))
+        for poles in (small._psi_poles, small._sigma_poles):
+            assert poles.values == (_INF,) * 17
+        large = make_filters(A, 0.1, RationalKrylovBackend("E", n=8))
+        psi_poles, sigma_poles = integrators_module._filter_pole_sets("E", 8)
+        assert large._psi_poles is psi_poles
+        assert large._sigma_poles is sigma_poles
+        # at h = 0.02 four poles of E degree 12's sigma set are far, so
+        # its origin pole stays
+        mixed = make_filters(A, 0.02, RationalKrylovBackend("E", n=12))
+        values = mixed._sigma_poles.values
+        assert values[0] == 0 and values[-4:] == (_INF,) * 4
+        assert not any(np.isinf(values[:-4]))
+
+    def test_lap2d_engine_factors_nothing_at_small_steps(self, monkeypatch):
+        dtypes = _count_factorizations(monkeypatch)
+        solves = _counted_solves(monkeypatch)
+        engine = make_filters(63**2 * laplacian_2d(4096), 0.01,
+                              RationalKrylovBackend("E", n=8))
+        v = _seed_vector(4096)
+        assert engine.psi(v).dtype == np.float64
+        assert engine.sigma(v).dtype == np.float64
+        assert dtypes == [] and solves == []
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["csc", "dense"])
+    def test_real_shift_on_a_real_vector_is_a_real_solve(self, dense):
+        A = random_spd(30, 2) if dense else _random_sparse_spd(40, 2)
+        b = np.random.default_rng(3).standard_normal(A.shape[0])
+        x = ShiftedSolveCache(A).solve(-0.5, b)
+        assert x.dtype == np.float64
+        want = np.linalg.solve(-0.5 * np.eye(A.shape[0]) - A.toarray(), b)
+        assert _rel(x, want) <= 1e-13
+
+    def test_space_of_real_poles_is_real(self):
+        A = random_spd(12, 5)
+        space = build_space(A, _seed_vector(12), PoleSet((-1.0, _INF)), k=5)
+        assert space.V.dtype == np.float64 and space.A_k.dtype == np.float64
+        y = apply_function(space, sinc, _seed_vector(12))
+        assert y.dtype == np.float64
+
+    def test_polynomial_space_takes_one_product_per_column(self):
+        """The product that completes A_m at a check is the direction of
+        the next column, and each column of A_m comes from the
+        Gram-Schmidt coefficients of that product."""
+        cache = ShiftedSolveCache(0.01**2 * 63**2 * laplacian_2d(4096))
+        counting = cache._A = _CountingMatrix(cache.matrix)
+        poles = PoleSet((_INF,) * 17)
+        for k in (2, 5):
+            counting.products = 0
+            space = build_space(None, _seed_vector(4096), poles, k=k,
+                                cache=cache, f=psi)
+            assert counting.products == space.dim
+
+    @given(st.integers(min_value=2, max_value=30),
+           st.integers(min_value=1, max_value=12),
+           st.booleans(), st.sampled_from([None, psi, sigma]),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_polynomial_space_is_real_with_the_exact_projection(
+            self, n, k, dense, f, seed):
+        A = (random_spd(n, seed, lam_max=4.0) if dense
+             else _random_tridiagonal_spd(n, seed))
+        cache = ShiftedSolveCache(A)
+        B = A.toarray()
+        v = np.random.default_rng(seed).standard_normal(n)
+        space = build_space(A, v, PoleSet((_INF,) * 12), k=k, cache=cache,
+                            f=f)
+        assert space.V.dtype == np.float64 and space.A_k.dtype == np.float64
+        want = space.V.T @ B @ space.V
+        assert np.linalg.norm(space.A_k - want) <= 1e-14 * np.linalg.norm(B, 2)
+
+    @given(st.integers(min_value=3, max_value=16),
+           st.integers(min_value=8, max_value=10),
+           st.floats(min_value=-4.0, max_value=1.6),
+           st.booleans(),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_engine_matches_the_dense_filters(self, n, degree, log_h,
+                                              dense, seed):
+        """h = 10^log_h puts zmax = h^2 lambda_max between 4e-8 and 6e3,
+        so the poles of the E sets lie far, near, or both.  The space
+        can reach the full order, so the engine is exact up to its
+        settling tolerance and roundoff."""
+        A = (random_spd(n, seed, lam_max=4.0) if dense
+             else _random_tridiagonal_spd(n, seed))
+        h = 10.0**log_h
+        engine = make_filters(A, h, RationalKrylovBackend("E", n=degree))
+        reference = make_filters(A, h, DenseBackend())
+        w = np.random.default_rng(seed).standard_normal(n)
+        for product, want in ((engine.psi, reference.psi),
+                              (engine.sigma, reference.sigma)):
+            got = product(w)
+            assert got.dtype == np.float64
+            assert _rel(got, want(w)) <= 1e-12
+
+    @given(st.integers(min_value=1, max_value=40),
+           st.integers(min_value=0, max_value=1000),
+           st.floats(min_value=-3.0, max_value=3.0))
+    def test_gershgorin_interval_of_a_dense_matrix(self, n, seed, shift):
+        """The ndarray the cache stores for a full operator, with a
+        shifted spectrum."""
+        B = random_spd(n, seed).toarray() + shift * np.eye(n)
+        c, a = krylov_module._gershgorin(B)
+        assert np.linalg.norm(B - c * np.eye(n), 2) <= a
+        assert ShiftedSolveCache(B).interval == (c, a)
