@@ -87,7 +87,7 @@ def select_pole_count(family: str, zmax: float, tol: float) -> int:
     degree 4, whose scalar error on [0, sqrt(zmax)] is 2.3e-11.  Above
     zmax = 1 it is over-selected.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     for n in range(1, _MAX_POLE_DEGREE + 1):
         if sinc_family_bound(family, n, zmax) <= tol:

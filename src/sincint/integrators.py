@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -63,6 +63,7 @@ _NORM_CAP = 1e150
 # [c - a, c + a], when a <= _FAR_POLE_RATIO |zeta - c|: at least 59.5
 # half-widths away (RationalKrylovBackend)
 _FAR_POLE_RATIO = 0.0168
+_INF = complex(cmath.inf, 0.0)
 
 
 class BlowUpError(RuntimeError):
@@ -93,6 +94,8 @@ class SecondOrderIVP:
             raise ValueError(f"A must be square, got shape {self.A.shape}")
         if self.y0.shape != (n,) or self.y1.shape != (n,):
             raise ValueError("initial data do not match the matrix order")
+        if not (np.all(np.isfinite(self.y0)) and np.all(np.isfinite(self.y1))):
+            raise ValueError("initial data y0 and y1 must be finite")
         if not self.tf > self.t0:
             raise ValueError(f"need tf > t0, got [{self.t0}, {self.tf}]")
 
@@ -179,29 +182,27 @@ class RationalKrylovBackend:
     tol mode estimates the spectral radius of that stored matrix.  Of
     the benchmark operators only the full FEM Atil is stored dense.
 
-    A pole far from the spectrum is a polynomial step.  With [c - a,
-    c + a] the Gershgorin interval of h^2 A (ShiftedSolveCache.interval),
-    a pole zeta with a <= 0.0168 |zeta - c|, at least 59.5 half-widths
-    out, is replaced by the infinity sentinel, and E's origin pole too
-    when every other finite pole of its set is far.  At that distance
-    the Neumann series of the solve about c reaches unit roundoff in 8
-    terms, so the shifted solve is within 1.7% of a multiple of the
-    seed and adds nothing a product with h^2 A would not: a pole at
-    infinity is the polynomial step of the same rational Krylov method
-    (Guttel, GAMM-Mitt. 36, 2013), and a set of them makes the engine
-    the Lanczos evaluation of the Gautschi filters (Hochbruck and
-    Lubich, Numer. Math. 83, 1999), in real arithmetic and without any
-    LU (krylov module docstring).  The degree tol mode selects does not
-    change.  On lap2d (order 4096, E degree 8) at h = 0.01 every pole is
-    far (r = a/|zeta - c| is 0.0021 to 0.0123 off the origin), so a run
-    factors nothing and solves nothing; at h = 0.1 no pole is far and
-    all 9 shifts the products reach are factored.  A set with no far
-    pole is the very set of the family, unchanged.  The errors of psi
-    and sigma products against the exact filters of lap2d, relative to
-    the input, measured at h = 0.01, 0.02, 0.03, 0.05, 0.07 and 0.1
-    with E degree 12 and Lbar degree 6, were never above those of the
-    engine that solved every pole: 8.5e-16 against 3.8e-14 for E psi at
-    h = 0.01, and equal wherever no pole is far.
+    One pole rule: a pole far from the spectrum is a polynomial step.
+    With [c - a, c + a] the Gershgorin interval of h^2 A
+    (ShiftedSolveCache.interval), a pole zeta with a <= 0.0168
+    |zeta - c|, at least 59.5 half-widths out, becomes the infinity
+    sentinel.  There the Neumann series of the solve about c reaches
+    unit roundoff in 8 terms, so the solve is within 1.7% of a multiple
+    of the seed and adds nothing a product with h^2 A would not: a pole
+    at infinity is the polynomial step of the same rational Krylov
+    method (Guttel, GAMM-Mitt. 36, 2013), and a set of them makes the
+    engine the Lanczos evaluation of the Gautschi filters (Hochbruck and
+    Lubich, Numer. Math. 83, 1999), real and LU-free (krylov module
+    docstring).  E's origin is the sentinel at every step: E_n's
+    numerator vanishes at 0, so the singularity is removable
+    (_filter_pole_sets).  So the engine never factors h^2 A, and a
+    singular PSD operator such as a Neumann Laplacian works at every
+    step.  Tol mode selects the same degree.  On lap2d (order 4096, E
+    degree 8) at h = 0.01 every pole is far, so a run factors and solves
+    nothing; at h = 0.1 none is far and the 8 conjugate pairs the
+    products reach are factored.  Against the exact filters of lap2d,
+    psi and sigma products were never less accurate than with every
+    pole, or E's origin, solved (CHANGES.md).
     """
 
     family: str = "E"
@@ -245,25 +246,21 @@ class _DenseFilters:
 
 @functools.lru_cache(maxsize=None, typed=True)
 def _filter_pole_sets(family: str, n: int) -> tuple[PoleSet, PoleSet]:
-    """Matrix-plane (psi, sigma) poles of a sinc family at degree n,
-    built once per process: PoleSet is frozen, so engines share them."""
-    return filter_poles(sinc_family(family)(n))
+    """filter_poles of a sinc family at degree n, with E's origin, a
+    removable singularity of E_n, as the infinity sentinel.  Built once
+    per process: PoleSet is frozen, so engines share them."""
+    return tuple(replace(poles, values=tuple(zeta or _INF for zeta in poles))
+                 for poles in filter_poles(sinc_family(family)(n)))
 
 
 def _far_poles_to_infinity(poles: PoleSet, c: float, a: float) -> PoleSet:
     """poles with every pole zeta far from [c - a, c + a], a <=
-    _FAR_POLE_RATIO |zeta - c|, replaced by the infinity sentinel, and
-    E's origin pole too when every other finite pole is far; the same
-    object when no pole is far."""
-    finite = [zeta for zeta in poles if not cmath.isinf(zeta)]
-    near = [zeta for zeta in finite if a > _FAR_POLE_RATIO * abs(zeta - c)]
-    if near == [0]:  # E's origin pole, once every other pole is far
-        near = []
-    if len(near) == len(finite):
-        return poles
-    inf = complex(cmath.inf, 0.0)
-    return PoleSet(tuple(near) + (inf,) * (len(poles) - len(near)),
-                   family=poles.family, degree=poles.degree)
+    _FAR_POLE_RATIO |zeta - c|, replaced by the infinity sentinel (E's
+    removable origin is one already); the same object if none is far."""
+    far = replace(poles, values=tuple(
+        _INF if a <= _FAR_POLE_RATIO * abs(zeta - c) else zeta
+        for zeta in poles))
+    return poles if far.values == poles.values else far
 
 
 class _KrylovFilters:
@@ -288,9 +285,8 @@ class _KrylovFilters:
         else:
             n = backend.n
         self.pole_degree = n
-        c, a = self._cache.interval
         self._psi_poles, self._sigma_poles = (
-            _far_poles_to_infinity(poles, c, a)
+            _far_poles_to_infinity(poles, *self._cache.interval)
             for poles in _filter_pole_sets(family, n))
         self._dims: dict[Callable, int] = {}
 
@@ -321,6 +317,11 @@ class _IdentityFilters:
         return w
 
 
+def _check_step(h: float) -> None:
+    if not 0 < h < np.inf:
+        raise ValueError(f"step size h must be finite and positive, got {h}")
+
+
 def make_filters(A, h: float, backend):
     """Instantiate the filter engine for a backend descriptor.
 
@@ -329,8 +330,7 @@ def make_filters(A, h: float, backend):
     steps of a run.  A step h that is not finite and positive is
     refused before any engine is built.
     """
-    if not 0 < h < np.inf:
-        raise ValueError(f"step size h must be finite and positive, got {h}")
+    _check_step(h)
     if hasattr(backend, "psi") and hasattr(backend, "sigma"):
         return backend
     if isinstance(backend, DenseBackend):
@@ -364,8 +364,7 @@ def _check_finite(y: np.ndarray, n: int, t: float) -> None:
 def gautschi_init(ivp: SecondOrderIVP, h: float, engine) -> IntegratorState:
     """Form the staggered initial state (y_0, v_{1/2}); engine comes
     from make_filters(ivp.A, h, backend)."""
-    if not h > 0:
-        raise ValueError(f"step size must be positive, got {h}")
+    _check_step(h)
     w = ivp.rhs(ivp.t0, ivp.y0)
     v_half = 0.5 * h * engine.psi(w)
     if np.linalg.norm(ivp.y1) > 0.0:
@@ -388,6 +387,7 @@ def gautschi_step(state: IntegratorState, ivp: SecondOrderIVP,
 
 
 def _step_count(ivp: SecondOrderIVP, h: float) -> int:
+    _check_step(h)
     span = ivp.tf - ivp.t0
     n = int(round(span / h))
     if n < 1 or abs(n * h - span) > 1e-9 * max(1.0, abs(span)):
@@ -400,8 +400,8 @@ def _step_count(ivp: SecondOrderIVP, h: float) -> int:
 def gautschi_integrate(ivp: SecondOrderIVP, h: float, backend) -> Trajectory:
     """Run the scheme over [t0, tf] and record the full trajectory;
     backend is a backend descriptor or an engine from make_filters."""
-    engine = make_filters(ivp.A, h, backend)
     n_steps = _step_count(ivp, h)
+    engine = make_filters(ivp.A, h, backend)
     d = ivp.dim
     times = ivp.t0 + h * np.arange(n_steps + 1)
     states = np.empty((n_steps + 1, d))

@@ -57,9 +57,9 @@ two Gram-Schmidt passes give the coefficients h of the Arnoldi relation
 A v_j = V h + ||w'|| v_{j+1}, which are column j of A_k.  So a space of
 infinite poles only is the Lanczos process, with full
 reorthogonalization, and in real arithmetic.  The filter engine
-(integrators) makes every pole far from the spectrum of h^2 A an
-infinite one (RationalKrylovBackend has the rule); build_space keeps the
-poles it is given.
+(integrators) makes E's removable origin pole and every pole far from
+the spectrum of h^2 A infinite ones (RationalKrylovBackend has the
+rule); build_space keeps the poles it is given.
 
 A rational Krylov approximation is near-optimal over its space
 (Guttel, "Rational Krylov approximation of matrix functions: numerical
@@ -379,8 +379,8 @@ def build_space(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
     if v.shape[0] != n:
         raise ValueError(f"seed length {v.shape[0]} does not match order {n}")
     nrm = float(np.linalg.norm(v))
-    if nrm == 0.0:
-        raise ValueError("seed vector must be nonzero")
+    if not 0.0 < nrm < np.inf:
+        raise ValueError(f"seed vector must be finite and nonzero, got norm {nrm}")
     if k is not None and k < 1:
         raise ValueError(f"space dimension must be >= 1, got {k}")
     if f is None:

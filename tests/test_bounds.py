@@ -107,3 +107,9 @@ class TestValidation:
             expsum_bound(2, -1.0)
         with pytest.raises(ValueError):
             select_pole_count("E", 1.0, 0.0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan],
+                             ids=["0", "-1e-8", "nan"])
+    def test_tolerance_that_is_not_positive_is_refused_as_such(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            select_pole_count("E", 1.0, tol)

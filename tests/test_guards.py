@@ -12,7 +12,7 @@ from sincint.bounds import expsum_bound, sinc_family_bound
 from sincint.cli import main, parse_backend
 from sincint.expsum import expsum_sinc, expsum_sinc2
 from sincint.integrators import ExpSumBackend, make_filters
-from sincint.krylov import ShiftedSolveCache, sinc_apply
+from sincint.krylov import ShiftedSolveCache, build_space, sinc_apply
 from sincint.poles import (PoleSet, poles_E, poles_L, poles_Lbar,
                            poles_pade_exp)
 from sincint.problems import laplacian_1d
@@ -100,6 +100,24 @@ class TestExactConjugateClosure:
         v = np.linspace(1.0, 2.0, 16)
         y = sinc_apply(A, v, near)
         assert y.dtype == np.complex128
+
+
+class TestTolerance:
+    def test_cli_refuses_a_nan_tolerance_with_exit_3(self, capsys):
+        rc = main(["converge", "--h-list", "0.1",
+                   "--backend", "ratkrylov:E:nan", "--quiet"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "error=guard: tolerance must be positive, got nan" in err
+
+
+class TestNonFiniteSeed:
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_build_space_refuses(self, value):
+        v = np.ones(16)
+        v[5] = value
+        with pytest.raises(ValueError, match="seed vector must be finite and nonzero"):
+            build_space(laplacian_1d(16), v, poles_E(4))
 
 
 class TestDegreeCeiling:

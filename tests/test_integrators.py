@@ -278,6 +278,31 @@ class TestValidation:
         with pytest.raises(ValueError):
             gautschi_integrate(ivp, 0.3, DenseBackend())
 
+    def test_step_is_checked_before_any_engine_is_built(self, monkeypatch):
+        built = []
+        original = integrators_module.make_filters
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(integrators_module, "make_filters", counted)
+        for h, message in ((0.3, "does not divide the window"),
+                           (0.0, "finite and positive"),
+                           (np.nan, "finite and positive")):
+            with pytest.raises(ValueError, match=message):
+                gautschi_integrate(_harmonic_ivp(tf=1.0), h,
+                                   RationalKrylovBackend("E", n=4))
+        assert built == []
+
+    @pytest.mark.parametrize("h", [0.0, -0.1, np.nan, np.inf],
+                             ids=["0", "-0.1", "nan", "inf"])
+    def test_init_refuses_a_step_that_is_not_finite_and_positive(self, h):
+        ivp = _harmonic_ivp()
+        engine = make_filters(ivp.A, 0.1, DenseBackend())
+        with pytest.raises(ValueError, match="finite and positive"):
+            gautschi_init(ivp, h, engine)
+
     def test_unknown_backend_object(self):
         with pytest.raises(TypeError):
             make_filters(laplacian_1d(8), 0.1, object())
@@ -288,6 +313,23 @@ class TestValidation:
             SecondOrderIVP(A=A, y0=np.zeros(3), y1=np.zeros(4))
         with pytest.raises(ValueError):
             SecondOrderIVP(A=A, y0=np.zeros(4), y1=np.zeros(4), tf=0.0)
+
+    @pytest.mark.parametrize("spec", ["dense", "expsum:8", "ratkrylov:E:n4",
+                                      "ratkrylov:E:1e-10"])
+    @pytest.mark.parametrize("where", ["y0-nan", "y1-inf"])
+    def test_non_finite_initial_data_are_refused(self, where, spec):
+        """Non-finite data are a guard violation: run, they surface on
+        every backend as a blow-up or as a failed eigensolve or shifted
+        solve, a numerical failure with the wrong diagnosis."""
+        A = 100.0 * laplacian_1d(20)
+        y0, y1 = np.ones(20), np.ones(20)
+        if where == "y0-nan":
+            y0[3] = np.nan
+        else:
+            y1[3] = np.inf
+        with pytest.raises(ValueError, match="initial data .* finite"):
+            gautschi_integrate(SecondOrderIVP(A=A, y0=y0, y1=y1), 0.1,
+                               parse_backend(spec))
 
     def test_trajectory_dtype_and_layout(self):
         ivp = _harmonic_ivp(tf=0.5)

@@ -298,23 +298,21 @@ def _complex_vector(n, seed=5):
 
 class TestOneFactorizationPerPair:
     def test_E8_engine_factors_one_lu_per_pair(self, monkeypatch):
-        """psi and sigma of E degree 8 have 17 shifts between them: the
-        shared real origin and 8 conjugate pairs.  At h = 0.15 every one
-        of them is near the spectrum.  The engine's products settle
-        before they reach all of them and factor 8; full spaces on its
-        cache factor the last pair, one LU each."""
+        """psi and sigma of E degree 8 have 8 conjugate pairs between
+        them; E's origin is the engine's polynomial step.  At h = 0.15
+        every pair is near the spectrum.  The engine's products settle
+        before they reach all of them and factor 7; full spaces on its
+        cache factor the last pair, one complex LU each."""
         dtypes = _count_factorizations(monkeypatch)
         engine = make_filters(15**2 * laplacian_2d(256), 0.15,
                               RationalKrylovBackend("E", n=8))
         v = _seed_vector(256)
         engine.psi(v)
         engine.sigma(v)
-        assert len(dtypes) == 8
-        assert dtypes.count(np.float64) == 1
+        assert dtypes == [np.complex128] * 7
         for poles in (engine._psi_poles, engine._sigma_poles):
             build_space(engine._B, v, poles, cache=engine._cache)
-        assert len(dtypes) == 9
-        assert dtypes.count(np.float64) == 1
+        assert dtypes == [np.complex128] * 8
 
     def test_Lbar4_psi_factors_two(self, monkeypatch):
         dtypes = _count_factorizations(monkeypatch)
@@ -440,10 +438,10 @@ class TestDenseRoute:
         inputs = [rng.standard_normal(Atil.shape[0]) for _ in range(3)]
         products = [(psi, [engine.psi(w) for w in inputs]),
                     (sigma, [engine.sigma(w) for w in inputs])]
-        # the products settle before they reach more than the real
-        # origin pole and six conjugate pairs of psi and sigma
+        # the products settle before they reach more than six conjugate
+        # pairs of psi and sigma; E's origin is a polynomial step
         assert superlu == []
-        assert lapack == [np.float64] + [np.complex128] * 6
+        assert lapack == [np.complex128] * 6
         # the reference is kept in CSC, so that SuperLU factors it
         monkeypatch.setattr(krylov_module, "_DENSE_FILL", 1.0)
         B = sp.csc_matrix(Atil) * (h * h)
@@ -703,22 +701,21 @@ class TestNeumannSeries:
         assert c - a <= d.min() and d.max() <= c + a
         assert a <= 0.5 * (d.max() - d.min()) * (1 + 1e-12)
 
-    @pytest.mark.parametrize("h, lus", [(0.1, 9)])
-    def test_lap2d_engine_factors_only_the_origin_at_small_steps(
+    @pytest.mark.parametrize("h, lus", [(0.1, 8)])
+    def test_lap2d_engine_factors_only_the_near_pairs(
             self, monkeypatch, h, lus):
         """At h = 0.1 every pole of E degree 8 lies within 4.3 Gershgorin
         half-widths of the centre of the spectrum of h^2 A, so the 8
-        pairs and the origin the products reach are factored, the
-        origin in float64.  At h = 0.01 nothing is factored
-        (TestFarPoles)."""
+        pairs the products reach are factored, in complex arithmetic;
+        E's origin is a polynomial step, never a float64 LU of h^2 A.
+        At h = 0.01 nothing is factored (TestFarPoles)."""
         dtypes = _count_factorizations(monkeypatch)
         engine = make_filters(63**2 * laplacian_2d(4096), h,
                               RationalKrylovBackend("E", n=8))
         v = _seed_vector(4096)
         engine.psi(v)
         engine.sigma(v)
-        assert len(dtypes) == lus
-        assert dtypes.count(np.float64) == 1
+        assert dtypes == [np.complex128] * lus
 
     def test_lap2d_engine_on_the_series_matches_the_exact_filters(self):
         """At h = 0.01 every pole of E degree 8 is far, and the engine's
@@ -913,7 +910,7 @@ class TestSettledDimension:
         # near one eigenvector the psi coefficients settle after a few
         # columns, too few for a random input, whose check there fails
         # and which grows on in the same space instead of rebuilding 18
-        assert per_product == [[(2, 8)], [(8, 12)], [(12, 12)], [(12, 12)]]
+        assert per_product == [[(2, 7)], [(7, 11)], [(11, 11)], [(11, 11)]]
 
     def test_later_products_do_half_the_solves(self, monkeypatch):
         A = _lap_operator()
@@ -926,24 +923,25 @@ class TestSettledDimension:
         inputs = [rng.standard_normal(_M * _M),
                   A @ rng.standard_normal(_M * _M),
                   _dst(top)]
-        # a full space takes 17 solves, a settled psi product 11 and a
-        # sigma product 13
+        # a full space takes 17 solves, a settled psi product 10 and a
+        # sigma product 12: E's origin, last in the engine's sets, is
+        # never solved
         solves = _counted_solves(monkeypatch)
         engine.psi(rng.standard_normal(_M * _M))
-        assert len(solves) == 11
+        assert len(solves) == 10
         for w in inputs:
             del solves[:]
             got = engine.psi(w)
-            assert len(solves) == 11
+            assert len(solves) == 10
             want = apply_function(build_space(B, w, psi_poles), psi, w)
             assert _rel(got, want) <= 1e-13
         w = inputs[0]
         del solves[:]
         engine.sigma(rng.standard_normal(_M * _M))
-        assert len(solves) == 13
+        assert len(solves) == 12
         del solves[:]
         got = engine.sigma(w)
-        assert len(solves) == 13
+        assert len(solves) == 12
         want = apply_function(build_space(B, w, sigma_poles), sigma, w)
         assert _rel(got, want) <= 1e-13
 
@@ -1083,6 +1081,21 @@ def _random_tridiagonal_spd(n, seed):
     return sp.diags([off, rng.uniform(2.0, 3.0, n), off], [-1, 0, 1]).tocsr()
 
 
+def _random_graph_laplacian(n, seed, dense):
+    """A random weighted graph Laplacian, PSD and singular, with the
+    constant vector as its zero mode: of the complete graph (stored
+    dense) or of a path (tridiagonal), with eigenvalues below 4.  Its
+    weights are multiples of 1/64, so that its rows sum to exactly 0."""
+    rng = np.random.default_rng(seed)
+    if dense:
+        W = np.triu(rng.integers(0, 4, (n, n)) / 64.0, 1)
+        W = W + W.T
+    else:
+        w = rng.integers(1, 33, n - 1) / 32.0
+        W = np.diag(w, 1) + np.diag(w, -1)
+    return sp.csr_matrix(np.diag(W.sum(axis=1)) - W)
+
+
 class _CountingMatrix:
     """A stored matrix that counts its products with blocks of vectors."""
 
@@ -1100,10 +1113,13 @@ class _CountingMatrix:
 class TestFarPoles:
     """The engine replaces every pole far from the spectrum of h^2 A,
     a <= 0.0168 |zeta - c| for its Gershgorin interval [c - a, c + a],
-    by the infinity sentinel, and E's origin pole too once every other
-    finite pole is far.  A space of real and infinite poles is real."""
+    by the infinity sentinel; E's origin, a removable singularity of
+    E_n, is the sentinel in every engine set.  A space of real and
+    infinite poles is real."""
 
     def test_rule_on_a_hand_made_set(self):
+        """The rule is a distance test only: a pole at the origin, near
+        [0, 2], stays whether or not the other poles are far."""
         far_off = integrators_module._far_poles_to_infinity
         # c = a = 1: -70 +- 1j lie 71 half-widths away, -50 +- 1j 51
         near, far = (-50 + 1j, -50 - 1j), (-70 + 1j, -70 - 1j)
@@ -1111,7 +1127,8 @@ class TestFarPoles:
         assert mixed.values[:3] == PoleSet((0j,) + near).values
         assert mixed.values[3:] == (_INF, _INF)
         assert mixed.family == "E"
-        assert far_off(PoleSet((0j,) + far), 1.0, 1.0).values == (_INF,) * 3
+        assert (far_off(PoleSet((0j,) + far), 1.0, 1.0).values
+                == (0j, _INF, _INF))
         kept = PoleSet((0j,) + near)
         assert far_off(kept, 1.0, 1.0) is kept
 
@@ -1124,12 +1141,18 @@ class TestFarPoles:
         psi_poles, sigma_poles = integrators_module._filter_pole_sets("E", 8)
         assert large._psi_poles is psi_poles
         assert large._sigma_poles is sigma_poles
-        # at h = 0.02 four poles of E degree 12's sigma set are far, so
-        # its origin pole stays
+        # the engine's sets hold the origin as the sentinel, and
+        # filter_poles keeps it
+        for poles, public in zip((psi_poles, sigma_poles),
+                                 filter_poles(poles_E(8))):
+            assert public.values[0] == 0 and 0 not in poles.values
+            assert poles.values == public.values[1:] + (_INF,)
+        # at h = 0.02 four poles of E degree 12's sigma set are far, and
+        # join the origin's sentinel
         mixed = make_filters(A, 0.02, RationalKrylovBackend("E", n=12))
         values = mixed._sigma_poles.values
-        assert values[0] == 0 and values[-4:] == (_INF,) * 4
-        assert not any(np.isinf(values[:-4]))
+        assert values[-5:] == (_INF,) * 5
+        assert not any(np.isinf(values[:-5])) and 0 not in values
 
     def test_lap2d_engine_factors_nothing_at_small_steps(self, monkeypatch):
         dtypes = _count_factorizations(monkeypatch)
@@ -1190,16 +1213,20 @@ class TestFarPoles:
     @given(st.integers(min_value=3, max_value=16),
            st.integers(min_value=8, max_value=10),
            st.floats(min_value=-4.0, max_value=1.6),
-           st.booleans(),
+           st.booleans(), st.booleans(),
            st.integers(min_value=0, max_value=2**32 - 1))
     def test_engine_matches_the_dense_filters(self, n, degree, log_h,
-                                              dense, seed):
+                                              dense, singular, seed):
         """h = 10^log_h puts zmax = h^2 lambda_max between 4e-8 and 6e3,
         so the poles of the E sets lie far, near, or both.  The space
         can reach the full order, so the engine is exact up to its
-        settling tolerance and roundoff."""
-        A = (random_spd(n, seed, lam_max=4.0) if dense
-             else _random_tridiagonal_spd(n, seed))
+        settling tolerance and roundoff.  A singular PSD matrix, a
+        graph Laplacian, works at every step."""
+        if singular:
+            A = _random_graph_laplacian(n, seed, dense)
+        else:
+            A = (random_spd(n, seed, lam_max=4.0) if dense
+                 else _random_tridiagonal_spd(n, seed))
         h = 10.0**log_h
         engine = make_filters(A, h, RationalKrylovBackend("E", n=degree))
         reference = make_filters(A, h, DenseBackend())
@@ -1220,3 +1247,59 @@ class TestFarPoles:
         c, a = krylov_module._gershgorin(B)
         assert np.linalg.norm(B - c * np.eye(n), 2) <= a
         assert ShiftedSolveCache(B).interval == (c, a)
+
+
+def _recorded_shifts(monkeypatch) -> list:
+    shifts = []
+    original = ShiftedSolveCache.solve
+
+    def recorded(self, zeta, b):
+        shifts.append(complex(zeta))
+        return original(self, zeta, b)
+
+    monkeypatch.setattr(ShiftedSolveCache, "solve", recorded)
+    return shifts
+
+
+class TestOriginIsAPolynomialStep:
+    """E's origin is a removable singularity of E_n, so every engine set
+    carries the infinity sentinel in its place, whether or not the other
+    poles are near: the engine never solves at zeta = 0 and never
+    factors h^2 A itself."""
+
+    @pytest.mark.parametrize("operator, h, degree", [
+        *[("lap2d", h, n) for h in (0.02, 0.05, 0.1) for n in (4, 8, 12)],
+        ("fem", 0.2, 8),
+        *[("neumann", h, 4) for h in (0.1, 0.8, 1.5, 3.0)],
+    ])
+    def test_engine_never_solves_at_the_origin(self, monkeypatch, operator,
+                                               h, degree):
+        A = {"lap2d": lambda: 63**2 * laplacian_2d(4096),
+             "fem": lambda: _FEM_ATIL,
+             "neumann": lambda: _neumann_laplacian(50)}[operator]()
+        shifts = _recorded_shifts(monkeypatch)
+        engine = make_filters(A, h, RationalKrylovBackend("E", n=degree))
+        assert 0 not in engine._psi_poles.values
+        assert 0 not in engine._sigma_poles.values
+        v = _seed_vector(A.shape[0])
+        engine.psi(v)
+        engine.sigma(v)
+        assert 0 not in shifts
+        if (operator, h) != ("neumann", 0.1):
+            assert shifts  # some pole is near, so the products solve
+
+    @pytest.mark.parametrize("h", [0.5, 0.8, 1.5, 3.0])
+    def test_zero_mode_works_at_every_step(self, h):
+        """Sigma has near poles from h = 0.8 on and psi from 1.5 on;
+        both stay finite and real.  Up to h = 0.8 they match the dense
+        filters; beyond it degree 4 no longer reaches roundoff."""
+        A = _neumann_laplacian(50)
+        engine = make_filters(A, h, RationalKrylovBackend("E", n=4))
+        dense = make_filters(A, h, DenseBackend())
+        v = _seed_vector(50)
+        for product, want in ((engine.psi, dense.psi),
+                              (engine.sigma, dense.sigma)):
+            got = product(v)
+            assert got.dtype == np.float64 and np.all(np.isfinite(got))
+            if h <= 0.8:
+                assert _rel(got, want(v)) <= 1e-12
