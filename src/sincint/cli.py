@@ -39,6 +39,7 @@ from .integrators import (
     DenseBackend,
     ExpSumBackend,
     RationalKrylovBackend,
+    _step_count,
     gautschi_integrate,
     make_filters,
 )
@@ -212,6 +213,7 @@ def cmd_converge(args) -> int:
     rows = []
     prev = None
     for h in h_list:
+        _step_count(ivp, h)  # a step that misses the window builds no engine
         engine = make_filters(ivp.A, h, args.backend)
         t0 = time.perf_counter()
         traj = gautschi_integrate(ivp, h, engine)

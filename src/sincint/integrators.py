@@ -15,10 +15,11 @@ provided for comparison.
 Filters are evaluated by interchangeable backends: a dense spectral
 oracle, rational Krylov spaces with mapped pole families (optionally
 sized automatically from the a-priori bounds and a power-iteration
-spectral estimate), or exponential sums, the Gauss-Legendre quadratures
-of psi and sigma applied on the dense eigendecomposition.  make_filters
-builds the engine once per (A, h); the steps only call its psi and
-sigma.
+spectral estimate; a filter whose poles all lie far from the spectrum
+is a certified Chebyshev expansion instead), or exponential sums, the
+Gauss-Legendre quadratures of psi and sigma applied on the dense
+eigendecomposition.  make_filters builds the engine once per (A, h);
+the steps only call its psi and sigma.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+import scipy.fft
 
 from .bounds import select_pole_count
 from .densefun import sym_eigendecomposition
@@ -64,6 +66,13 @@ _NORM_CAP = 1e150
 # half-widths away (RationalKrylovBackend)
 _FAR_POLE_RATIO = 0.0168
 _INF = complex(cmath.inf, 0.0)
+# rho of the Bernstein ellipses _chebyshev_degree bounds a filter on.
+# Each gives a valid bound; the grid runs from the rho near 1 that wide
+# intervals want to the 4e16 that certifies degree 0 on a tiny one, and
+# consecutive values of rho - 1 differ by 13%
+_RHO = 1.0 + np.geomspace(1e-3, 1e18, 400)
+# filter -> (s, p) with filter(z) = sinc(s sqrt z)^p
+_SINC_FORM = {psi_scalar: (0.5, 2), sigma_scalar: (1.0, 1)}
 
 
 class BlowUpError(RuntimeError):
@@ -190,19 +199,27 @@ class RationalKrylovBackend:
     unit roundoff in 8 terms, so the solve is within 1.7% of a multiple
     of the seed and adds nothing a product with h^2 A would not: a pole
     at infinity is the polynomial step of the same rational Krylov
-    method (Guttel, GAMM-Mitt. 36, 2013), and a set of them makes the
-    engine the Lanczos evaluation of the Gautschi filters (Hochbruck and
-    Lubich, Numer. Math. 83, 1999), real and LU-free (krylov module
-    docstring).  E's origin is the sentinel at every step: E_n's
-    numerator vanishes at 0, so the singularity is removable
-    (_filter_pole_sets).  So the engine never factors h^2 A, and a
-    singular PSD operator such as a Neumann Laplacian works at every
-    step.  Tol mode selects the same degree.  On lap2d (order 4096, E
-    degree 8) at h = 0.01 every pole is far, so a run factors and solves
-    nothing; at h = 0.1 none is far and the 8 conjugate pairs the
-    products reach are factored.  Against the exact filters of lap2d,
-    psi and sigma products were never less accurate than with every
-    pole, or E's origin, solved (CHANGES.md).
+    method (Guttel, GAMM-Mitt. 36, 2013).  E's origin is the sentinel at
+    every step: E_n's numerator vanishes at 0, so the singularity is
+    removable (_filter_pole_sets).  So the engine never factors h^2 A,
+    and a singular PSD operator such as a Neumann Laplacian works at
+    every step.  Tol mode selects the same degree.
+
+    A filter whose poles are then all infinite is a polynomial in h^2 A,
+    and the engine evaluates it with no Krylov space: its Chebyshev
+    expansion on [c - a, c + a], at the least degree the
+    Bernstein-ellipse bound certifies to 2^-53 (_chebyshev_degree), run
+    as the three-term recurrence, one real product with h^2 A per degree
+    (the polynomial evaluation of the Gautschi filters; Hochbruck and
+    Lubich, Numer. Math. 83, 1999).  A set with a near pole keeps the
+    space, its LUs and settling.  On lap2d (order 4096, E degree 8) at
+    h = 0.01 every pole is far, so both filters are expansions of degree
+    8, and a run builds no space, factors nothing and solves nothing; at
+    h = 0.1 none is far and the 8 conjugate pairs the products reach are
+    factored.  Against the exact filters of lap2d, psi and sigma
+    products were never less accurate than with every pole, or E's
+    origin, solved, nor than the real Lanczos spaces that evaluated the
+    all-far sets before (CHANGES.md).
     """
 
     family: str = "E"
@@ -263,10 +280,43 @@ def _far_poles_to_infinity(poles: PoleSet, c: float, a: float) -> PoleSet:
     return poles if far.values == poles.values else far
 
 
+def _chebyshev_degree(f, c: float, a: float) -> int:
+    """The least degree n for which the Chebyshev interpolant of the
+    filter f on [c - a, c + a], a > 0, is certified to 2^-53: 4 M rho^-n
+    / (rho - 1) <= 2^-53 at some rho of _RHO, with M >= |f| on the
+    Bernstein ellipse E_rho (Trefethen, Approximation Theory and
+    Approximation Practice, Thm 8.2).  E_rho lies in |z| <= R = |c| +
+    a (rho + 1/rho) / 2, and |sinc w| <= sinh|w| / |w|, so f = sinc(s
+    sqrt z)^p has M = (sinh x / x)^p at x = s sqrt R, taken in log form
+    so that sinh never overflows."""
+    s, p = _SINC_FORM[f]
+    x = s * np.sqrt(abs(c) + 0.5 * a * (_RHO + 1.0 / _RHO))
+    log_m = p * (x + np.log(-np.expm1(-2.0 * x) / (2.0 * x)))
+    log_bound = np.log(4.0) + log_m - np.log(_RHO - 1.0) + 53 * np.log(2.0)
+    return max(0, int(np.ceil(np.min(log_bound / np.log(_RHO)))))
+
+
+def _chebyshev_coefficients(f, c: float, a: float) -> np.ndarray:
+    """Coefficients of the Chebyshev expansion of f on [c - a, c + a],
+    at _chebyshev_degree: the DCT-II of f at 2(n + 1) first-kind
+    Chebyshev points, truncated to degree n.  The truncated tail and the
+    aliasing each add at most 2 M rho^-n / (rho - 1), so the 4 M bound
+    holds.  [f(c)] when a = 0."""
+    if a == 0.0:
+        return np.array([f(np.float64(c))])
+    n_pts = 2 * (_chebyshev_degree(f, c, a) + 1)
+    x = np.cos(np.pi * (np.arange(n_pts) + 0.5) / n_pts)
+    coef = scipy.fft.dct(f(c + a * x), type=2)[:n_pts // 2] / n_pts
+    coef[0] *= 0.5
+    return coef
+
+
 class _KrylovFilters:
     """Rational Krylov products that grow until they have settled (see
     RationalKrylovBackend); _dims holds the dimension where each
-    filter's last product stopped."""
+    filter's last product stopped.  A filter whose poles are all
+    infinite is its Chebyshev expansion on the Gershgorin interval,
+    held in _coef."""
 
     def __init__(self, A, h: float, backend: RationalKrylovBackend):
         family = backend.family
@@ -289,8 +339,29 @@ class _KrylovFilters:
             _far_poles_to_infinity(poles, *self._cache.interval)
             for poles in _filter_pole_sets(family, n))
         self._dims: dict[Callable, int] = {}
+        self._coef = {
+            f: _chebyshev_coefficients(f, *self._cache.interval)
+            for f, poles in ((psi_scalar, self._psi_poles),
+                             (sigma_scalar, self._sigma_poles))
+            if all(cmath.isinf(zeta) for zeta in poles)}
+
+    def _chebyshev(self, w, coef):
+        """sum_k coef[k] T_k(X) w with X = (B - cI) / a: the three-term
+        recurrence, one product with B per degree."""
+        c, a = self._cache.interval
+        y = coef[0] * w
+        if len(coef) > 1:
+            t_prev, t = w, (self._B @ w - c * w) / a
+            y += coef[1] * t
+            for ck in coef[2:]:
+                t_prev, t = t, (2.0 / a) * (self._B @ t - c * t) - t_prev
+                y += ck * t
+        return y
 
     def _filter(self, w, poles, f):
+        coef = self._coef.get(f)
+        if coef is not None:
+            return self._chebyshev(w, coef)
         if np.linalg.norm(w) == 0.0:
             return np.zeros_like(w)
         space = build_space(self._B, w, poles, k=self._dims.get(f, 2),

@@ -59,7 +59,9 @@ infinite poles only is the Lanczos process, with full
 reorthogonalization, and in real arithmetic.  The filter engine
 (integrators) makes E's removable origin pole and every pole far from
 the spectrum of h^2 A infinite ones (RationalKrylovBackend has the
-rule); build_space keeps the poles it is given.
+rule), and evaluates a filter left with infinite poles only as a
+Chebyshev expansion, with no space; build_space keeps the poles it is
+given, so it runs the Lanczos process for such a set.
 
 A rational Krylov approximation is near-optimal over its space
 (Guttel, "Rational Krylov approximation of matrix functions: numerical

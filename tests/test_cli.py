@@ -237,6 +237,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error=guard" in err and "fixed degree" in err
 
+    def test_step_that_misses_the_window_builds_no_engine(self, monkeypatch,
+                                                          capsys):
+        built = []
+        original = cli.make_filters
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "make_filters", counted)
+        rc = main(["converge", "--h-list", "0.3",
+                   "--backend", "ratkrylov:E:n4", "--quiet"])
+        assert rc == 3
+        assert "does not divide the window" in capsys.readouterr().err
+        assert built == []
+
     def test_io_failure_is_5(self, tmp_path, capsys):
         rc = main(["poles", "--family", "E", "--n", "1",
                    "--out", str(tmp_path / "no" / "dir" / "x.csv"),

@@ -122,7 +122,8 @@ class TestNonFiniteSeed:
 
 class TestDegreeCeiling:
     def test_cli_reports_the_ceiling_with_exit_3(self, capsys):
-        rc = main(["converge", "--h-list", "0.15",
+        # converge counts the steps first, so h divides the window
+        rc = main(["converge", "--h-list", "0.15", "--T", "0.45",
                    "--backend", "ratkrylov:E:1e-12", "--quiet"])
         assert rc == 3
         err = capsys.readouterr().err

@@ -8,8 +8,9 @@ import pytest
 import scipy.fft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import chebval
 
 import sincint.integrators as integrators_module
 import sincint.krylov as krylov_module
@@ -1247,6 +1248,136 @@ class TestFarPoles:
         c, a = krylov_module._gershgorin(B)
         assert np.linalg.norm(B - c * np.eye(n), 2) <= a
         assert ShiftedSolveCache(B).interval == (c, a)
+
+
+def _counted_spaces(monkeypatch) -> list:
+    """The pole set of every space the filter engine builds."""
+    spaces = []
+    original = integrators_module.build_space
+
+    def counted(A, v, poles, *args, **kwargs):
+        spaces.append(poles)
+        return original(A, v, poles, *args, **kwargs)
+
+    monkeypatch.setattr(integrators_module, "build_space", counted)
+    return spaces
+
+
+def _exact_filter(f, z):
+    """psi or sigma in extended precision, the reference for the
+    Chebyshev expansions: f = sinc(s sqrt z)^p, with sinh for z < 0."""
+    s, p = (0.5, 2) if f is psi else (1.0, 1)
+    z = np.asarray(z, dtype=np.longdouble)
+    w = s * np.sqrt(np.abs(z))
+    safe = np.where(w == 0, 1, w)
+    value = np.where(z >= 0, np.sin(safe), np.sinh(safe)) / safe
+    return np.where(w == 0, 1, value) ** p
+
+
+def _interpolant(f, c, a, n):
+    """The degree-n truncation of the interpolant of f at 2(n + 1)
+    first-kind Chebyshev points of [c - a, c + a]."""
+    x = np.cos(np.pi * (np.arange(2 * n + 2) + 0.5) / (2 * n + 2))
+    coef = scipy.fft.dct(f(c + a * x), type=2)[:n + 1] / (2 * n + 2)
+    coef[0] *= 0.5
+    return coef
+
+
+class TestChebyshevRoute:
+    """A filter whose engine poles are all infinite is its Chebyshev
+    expansion on the Gershgorin interval [c - a, c + a] of h^2 A, at the
+    least degree the Bernstein-ellipse bound certifies to 2^-53: no
+    Krylov space, one product with h^2 A per degree."""
+
+    def test_lap2d_at_a_small_step_builds_no_space(self, monkeypatch):
+        spaces = _counted_spaces(monkeypatch)
+        engine = make_filters(63**2 * laplacian_2d(4096), 0.01,
+                              RationalKrylovBackend("E", n=8))
+        v = _seed_vector(4096)
+        for product in (engine.psi, engine.sigma, engine.psi):
+            assert product(v).dtype == np.float64
+        assert spaces == []
+
+    @pytest.mark.parametrize("h, degree", [(0.1, 8), (0.02, 12)])
+    def test_a_set_with_a_near_pole_builds_one_space_per_product(
+            self, monkeypatch, h, degree):
+        """At h = 0.1 both E8 sets are near; at h = 0.02 E12's sigma set
+        is mixed (five infinite poles, twenty near) and its psi set all
+        far."""
+        spaces = _counted_spaces(monkeypatch)
+        engine = make_filters(63**2 * laplacian_2d(4096), h,
+                              RationalKrylovBackend("E", n=degree))
+        v = _seed_vector(4096)
+        for product in (engine.psi, engine.sigma, engine.psi):
+            product(v)
+        expected = [engine._psi_poles, engine._sigma_poles,
+                    engine._psi_poles]
+        if h == 0.02:
+            expected = [engine._sigma_poles]
+            assert set(engine._coef) == {psi}
+        assert spaces == expected
+
+    @pytest.mark.parametrize("operator", ["zero", "5I", "5I dense",
+                                          "order 1"])
+    def test_zero_width_interval_gives_f_at_its_centre(self, monkeypatch,
+                                                       operator):
+        A, z = {"zero": (sp.csr_matrix((6, 6)), 0.0),
+                "5I": (5.0 * sp.identity(6, format="csr"), 5.0),
+                "5I dense": (5.0 * np.eye(6), 5.0),
+                "order 1": (np.array([[3.0]]), 3.0)}[operator]
+        spaces = _counted_spaces(monkeypatch)
+        h = 0.1
+        engine = make_filters(A, h, RationalKrylovBackend("E", n=8))
+        assert engine._cache.interval == (h * h * z, 0.0)
+        w = _seed_vector(A.shape[0])
+        assert np.array_equal(engine.psi(w), psi(h * h * z) * w)
+        assert np.array_equal(engine.sigma(w), sigma(h * h * z) * w)
+        assert spaces == []
+
+    def test_one_product_per_degree(self):
+        engine = make_filters(63**2 * laplacian_2d(4096), 0.01,
+                              RationalKrylovBackend("E", n=8))
+        counting = engine._B = _CountingMatrix(engine._B)
+        for f, product in ((psi, engine.psi), (sigma, engine.sigma)):
+            counting.products = 0
+            product(_seed_vector(4096))
+            assert counting.products == len(engine._coef[f]) - 1
+
+    @given(st.sampled_from([psi, sigma]),
+           st.floats(min_value=-1.0, max_value=10.0),
+           st.floats(min_value=0.0, max_value=60.0),
+           st.integers(min_value=-12, max_value=0))
+    def test_certified_degree(self, f, lo, width, log_scale):
+        """Intervals [lo, lo + width 10^log_scale], lo from -1: a PSD
+        operator's Gershgorin interval can reach below 0 (about -0.025
+        zmax on the synthetic problem).  The bound is recomputed from
+        sinh directly, and the error measured against the filter in
+        extended precision."""
+        a = 0.5 * width * 10.0**log_scale
+        c = lo + a
+        assume(a > 0)
+        coef = integrators_module._chebyshev_coefficients(f, c, a)
+        n = len(coef) - 1
+        s, p = (0.5, 2) if f is psi else (1.0, 1)
+        rho = 1.0 + np.geomspace(1e-3, 1e18, 400)
+        x = s * np.sqrt(abs(c) + 0.5 * a * (rho + 1.0 / rho))
+        keep = x < 300.0  # sinh(x)^2 stays finite
+        M = (np.sinh(x[keep]) / x[keep]) ** p
+        rho = rho[keep]
+        bound = np.min(4.0 * M * rho**-float(n) / (rho - 1.0))
+        assert bound <= 2.0**-53 * (1.0 + 1e-9)
+
+        z = np.linspace(c - a, c + a, 2000)
+        want = _exact_filter(f, z)
+
+        def error(coef):
+            return float(np.max(np.abs(chebval((z - c) / a, coef) - want)))
+
+        assert np.array_equal(coef, _interpolant(f, c, a, n))
+        assert error(coef) <= 1e-15
+        least = next(m for m in range(n + 1)
+                     if error(_interpolant(f, c, a, m)) <= 1e-15)
+        assert n <= least + 2
 
 
 def _recorded_shifts(monkeypatch) -> list:
