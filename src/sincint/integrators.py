@@ -115,7 +115,10 @@ class SecondOrderIVP:
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         w = -(self.A @ y)
         if self.forcing is not None:
-            w = w + np.asarray(self.forcing(t), dtype=np.float64).reshape(-1)
+            g = np.asarray(self.forcing(t), dtype=np.float64).reshape(-1)
+            if not np.isfinite(g).all():
+                raise ValueError(f"forcing is not finite at t={t:g}")
+            w = w + g
         return w
 
 
@@ -218,8 +221,7 @@ class RationalKrylovBackend:
     h = 0.1 none is far and the 8 conjugate pairs the products reach are
     factored.  Against the exact filters of lap2d, psi and sigma
     products were never less accurate than with every pole, or E's
-    origin, solved, nor than the real Lanczos spaces that evaluated the
-    all-far sets before (CHANGES.md).
+    origin, solved (CHANGES.md).
     """
 
     family: str = "E"

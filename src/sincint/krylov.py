@@ -49,19 +49,8 @@ error against the dense reference had median 2.24e-15, against
 from Re/Im of one solve per pair lost an order of magnitude of accuracy
 on the mapped poles, which lie far beyond the spectrum of h^2 A.
 
-A space whose poles are all real or infinite is built in float64: the
-seed is real, a real shift on a real vector is a real solve, and an
-infinite pole is a real product.  An infinite-pole step also costs no
-second product for the projection.  Its direction is w = A v_j, and its
-two Gram-Schmidt passes give the coefficients h of the Arnoldi relation
-A v_j = V h + ||w'|| v_{j+1}, which are column j of A_k.  So a space of
-infinite poles only is the Lanczos process, with full
-reorthogonalization, and in real arithmetic.  The filter engine
-(integrators) makes E's removable origin pole and every pole far from
-the spectrum of h^2 A infinite ones (RationalKrylovBackend has the
-rule), and evaluates a filter left with infinite poles only as a
-Chebyshev expansion, with no space; build_space keeps the poles it is
-given, so it runs the Lanczos process for such a set.
+An infinite pole's direction is the product A v_j, orthogonalized like a
+solve, and A_m comes from block products V^H A V at the settling checks.
 
 A rational Krylov approximation is near-optimal over its space
 (Guttel, "Rational Krylov approximation of matrix functions: numerical
@@ -71,9 +60,7 @@ only cost time, and their poles need no factorization.  Given f,
 build_space grows the space until its last column moved those
 coefficients by at most _SETTLED_RTOL; a filter engine starts checking
 each product at the dimension where its previous product stopped, and
-the cache solves only the shifts some product reaches.  The product
-A v_{m-1} that completes A_m at a check is the direction of the next
-column when that column's pole is infinite.
+the cache solves only the shifts some product reaches.
 """
 
 from __future__ import annotations
@@ -162,10 +149,9 @@ class ShiftedSolveCache:
     step, so the cache is shared across calls.  A pair zeta, conj(zeta)
     shares the complex LU of its member with Im > 0, since the solve at
     conj(zeta) is conj((zeta I - A)^{-1} conj(b)); a real shift is
-    factored in float64, solves a real right-hand side in real
-    arithmetic and takes a complex one as two real columns.  Pairs share
-    only when they are exact conjugates, which is what PoleSet counts as
-    closed.
+    factored in float64 and takes the complex right-hand side as two real
+    columns.  Pairs share only when they are exact conjugates, which is
+    what PoleSet counts as closed.
 
     The cache owns the operator: this is the one place that decides how A is
     stored, for the filter engines, sinc_apply, build_space and every other
@@ -277,18 +263,15 @@ class ShiftedSolveCache:
         return solve
 
     def solve(self, zeta: complex, b: np.ndarray) -> np.ndarray:
-        """(zeta I - A)^{-1} b, real when zeta and b are."""
+        """(zeta I - A)^{-1} b, complex."""
         zeta = complex(zeta)
-        if zeta.imag == 0 and not np.iscomplexobj(b):
-            x = self._solver(zeta)(np.asarray(b, dtype=np.float64))
+        b = np.asarray(b, dtype=np.complex128)
+        if zeta.imag < 0:
+            x = self._solver(zeta.conjugate())(b.conj()).conj()
+        elif zeta.imag > 0:
+            x = self._solver(zeta)(b)
         else:
-            b = np.asarray(b, dtype=np.complex128)
-            if zeta.imag < 0:
-                x = self._solver(zeta.conjugate())(b.conj()).conj()
-            elif zeta.imag > 0:
-                x = self._solver(zeta)(b)
-            else:
-                x = _real_apply(self._solver(zeta), b)
+            x = _real_apply(self._solver(zeta), b)
         if not np.all(np.isfinite(x)):
             raise PoleCollisionError(
                 f"shifted solve at zeta={zeta} returned non-finite values; "
@@ -359,13 +342,9 @@ def build_space(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
     and otherwise at min(len(poles) + 1, n) or a breakdown.  f's
     eigendecomposition of the last A_m is kept for apply_function.
 
-    A_m is grown one column j at a time, with its mirror row, once A v_j
-    is known.  An infinite pole's direction A v_j gives column j from its
-    Gram-Schmidt passes, by the Arnoldi relation; the other columns take
-    one multi-column product with A at the next check, or at the end.
-    So at a check the product A v_{m-1} that completes A_m is, when the
-    next pole is infinite, the direction of the next column.  The space
-    is real when every pole is real or infinite (module docstring).
+    The basis and A_m are complex.  A_m is filled from one block
+    product V[:, :m]^H A V[:, j:m] for the columns j.. added since the
+    last fill, at each check and once at the end.
 
     When a cache is supplied it already owns the matrix, and its matrix
     (A in the cache's storage, see ShiftedSolveCache) is the one used;
@@ -392,41 +371,26 @@ def build_space(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
         stop = min(len(poles) + 1, n)
         check = max(k or 2, 2)
     pole_list = list(poles.values) or [complex("inf")]
-    real = all(zeta.imag == 0 for zeta in pole_list)
-    dtype = np.float64 if real else np.complex128
 
-    def product(X):
-        return A @ X if real else _real_apply(A.dot, X)
-
-    def set_columns(cols, P):
-        """Columns cols of A_k[:m, :m] from P = V_m^H A V[:, cols]."""
-        A_k[:m, cols] = P
-        A_k[cols, :m] = P.conj().T
-
-    def set_unset():
-        """The columns that wait for their product, from one product."""
-        cols = unset[0] if len(unset) == 1 else unset
-        set_columns(cols, V[:, :m].conj().T @ product(V[:, cols]))
-        unset.clear()
+    def project(upto):
+        """Columns done..upto-1 of A_k[:upto, :upto], from one product."""
+        nonlocal done
+        P = V[:, :upto].conj().T @ _real_apply(A.dot, V[:, done:upto])
+        A_k[:upto, done:upto] = P
+        A_k[done:upto, :upto] = P.conj().T
+        done = upto
 
     # Fortran order keeps every leading block V[:, :m] contiguous
-    V = np.zeros((n, stop), dtype=dtype, order="F")
+    V = np.zeros((n, stop), dtype=np.complex128, order="F")
     V[:, 0] = v / nrm
-    A_k = np.empty((stop, stop), dtype=dtype)
-    unset = []  # the columns j < m of A_k that wait for A v_j
+    A_k = np.empty((stop, stop), dtype=np.complex128)
+    done = 0  # the columns of A_k filled so far
     f_eigh = None
     breakdown = False
     m = 1
     while True:
-        zeta = pole_list[(m - 1) % len(pole_list)] if m < stop else None
-        if zeta is not None and cmath.isinf(zeta):
-            w, h, w0 = _orthogonalize(product(V[:, m - 1]), V[:, :m])
-            set_columns(m - 1, h)
-        else:
-            unset.append(m - 1)
         if m >= check:
-            if unset:
-                set_unset()
+            project(m)
             if f_eigh is None:
                 f_eigh = _f_eigh(A_k[:m - 1, :m - 1], f)
             u_prev = _coefficients(f_eigh)
@@ -436,19 +400,19 @@ def build_space(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
             d[:m - 1] -= u_prev
             if np.linalg.norm(d) <= _SETTLED_RTOL * np.linalg.norm(u):
                 break
-        if zeta is None:
+        if m == stop:
             break
-        if not cmath.isinf(zeta):
-            w, _, w0 = _orthogonalize(cache.solve(zeta, V[:, m - 1]),
-                                      V[:, :m])
+        zeta = pole_list[(m - 1) % len(pole_list)]
+        x = V[:, m - 1]
+        w, w0 = _orthogonalize(_real_apply(A.dot, x) if cmath.isinf(zeta)
+                               else cache.solve(zeta, x), V[:, :m])
         wn = float(np.linalg.norm(w))
         if wn <= _BREAKDOWN_RTOL * max(w0, 1e-300):
             breakdown = True
             break
         V[:, m] = w / wn
         m += 1
-    if unset:
-        set_unset()
+    project(m)
     space = RationalKrylovSpace(V=V[:, :m], A_k=A_k[:m, :m].copy(),
                                 poles=poles, breakdown=breakdown)
     if f_eigh is not None:
@@ -458,15 +422,12 @@ def build_space(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
 
 def _orthogonalize(w: np.ndarray, V: np.ndarray):
     """Classical Gram-Schmidt of w against the orthonormal columns of V,
-    run twice: (w - V h, h, ||w||) with h = V^H w."""
+    run twice: (w - V V^H w, ||w||)."""
     w0 = float(np.linalg.norm(w))
-    h = 0.0
     for _ in range(2):
         # V^H w without materializing V^H
-        c = (w.conj() @ V).conj()
-        w = w - V @ c
-        h = h + c
-    return w, h, w0
+        w = w - V @ (w.conj() @ V).conj()
+    return w, w0
 
 
 def apply_function(space: RationalKrylovSpace, f, v: np.ndarray) -> np.ndarray:

@@ -3,12 +3,14 @@
 import argparse
 import csv
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.io as sio
 
+import sincint.integrators as integrators_module
 from sincint import cli
 from sincint.cli import main, parse_backend
 from sincint.densefun import sinc_apply_dense
@@ -185,6 +187,25 @@ class TestConvergeCommand:
         assert errs[-1] < errs[0]
         assert rows[0]["observed_order"] == ""
         assert 1.5 <= float(rows[-1]["observed_order"]) <= 2.5
+
+    def test_ci_smoke_builds_krylov_spaces(self, monkeypatch, capsys):
+        """The arguments of the CI smoke of the rational route: at these
+        steps E degree 8 keeps near poles, so the run builds spaces
+        rather than only Chebyshev expansions."""
+        spaces = []
+        original = integrators_module.build_space
+
+        def counted(*args, **kwargs):
+            spaces.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(integrators_module, "build_space", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["converge", "--h-list", "0.5,0.25", "--T", "1",
+                       "--backend", "ratkrylov:E:n8", "--quiet"])
+        assert rc == 0
+        assert len(spaces) > 0
 
 
 class TestWaveCommand:

@@ -331,6 +331,20 @@ class TestValidation:
             gautschi_integrate(SecondOrderIVP(A=A, y0=y0, y1=y1), 0.1,
                                parse_backend(spec))
 
+    @pytest.mark.parametrize("spec", ["dense", "ratkrylov:E:n8"])
+    @pytest.mark.parametrize("start, at", [(0.505, "0.51"), (0.995, "1")])
+    def test_non_finite_forcing_is_refused_at_its_step(self, spec, start,
+                                                       at):
+        """A forcing that turns NaN mid-run, or only at the last step, is
+        refused at the first step that meets it."""
+        def forcing(t):
+            return np.full(40, np.nan if t > start else 1.0)
+
+        ivp = SecondOrderIVP(A=100.0 * laplacian_1d(40), y0=np.ones(40),
+                             y1=np.zeros(40), forcing=forcing)
+        with pytest.raises(ValueError, match=f"forcing .* at t={at}$"):
+            gautschi_integrate(ivp, 0.01, parse_backend(spec))
+
     def test_trajectory_dtype_and_layout(self):
         ivp = _harmonic_ivp(tf=0.5)
         traj = gautschi_integrate(ivp, 0.05, DenseBackend())

@@ -2,6 +2,7 @@
 
 import re
 import warnings
+from itertools import cycle, islice
 
 import numpy as np
 import pytest
@@ -665,7 +666,7 @@ class TestNeumannSeries:
                         cache=cache).V
         for shift in (zeta, zeta.conjugate()):
             want = dst(dst(b) / (shift - lam))
-            assert _rel(V @ (V.T @ want), want) <= 1e-14
+            assert _rel(V @ (V.conj().T @ want), want) <= 1e-14
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("r", [1e-3, 1e-2, 0.1])
@@ -677,7 +678,7 @@ class TestNeumannSeries:
         V = build_space(None, b, PoleSet((_INF,) * _series_terms(r)),
                         cache=cache).V
         want = np.linalg.solve(zeta * np.eye(300) - A.toarray(), b)
-        assert _rel(V @ (V.T @ want), want) <= 1e-14
+        assert _rel(V @ (V.conj().T @ want), want) <= 1e-14
 
     def test_series_terms_are_the_least_that_reach_roundoff(self):
         """The engine's threshold: a pole is far when 8 terms of its
@@ -1115,8 +1116,8 @@ class TestFarPoles:
     """The engine replaces every pole far from the spectrum of h^2 A,
     a <= 0.0168 |zeta - c| for its Gershgorin interval [c - a, c + a],
     by the infinity sentinel; E's origin, a removable singularity of
-    E_n, is the sentinel in every engine set.  A space of real and
-    infinite poles is real."""
+    E_n, is the sentinel in every engine set.  build_space takes an
+    infinite pole as a product step of its one complex path."""
 
     def test_rule_on_a_hand_made_set(self):
         """The rule is a distance test only: a pole at the origin, near
@@ -1166,50 +1167,38 @@ class TestFarPoles:
         assert dtypes == [] and solves == []
 
     @pytest.mark.parametrize("dense", [False, True], ids=["csc", "dense"])
-    def test_real_shift_on_a_real_vector_is_a_real_solve(self, dense):
+    def test_real_shift_on_a_complex_vector_matches_numpy(self, dense):
         A = random_spd(30, 2) if dense else _random_sparse_spd(40, 2)
-        b = np.random.default_rng(3).standard_normal(A.shape[0])
+        b = _complex_vector(A.shape[0], 3)
         x = ShiftedSolveCache(A).solve(-0.5, b)
-        assert x.dtype == np.float64
         want = np.linalg.solve(-0.5 * np.eye(A.shape[0]) - A.toarray(), b)
         assert _rel(x, want) <= 1e-13
-
-    def test_space_of_real_poles_is_real(self):
-        A = random_spd(12, 5)
-        space = build_space(A, _seed_vector(12), PoleSet((-1.0, _INF)), k=5)
-        assert space.V.dtype == np.float64 and space.A_k.dtype == np.float64
-        y = apply_function(space, sinc, _seed_vector(12))
-        assert y.dtype == np.float64
-
-    def test_polynomial_space_takes_one_product_per_column(self):
-        """The product that completes A_m at a check is the direction of
-        the next column, and each column of A_m comes from the
-        Gram-Schmidt coefficients of that product."""
-        cache = ShiftedSolveCache(0.01**2 * 63**2 * laplacian_2d(4096))
-        counting = cache._A = _CountingMatrix(cache.matrix)
-        poles = PoleSet((_INF,) * 17)
-        for k in (2, 5):
-            counting.products = 0
-            space = build_space(None, _seed_vector(4096), poles, k=k,
-                                cache=cache, f=psi)
-            assert counting.products == space.dim
 
     @given(st.integers(min_value=2, max_value=30),
            st.integers(min_value=1, max_value=12),
            st.booleans(), st.sampled_from([None, psi, sigma]),
+           st.integers(min_value=1, max_value=3),
            st.integers(min_value=0, max_value=2**32 - 1))
-    def test_polynomial_space_is_real_with_the_exact_projection(
-            self, n, k, dense, f, seed):
+    def test_mixed_space_has_the_exact_projection(self, n, k, dense, f,
+                                                  infinite, seed):
+        """A conjugate pair, a real pole and infinite poles build one
+        complex space, whose A_k is V^H B V to roundoff."""
         A = (random_spd(n, seed, lam_max=4.0) if dense
              else _random_tridiagonal_spd(n, seed))
-        cache = ShiftedSolveCache(A)
         B = A.toarray()
-        v = np.random.default_rng(seed).standard_normal(n)
-        space = build_space(A, v, PoleSet((_INF,) * 12), k=k, cache=cache,
-                            f=f)
-        assert space.V.dtype == np.float64 and space.A_k.dtype == np.float64
-        want = space.V.T @ B @ space.V
+        rng = np.random.default_rng(seed)
+        zeta = complex(-rng.uniform(0.1, 5.0), rng.uniform(0.1, 5.0))
+        poles = PoleSet((zeta, zeta.conjugate(), -rng.uniform(0.1, 5.0))
+                        + (_INF,) * infinite)
+        v = rng.standard_normal(n)
+        space = build_space(A, v, poles, k=k, f=f)
+        V = space.V
+        want = V.conj().T @ B @ V
         assert np.linalg.norm(space.A_k - want) <= 1e-14 * np.linalg.norm(B, 2)
+        assert np.linalg.norm(V.conj().T @ V - np.eye(space.dim)) <= 1e-12
+        used = PoleSet(tuple(islice(cycle(poles), space.dim - 1)))
+        if used.is_conjugate_closed():
+            assert apply_function(space, f or sinc, v).dtype == np.float64
 
     @given(st.integers(min_value=3, max_value=16),
            st.integers(min_value=8, max_value=10),
