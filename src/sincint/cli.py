@@ -17,8 +17,8 @@ Backends are selected with a compact grammar:
                              (expsum:NU:K:dense is read as expsum:NU)
 
 Exit codes: 0 success, 2 usage, 3 guard violation (invalid sizes or
-parameters), 4 numerical failure (pole collision, instability,
-degenerate projection), 5 I/O failure.
+parameters, or a run too large for memory), 4 numerical failure (pole
+collision, instability, degenerate projection), 5 I/O failure.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ def parse_backend(text: str):
             if len(parts) != 3:
                 raise ValueError("expected ratkrylov:FAMILY:nN|TOL")
             family, spec = parts[1], parts[2]
-            sinc_family(family)
             if spec.startswith("n") and spec[1:].isdigit():
                 return RationalKrylovBackend(family=family, n=int(spec[1:]))
             return RationalKrylovBackend(family=family, tol=float(spec))
@@ -352,6 +351,9 @@ def main(argv=None) -> int:
         return 4
     except ValueError as exc:
         print(f"error=guard: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error=guard: out of memory: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error=io: {exc}", file=sys.stderr)

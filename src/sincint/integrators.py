@@ -18,8 +18,8 @@ sized automatically from the a-priori bounds and a power-iteration
 spectral estimate; a filter whose poles all lie far from the spectrum
 is a certified Chebyshev expansion instead), or exponential sums, the
 Gauss-Legendre quadratures of psi and sigma applied on the dense
-eigendecomposition.  make_filters builds the engine once per (A, h);
-the steps only call its psi and sigma.
+eigendecomposition.  make_filters builds the engine and picks its
+products once per (A, h); the steps only call its psi and sigma.
 """
 
 from __future__ import annotations
@@ -115,10 +115,13 @@ class SecondOrderIVP:
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         w = -(self.A @ y)
         if self.forcing is not None:
-            g = np.asarray(self.forcing(t), dtype=np.float64).reshape(-1)
+            g = np.asarray(self.forcing(t), dtype=np.float64)
+            if g.size != w.size:
+                raise ValueError(
+                    f"forcing at t={t:g} has shape {g.shape}, not {w.shape}")
             if not np.isfinite(g).all():
                 raise ValueError(f"forcing is not finite at t={t:g}")
-            w = w + g
+            w = w + g.reshape(-1)
         return w
 
 
@@ -170,22 +173,14 @@ class RationalKrylovBackend:
     estimate_spectral_radius); a selected degree above 20, the largest
     the families are built to, raises ValueError.  The sinc-plane poles
     zeta of the family are transported by filter_poles to zeta^2 for
-    sigma and (2 zeta)^2 for psi.
+    sigma and (2 zeta)^2 for psi.  An unknown family or a degree that
+    is not a positive integer is refused when the descriptor is made.
 
     In tol mode the bound is evaluated at the wrong argument: it bounds
     the sinc approximant on the sinc plane, |x| <= zmax, but receives
     the matrix-plane zmax = h^2 lambda_max (see select_pole_count).  The
     degree is too small below zmax = 1, so tol is then not guaranteed,
     and larger than needed above it.
-
-    Each product grows its space one column at a time and stops at the
-    first dimension where the last column moved the projected
-    coefficients f(A_m) e_1 by at most 1e-13 relative (build_space with
-    f), at a breakdown, or at the full len(poles) + 1 columns.  The check
-    starts at 2 for a filter's first product and, for each later one, at
-    the dimension where the filter's previous product stopped.  Shifts
-    are solved first when a product reaches them, so set-up prepares
-    only the poles the first products use.
 
     The engine hands h^2 A to a ShiftedSolveCache, which decides how it
     is stored, checks it and solves its shifted matrices (see
@@ -194,34 +189,34 @@ class RationalKrylovBackend:
     tol mode estimates the spectral radius of that stored matrix.  Of
     the benchmark operators only the full FEM Atil is stored dense.
 
-    One pole rule: a pole far from the spectrum is a polynomial step.
-    With [c - a, c + a] the Gershgorin interval of h^2 A
-    (ShiftedSolveCache.interval), a pole zeta with a <= 0.0168
-    |zeta - c|, at least 59.5 half-widths out, becomes the infinity
-    sentinel.  There the Neumann series of the solve about c reaches
-    unit roundoff in 8 terms, so the solve is within 1.7% of a multiple
-    of the seed and adds nothing a product with h^2 A would not: a pole
-    at infinity is the polynomial step of the same rational Krylov
-    method (Guttel, GAMM-Mitt. 36, 2013).  E's origin is the sentinel at
-    every step: E_n's numerator vanishes at 0, so the singularity is
-    removable (_filter_pole_sets).  So the engine never factors h^2 A,
-    and a singular PSD operator such as a Neumann Laplacian works at
-    every step.  Tol mode selects the same degree.
+    Each filter's route is chosen once, when the engine is made, from
+    its poles and the Gershgorin interval [c - a, c + a] of h^2 A
+    (ShiftedSolveCache.interval):
 
-    A filter whose poles are then all infinite is a polynomial in h^2 A,
-    and the engine evaluates it with no Krylov space: its Chebyshev
-    expansion on [c - a, c + a], at the least degree the
-    Bernstein-ellipse bound certifies to 2^-53 (_chebyshev_degree), run
-    as the three-term recurrence, one real product with h^2 A per degree
-    (the polynomial evaluation of the Gautschi filters; Hochbruck and
-    Lubich, Numer. Math. 83, 1999).  A set with a near pole keeps the
-    space, its LUs and settling.  On lap2d (order 4096, E degree 8) at
-    h = 0.01 every pole is far, so both filters are expansions of degree
-    8, and a run builds no space, factors nothing and solves nothing; at
-    h = 0.1 none is far and the 8 conjugate pairs the products reach are
-    factored.  Against the exact filters of lap2d, psi and sigma
-    products were never less accurate than with every pole, or E's
-    origin, solved (CHANGES.md).
+    - A pole zeta far from the spectrum, a <= 0.0168 |zeta - c|, at
+      least 59.5 half-widths out, becomes the infinity sentinel.  There
+      the Neumann series of the solve about c reaches unit roundoff in
+      8 terms, so the solve adds nothing a product with h^2 A would
+      not: a pole at infinity is the polynomial step of the same
+      rational Krylov method (Guttel, GAMM-Mitt. 36, 2013).  E's origin
+      is the sentinel at every step, since E_n's numerator vanishes at
+      0 (_filter_pole_sets).  So the engine never factors h^2 A, and a
+      singular PSD operator such as a Neumann Laplacian works at every
+      step.
+    - A filter whose poles are then all infinite is a polynomial in
+      h^2 A: its Chebyshev expansion on [c - a, c + a], at the least
+      degree the Bernstein-ellipse bound certifies to 2^-53
+      (_chebyshev_degree), run as the three-term recurrence, one real
+      product with h^2 A per degree and no Krylov space (Hochbruck and
+      Lubich, Numer. Math. 83, 1999).
+    - A filter with a near pole grows a space one column at a time and
+      stops at the first dimension where the last column moved the
+      projected coefficients f(A_m) e_1 by at most 1e-13 relative
+      (build_space with f), at a breakdown, or at the full len(poles) +
+      1 columns.  The check starts at 2 for the filter's first product
+      and, for each later one, at the dimension where its previous
+      product stopped.  Shifts are solved when a product first reaches
+      them, so set-up factors nothing.
     """
 
     family: str = "E"
@@ -231,6 +226,9 @@ class RationalKrylovBackend:
     def __post_init__(self):
         if (self.n is None) == (self.tol is None):
             raise ValueError("give exactly one of n (fixed degree) or tol")
+        sinc_family(self.family)
+        if self.n is not None:
+            _check_count(self.n, "degree")
 
 
 @dataclass(frozen=True)
@@ -245,22 +243,34 @@ class ExpSumBackend:
         _check_count(self.nu, "nu")
 
 
-class _DenseFilters:
-    """Filters as eigenvalue maps on one eigendecomposition of A."""
+@dataclass
+class _Filters:
+    """The filter engine of one (A, h): its psi and sigma products, each
+    picked once by make_filters, and the family degree of the poles
+    (0 for the dense, exp-sum and leapfrog engines).  The products are
+    called through methods, so that a wrapper set on an engine's psi or
+    sigma can be deleted again to restore it."""
 
-    pole_degree = 0
-
-    def __init__(self, A, f_psi: Callable, f_sigma: Callable):
-        lam, Q = sym_eigendecomposition(A)
-        self._Q = Q
-        self._psi = np.asarray(f_psi(lam))
-        self._sigma = np.asarray(f_sigma(lam))
+    _psi: Callable[[np.ndarray], np.ndarray]
+    _sigma: Callable[[np.ndarray], np.ndarray]
+    pole_degree: int = 0
 
     def psi(self, w: np.ndarray) -> np.ndarray:
-        return self._Q @ (self._psi * (self._Q.T @ w))
+        return self._psi(w)
 
     def sigma(self, w: np.ndarray) -> np.ndarray:
-        return self._Q @ (self._sigma * (self._Q.T @ w))
+        return self._sigma(w)
+
+
+def _eigen_maps(A, f_psi: Callable, f_sigma: Callable) -> _Filters:
+    """Filters as eigenvalue maps on one eigendecomposition of A."""
+    lam, Q = sym_eigendecomposition(A)
+
+    def product(g):
+        return lambda w: Q @ (g * (Q.T @ w))
+
+    return _Filters(product(np.asarray(f_psi(lam))),
+                    product(np.asarray(f_sigma(lam))))
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -313,81 +323,68 @@ def _chebyshev_coefficients(f, c: float, a: float) -> np.ndarray:
     return coef
 
 
-class _KrylovFilters:
-    """Rational Krylov products that grow until they have settled (see
-    RationalKrylovBackend); _dims holds the dimension where each
-    filter's last product stopped.  A filter whose poles are all
-    infinite is its Chebyshev expansion on the Gershgorin interval,
-    held in _coef."""
-
-    def __init__(self, A, h: float, backend: RationalKrylovBackend):
-        family = backend.family
-        sinc_family(family)  # an unknown family fails before any estimate
-        self._cache = ShiftedSolveCache(h * h * A)
-        self._B = self._cache.matrix
-        if backend.tol is not None:
-            zmax = estimate_spectral_radius(self._B)
-            n = select_pole_count(family, zmax, backend.tol)
-            if n > _ROOTS_MAX_DEGREE:
-                raise ValueError(
-                    f"tol={backend.tol:g} at zmax={zmax:g} selects degree "
-                    f"{n}, but the pole families are built only up to "
-                    f"degree {_ROOTS_MAX_DEGREE}; use a smaller h or a "
-                    "fixed degree")
-        else:
-            n = backend.n
-        self.pole_degree = n
-        self._psi_poles, self._sigma_poles = (
-            _far_poles_to_infinity(poles, *self._cache.interval)
-            for poles in _filter_pole_sets(family, n))
-        self._dims: dict[Callable, int] = {}
-        self._coef = {
-            f: _chebyshev_coefficients(f, *self._cache.interval)
-            for f, poles in ((psi_scalar, self._psi_poles),
-                             (sigma_scalar, self._sigma_poles))
-            if all(cmath.isinf(zeta) for zeta in poles)}
-
-    def _chebyshev(self, w, coef):
-        """sum_k coef[k] T_k(X) w with X = (B - cI) / a: the three-term
-        recurrence, one product with B per degree."""
-        c, a = self._cache.interval
+def _chebyshev_product(B, c: float, a: float, coef: np.ndarray) -> Callable:
+    """w -> sum_k coef[k] T_k(X) w with X = (B - cI) / a: the three-term
+    recurrence, one product with B per degree."""
+    def product(w):
         y = coef[0] * w
         if len(coef) > 1:
-            t_prev, t = w, (self._B @ w - c * w) / a
+            t_prev, t = w, (B @ w - c * w) / a
             y += coef[1] * t
             for ck in coef[2:]:
-                t_prev, t = t, (2.0 / a) * (self._B @ t - c * t) - t_prev
+                t_prev, t = t, (2.0 / a) * (B @ t - c * t) - t_prev
                 y += ck * t
         return y
 
-    def _filter(self, w, poles, f):
-        coef = self._coef.get(f)
-        if coef is not None:
-            return self._chebyshev(w, coef)
+    return product
+
+
+def _settling_product(cache: ShiftedSolveCache, poles: PoleSet,
+                      f: Callable) -> Callable:
+    """w -> f(B) w on a rational Krylov space of cache.matrix that grows
+    until it has settled, checked from the dimension where the previous
+    product stopped (2 for the first; see RationalKrylovBackend)."""
+    dim = 2
+
+    def product(w):
+        nonlocal dim
         if np.linalg.norm(w) == 0.0:
             return np.zeros_like(w)
-        space = build_space(self._B, w, poles, k=self._dims.get(f, 2),
-                            cache=self._cache, f=f)
-        self._dims[f] = space.dim
+        space = build_space(cache.matrix, w, poles, k=dim, cache=cache, f=f)
+        dim = space.dim
         return apply_function(space, f, w)
 
-    def psi(self, w: np.ndarray) -> np.ndarray:
-        return self._filter(w, self._psi_poles, psi_scalar)
-
-    def sigma(self, w: np.ndarray) -> np.ndarray:
-        return self._filter(w, self._sigma_poles, sigma_scalar)
+    return product
 
 
-class _IdentityFilters:
-    """psi = sigma = identity: the classical leapfrog limit."""
+def _rational_filters(A, h: float, backend: RationalKrylovBackend) -> _Filters:
+    """The engine of a RationalKrylovBackend; its docstring gives the
+    route of each filter."""
+    cache = ShiftedSolveCache(h * h * A)
+    n = backend.n
+    if n is None:
+        zmax = estimate_spectral_radius(cache.matrix)
+        n = select_pole_count(backend.family, zmax, backend.tol)
+        if n > _ROOTS_MAX_DEGREE:
+            raise ValueError(
+                f"tol={backend.tol:g} at zmax={zmax:g} selects degree {n}, "
+                "but the pole families are built only up to degree "
+                f"{_ROOTS_MAX_DEGREE}; use a smaller h or a fixed degree")
+    c, a = cache.interval
 
-    pole_degree = 0
+    def route(poles, f):
+        poles = _far_poles_to_infinity(poles, c, a)
+        if all(cmath.isinf(zeta) for zeta in poles):
+            return _chebyshev_product(cache.matrix, c, a,
+                                      _chebyshev_coefficients(f, c, a))
+        return _settling_product(cache, poles, f)
 
-    def psi(self, w: np.ndarray) -> np.ndarray:
-        return w
+    return _Filters(*map(route, _filter_pole_sets(backend.family, n),
+                         (psi_scalar, sigma_scalar)), pole_degree=n)
 
-    def sigma(self, w: np.ndarray) -> np.ndarray:
-        return w
+
+def _identity(w: np.ndarray) -> np.ndarray:
+    return w
 
 
 def _check_step(h: float) -> None:
@@ -407,19 +404,19 @@ def make_filters(A, h: float, backend):
     if hasattr(backend, "psi") and hasattr(backend, "sigma"):
         return backend
     if isinstance(backend, DenseBackend):
-        return _DenseFilters(A, lambda lam: psi_scalar(h * h * lam),
-                             lambda lam: sigma_scalar(h * h * lam))
+        return _eigen_maps(A, lambda lam: psi_scalar(h * h * lam),
+                           lambda lam: sigma_scalar(h * h * lam))
     if isinstance(backend, RationalKrylovBackend):
-        return _KrylovFilters(A, h, backend)
+        return _rational_filters(A, h, backend)
     if isinstance(backend, ExpSumBackend):
         nu = backend.nu
 
         def root(lam):
             return np.sqrt(np.clip(lam, 0.0, None))
 
-        return _DenseFilters(A,
-                             lambda lam: scalar_sum_sinc2(0.5 * h * root(lam), nu),
-                             lambda lam: scalar_sum_sinc(h * root(lam), nu))
+        return _eigen_maps(A,
+                           lambda lam: scalar_sum_sinc2(0.5 * h * root(lam), nu),
+                           lambda lam: scalar_sum_sinc(h * root(lam), nu))
     raise TypeError(f"unknown backend {backend!r}")
 
 
@@ -491,7 +488,7 @@ def gautschi_integrate(ivp: SecondOrderIVP, h: float, backend) -> Trajectory:
 
 def stormer_verlet_integrate(ivp: SecondOrderIVP, h: float) -> Trajectory:
     """Classical leapfrog run (the psi = sigma = 1 limit of the scheme)."""
-    return gautschi_integrate(ivp, h, _IdentityFilters())
+    return gautschi_integrate(ivp, h, _Filters(_identity, _identity))
 
 
 def discrete_energy(traj: Trajectory, A, v0: np.ndarray | None = None

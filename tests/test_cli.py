@@ -11,6 +11,7 @@ import pytest
 import scipy.io as sio
 
 import sincint.integrators as integrators_module
+import sincint.krylov as krylov_module
 from sincint import cli
 from sincint.cli import main, parse_backend
 from sincint.densefun import sinc_apply_dense
@@ -209,6 +210,26 @@ class TestConvergeCommand:
 
 
 class TestWaveCommand:
+    def test_ci_smoke_factors_dense_lus(self, monkeypatch, tmp_path):
+        """The arguments of the CI smoke of the dense LU route: at m = 8
+        the FEM operator of order 49 is stored dense, and E degree 4 at
+        h = 0.1 keeps near poles, so the run factors with LAPACK."""
+        orders = []
+        original = krylov_module.sla.lu_factor
+
+        def counted(M, *args, **kwargs):
+            orders.append(M.shape[0])
+            return original(M, *args, **kwargs)
+
+        monkeypatch.setattr(krylov_module.sla, "lu_factor", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["wave", "--m", "8", "--h", "0.1", "--T", "0.5",
+                       "--backend", "ratkrylov:E:n4", "--quiet",
+                       "--out-prefix", str(tmp_path / "wave")])
+        assert rc == 0
+        assert orders and set(orders) == {49}
+
     def test_writes_solution_and_energy(self, tmp_path):
         rc = main(["wave", "--m", "8", "--h", "0.05", "--T", "0.5",
                    "--out-prefix", str(tmp_path / "w"), "--quiet"])
@@ -251,6 +272,14 @@ class TestExitCodes:
             assert exc.value.code == 2
             assert why in capsys.readouterr().err
 
+    def test_zero_ratkrylov_degree_is_usage_error(self, capsys):
+        """Refused by the descriptor, as expsum:0 is."""
+        with pytest.raises(SystemExit) as exc:
+            main(["converge", "--N", "20", "--h-list", "0.5",
+                  "--backend", "ratkrylov:E:n0", "--quiet"])
+        assert exc.value.code == 2
+        assert "degree must be a positive integer" in capsys.readouterr().err
+
     def test_tolerance_mode_without_bound_is_3(self, capsys):
         rc = main(["converge", "--N", "8", "--h-list", "0.5",
                    "--backend", "ratkrylov:pade-sinc:1e-8", "--quiet"])
@@ -280,6 +309,16 @@ class TestExitCodes:
                    "--quiet"])
         assert rc == 5
         assert "error=io" in capsys.readouterr().err
+
+    def test_out_of_memory_is_3(self, monkeypatch, capsys):
+        def boom(args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, "cmd_converge", boom)
+        rc = main(["converge", "--h-list", "1e-12", "--quiet"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "error=guard: out of memory: Unable to allocate" in err
 
     def test_numerical_failure_is_4(self, monkeypatch, capsys):
         import sincint.cli as cli

@@ -273,6 +273,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             RationalKrylovBackend(family="E")
 
+    def test_backend_checks_family_and_degree_when_made(self):
+        """As ExpSumBackend checks nu; a tolerance is checked by the
+        engine, which also knows whether the family has a bound."""
+        with pytest.raises(ValueError, match="unknown pole family 'Q'"):
+            RationalKrylovBackend(family="Q", n=4)
+        with pytest.raises(ValueError, match="unknown pole family 'Q'"):
+            RationalKrylovBackend(family="Q", tol=1e-8)
+        for n in (0, -2, 3.0):
+            with pytest.raises(ValueError, match="degree must be a positive"):
+                RationalKrylovBackend(family="E", n=n)
+        RationalKrylovBackend(family="pade-sinc", tol=1e-8)
+
     def test_step_must_divide_window(self):
         ivp = _harmonic_ivp(tf=1.0)
         with pytest.raises(ValueError):
@@ -344,6 +356,38 @@ class TestValidation:
                              y1=np.zeros(40), forcing=forcing)
         with pytest.raises(ValueError, match=f"forcing .* at t={at}$"):
             gautschi_integrate(ivp, 0.01, parse_backend(spec))
+
+    @pytest.mark.parametrize("spec", ["dense", "ratkrylov:E:n8"])
+    @pytest.mark.parametrize("size", [1, 41])
+    def test_forcing_of_the_wrong_shape_is_refused(self, spec, size):
+        """A forcing value needs one entry per row of A: a length-1
+        value is not broadcast, and a longer one is named, not left to
+        numpy's broadcast error."""
+        def forcing(t):
+            return np.ones(size)
+
+        ivp = SecondOrderIVP(A=100.0 * laplacian_1d(40), y0=np.ones(40),
+                             y1=np.zeros(40), forcing=forcing)
+        with pytest.raises(ValueError,
+                           match=rf"forcing at t=0 has shape \({size},\), "
+                                 r"not \(40,\)"):
+            gautschi_integrate(ivp, 0.01, parse_backend(spec))
+
+    def test_scalar_and_column_forcing(self):
+        """A scalar is refused unless the system has order 1; a column
+        of the right length is flattened."""
+        A = 100.0 * laplacian_1d(10)
+        scalar = SecondOrderIVP(A=A, y0=np.ones(10), y1=np.zeros(10),
+                                forcing=np.sin)
+        with pytest.raises(ValueError, match=r"shape \(\), not \(10,\)"):
+            scalar.rhs(0.5, np.ones(10))
+        column = SecondOrderIVP(A=A, y0=np.ones(10), y1=np.zeros(10),
+                                forcing=lambda t: np.ones((10, 1)))
+        assert np.array_equal(column.rhs(0.5, np.ones(10)),
+                              -(A @ np.ones(10)) + 1.0)
+        order_1 = SecondOrderIVP(A=np.eye(1), y0=[1.0], y1=[0.0],
+                                 forcing=np.sin)
+        assert order_1.rhs(0.5, np.ones(1)) == -1.0 + np.sin(0.5)
 
     def test_trajectory_dtype_and_layout(self):
         ivp = _harmonic_ivp(tf=0.5)

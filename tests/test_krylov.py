@@ -53,6 +53,16 @@ def _seed_vector(n, seed=7):
     return v / np.linalg.norm(v)
 
 
+def _engine_poles(A, h, family, n):
+    """The solve cache of h^2 A, and the psi and sigma pole sets that
+    the rational engine of (A, h) builds its spaces on: the family's
+    filter poles with the far ones made infinite."""
+    cache = ShiftedSolveCache(h * h * A)
+    return cache, [integrators_module._far_poles_to_infinity(
+        poles, *cache.interval)
+        for poles in integrators_module._filter_pole_sets(family, n)]
+
+
 class TestSpaceConstruction:
     @given(st.integers(min_value=3, max_value=24),
            st.integers(min_value=0, max_value=1000),
@@ -303,18 +313,20 @@ class TestOneFactorizationPerPair:
         """psi and sigma of E degree 8 have 8 conjugate pairs between
         them; E's origin is the engine's polynomial step.  At h = 0.15
         every pair is near the spectrum.  The engine's products settle
-        before they reach all of them and factor 7; full spaces on its
-        cache factor the last pair, one complex LU each."""
+        before they reach all of them and factor 7; full spaces of the
+        engine's pole sets, on one fresh cache of h^2 A, factor all 8,
+        one complex LU each."""
         dtypes = _count_factorizations(monkeypatch)
-        engine = make_filters(15**2 * laplacian_2d(256), 0.15,
-                              RationalKrylovBackend("E", n=8))
+        A, h = 15**2 * laplacian_2d(256), 0.15
+        engine = make_filters(A, h, RationalKrylovBackend("E", n=8))
         v = _seed_vector(256)
         engine.psi(v)
         engine.sigma(v)
         assert dtypes == [np.complex128] * 7
-        for poles in (engine._psi_poles, engine._sigma_poles):
-            build_space(engine._B, v, poles, cache=engine._cache)
-        assert dtypes == [np.complex128] * 8
+        cache, pole_sets = _engine_poles(A, h, "E", 8)
+        for poles in pole_sets:
+            build_space(cache.matrix, v, poles, cache=cache)
+        assert dtypes == [np.complex128] * (7 + 8)
 
     def test_Lbar4_psi_factors_two(self, monkeypatch):
         dtypes = _count_factorizations(monkeypatch)
@@ -519,11 +531,11 @@ class TestDenseRoute:
         h = 0.15
         Atil = wave_demo_problem(structured_mesh(8)).Atil
         engine = make_filters(Atil, h, RationalKrylovBackend("Lbar", n=4))
+        cache, pole_sets = _engine_poles(Atil, h, "Lbar", 4)
         w = _seed_vector(Atil.shape[0])
-        for f, poles, product in ((psi, engine._psi_poles, engine.psi),
-                                  (sigma, engine._sigma_poles,
-                                   engine.sigma)):
-            want = apply_function(build_space(engine._B, w, poles), f, w)
+        for f, poles, product in zip((psi, sigma), pole_sets,
+                                     (engine.psi, engine.sigma)):
+            want = apply_function(build_space(cache.matrix, w, poles), f, w)
             assert np.linalg.norm(product(w) - want) <= 1e-13
 
     def test_sparse_operator_still_uses_superlu(self, monkeypatch):
@@ -817,12 +829,16 @@ class TestPoleSetsOncePerProcess:
 
         monkeypatch.setattr(poles_module, "poly_roots", counted)
         integrators_module._filter_pole_sets.cache_clear()
-        # the grid scaling keeps every pole near the spectrum at both steps
+        spaces = _counted_spaces(monkeypatch)
+        # the grid scaling keeps every pole near the spectrum at both
+        # steps, so each product builds a space on its filter's full set
         A = 17**2 * laplacian_1d(16)
-        first = make_filters(A, 0.1, RationalKrylovBackend("E", n=5))
-        second = make_filters(A, 0.2, RationalKrylovBackend("E", n=5))
-        assert first._psi_poles is second._psi_poles
-        assert first._sigma_poles is second._sigma_poles
+        v = _seed_vector(16)
+        for h in (0.1, 0.2):
+            engine = make_filters(A, h, RationalKrylovBackend("E", n=5))
+            engine.psi(v)
+            engine.sigma(v)
+        assert spaces[0] is spaces[2] and spaces[1] is spaces[3]
         assert len(calls) == 1
 
     @pytest.mark.parametrize("n", [0, -2, 3.0])
@@ -995,13 +1011,15 @@ class TestEngineMatchesFullSpace:
     def _check_products(operator, backend, h, kinds, seed):
         A = _lap_operator() if operator == "lap2d" else _FEM_ATIL
         engine = make_filters(A, h, backend)
+        cache, pole_sets = _engine_poles(A, h, backend.family, backend.n)
         rng = np.random.default_rng(seed)
-        for f, poles, product in ((psi, engine._psi_poles, engine.psi),
-                                  (sigma, engine._sigma_poles, engine.sigma)):
+        for f, poles, product in zip((psi, sigma), pole_sets,
+                                     (engine.psi, engine.sigma)):
             for kind in kinds:
                 w = _property_input(kind, operator, rng)
                 got = product(w)
-                want = apply_function(build_space(engine._B, w, poles), f, w)
+                want = apply_function(build_space(cache.matrix, w, poles),
+                                      f, w)
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(w)
 
     @given(st.integers(min_value=4, max_value=10),
@@ -1136,13 +1154,13 @@ class TestFarPoles:
 
     def test_lap2d_poles_at_small_and_large_steps(self):
         A = 63**2 * laplacian_2d(4096)
-        small = make_filters(A, 0.01, RationalKrylovBackend("E", n=8))
-        for poles in (small._psi_poles, small._sigma_poles):
+        _, small = _engine_poles(A, 0.01, "E", 8)
+        for poles in small:
             assert poles.values == (_INF,) * 17
-        large = make_filters(A, 0.1, RationalKrylovBackend("E", n=8))
+        _, large = _engine_poles(A, 0.1, "E", 8)
         psi_poles, sigma_poles = integrators_module._filter_pole_sets("E", 8)
-        assert large._psi_poles is psi_poles
-        assert large._sigma_poles is sigma_poles
+        assert large[0] is psi_poles
+        assert large[1] is sigma_poles
         # the engine's sets hold the origin as the sentinel, and
         # filter_poles keeps it
         for poles, public in zip((psi_poles, sigma_poles),
@@ -1151,8 +1169,8 @@ class TestFarPoles:
             assert poles.values == public.values[1:] + (_INF,)
         # at h = 0.02 four poles of E degree 12's sigma set are far, and
         # join the origin's sentinel
-        mixed = make_filters(A, 0.02, RationalKrylovBackend("E", n=12))
-        values = mixed._sigma_poles.values
+        _, (_, mixed) = _engine_poles(A, 0.02, "E", 12)
+        values = mixed.values
         assert values[-5:] == (_INF,) * 5
         assert not any(np.isinf(values[:-5])) and 0 not in values
 
@@ -1294,16 +1312,16 @@ class TestChebyshevRoute:
         is mixed (five infinite poles, twenty near) and its psi set all
         far."""
         spaces = _counted_spaces(monkeypatch)
-        engine = make_filters(63**2 * laplacian_2d(4096), h,
-                              RationalKrylovBackend("E", n=degree))
+        A = 63**2 * laplacian_2d(4096)
+        engine = make_filters(A, h, RationalKrylovBackend("E", n=degree))
         v = _seed_vector(4096)
         for product in (engine.psi, engine.sigma, engine.psi):
             product(v)
-        expected = [engine._psi_poles, engine._sigma_poles,
-                    engine._psi_poles]
+        _, (psi_poles, sigma_poles) = _engine_poles(A, h, "E", degree)
+        expected = [psi_poles, sigma_poles, psi_poles]
         if h == 0.02:
-            expected = [engine._sigma_poles]
-            assert set(engine._coef) == {psi}
+            expected = [sigma_poles]
+            assert all(zeta == _INF for zeta in psi_poles)
         assert spaces == expected
 
     @pytest.mark.parametrize("operator", ["zero", "5I", "5I dense",
@@ -1317,20 +1335,28 @@ class TestChebyshevRoute:
         spaces = _counted_spaces(monkeypatch)
         h = 0.1
         engine = make_filters(A, h, RationalKrylovBackend("E", n=8))
-        assert engine._cache.interval == (h * h * z, 0.0)
+        assert ShiftedSolveCache(h * h * A).interval == (h * h * z, 0.0)
         w = _seed_vector(A.shape[0])
         assert np.array_equal(engine.psi(w), psi(h * h * z) * w)
         assert np.array_equal(engine.sigma(w), sigma(h * h * z) * w)
         assert spaces == []
 
     def test_one_product_per_degree(self):
-        engine = make_filters(63**2 * laplacian_2d(4096), 0.01,
-                              RationalKrylovBackend("E", n=8))
-        counting = engine._B = _CountingMatrix(engine._B)
+        """The engine's products are the recurrence on the expansion's
+        coefficients, which takes one product per degree."""
+        A, h = 63**2 * laplacian_2d(4096), 0.01
+        engine = make_filters(A, h, RationalKrylovBackend("E", n=8))
+        cache = ShiftedSolveCache(h * h * A)
+        counting = _CountingMatrix(cache.matrix)
+        c, a = cache.interval
+        v = _seed_vector(4096)
         for f, product in ((psi, engine.psi), (sigma, engine.sigma)):
+            coef = integrators_module._chebyshev_coefficients(f, c, a)
+            counted = integrators_module._chebyshev_product(counting, c, a,
+                                                            coef)
             counting.products = 0
-            product(_seed_vector(4096))
-            assert counting.products == len(engine._coef[f]) - 1
+            assert np.array_equal(counted(v), product(v))
+            assert counting.products == len(coef) - 1 == 8
 
     @given(st.sampled_from([psi, sigma]),
            st.floats(min_value=-1.0, max_value=10.0),
@@ -1399,8 +1425,8 @@ class TestOriginIsAPolynomialStep:
              "neumann": lambda: _neumann_laplacian(50)}[operator]()
         shifts = _recorded_shifts(monkeypatch)
         engine = make_filters(A, h, RationalKrylovBackend("E", n=degree))
-        assert 0 not in engine._psi_poles.values
-        assert 0 not in engine._sigma_poles.values
+        for poles in _engine_poles(A, h, "E", degree)[1]:
+            assert 0 not in poles.values
         v = _seed_vector(A.shape[0])
         engine.psi(v)
         engine.sigma(v)
