@@ -123,7 +123,8 @@ def estimate_spectral_radius(A) -> float:
     """Power-iteration estimate of rho(A), inflated by 1%.
 
     At most 30 iterations from a fixed random start (seed 0), stopping
-    early once the Rayleigh quotient changes by at most 1e-3 relative.
+    early once the Rayleigh quotient changes by at most 1e-3 relative;
+    k iterations take k + 1 products with A.
 
     The Rayleigh quotient of a symmetric PSD A converges to lambda_max
     from below, and the inflation does not make it an upper bound: it
@@ -133,14 +134,16 @@ def estimate_spectral_radius(A) -> float:
     n = A.shape[0]
     x = rng.standard_normal(n)
     x /= np.linalg.norm(x)
+    y = A @ x
     prev = 0.0
     for _ in range(_POWER_ITERS):
-        y = A @ x
         ny = float(np.linalg.norm(y))
         if ny == 0.0:
             return 0.0
         x = y / ny
-        ray = float(x @ (A @ x))
+        # the Rayleigh quotient's product is the next iteration's y
+        y = A @ x
+        ray = float(x @ y)
         if prev > 0 and abs(ray - prev) <= _POWER_RTOL * abs(ray):
             prev = ray
             break

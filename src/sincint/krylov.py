@@ -61,13 +61,19 @@ build_space grows the space until its last column moved those
 coefficients by at most _SETTLED_RTOL; a filter engine starts checking
 each product at the dimension where its previous product stopped, and
 the cache solves only the shifts some product reaches.
+
+One helper, _projected, computes the projected function f(A_m) c by an
+eigendecomposition of the Hermitian part of A_m, for the settling check
+and for apply_function alike.  A space is a plain record and keeps no
+function values, so apply_function repeats the m x m eigensolve of the
+last check, which is small beside the shifted solve of each column.
 """
 
 from __future__ import annotations
 
 import cmath
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import cycle, islice
 from typing import Callable
 
@@ -288,34 +294,22 @@ class RationalKrylovSpace:
     A_k: np.ndarray
     poles: PoleSet
     breakdown: bool = False
-    # f -> (f at the eigenvalues of A_k's Hermitian part, its eigenvectors)
-    _f_eigh: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     @property
     def dim(self) -> int:
         return self.V.shape[1]
 
     def project(self, f, c: np.ndarray) -> np.ndarray:
-        """f(A_k) c, through an eigendecomposition of the Hermitian part
-        of A_k that, with f's values on it, is computed once per space
-        and f."""
-        f_eigh = self._f_eigh.get(f)
-        if f_eigh is None:
-            f_eigh = self._f_eigh[f] = _f_eigh(self.A_k, f)
-        f_lam, U = f_eigh
-        return U @ (f_lam * (U.conj().T @ c))
+        """f(A_k) c, by _projected, computed anew on each call."""
+        return _projected(self.A_k, f, c)
 
 
-def _f_eigh(A_m: np.ndarray, f) -> tuple[np.ndarray, np.ndarray]:
+def _projected(A_m: np.ndarray, f, c: np.ndarray | None = None) -> np.ndarray:
+    """f(A_m) c, c = e_1 by default, through an eigendecomposition of the
+    Hermitian part of A_m."""
     lam, U = np.linalg.eigh(0.5 * (A_m + A_m.conj().T))
-    return np.asarray(f(lam)), U
-
-
-def _coefficients(f_eigh) -> np.ndarray:
-    """f(A_m) e_1 from f's eigendecomposition of A_m."""
-    f_lam, U = f_eigh
-    return U @ (f_lam * U[0].conj())
+    Uc = U[0].conj() if c is None else U.conj().T @ c
+    return U @ (np.asarray(f(lam)) * Uc)
 
 
 def build_space(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
@@ -339,8 +333,8 @@ def build_space(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
     dimension m >= k (k defaults to 2) whose last column moved the
     projected coefficients by at most _SETTLED_RTOL relative,
     ||u_m - [u_{m-1}; 0]|| <= _SETTLED_RTOL ||u_m|| with u_m = f(A_m) e_1,
-    and otherwise at min(len(poles) + 1, n) or a breakdown.  f's
-    eigendecomposition of the last A_m is kept for apply_function.
+    and otherwise at min(len(poles) + 1, n) or a breakdown.  Each check
+    keeps u_m for the next, so only the first makes two m x m eigensolves.
 
     The basis and A_m are complex.  A_m is filled from one block
     product V[:, :m]^H A V[:, j:m] for the columns j.. added since the
@@ -385,17 +379,14 @@ def build_space(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
     V[:, 0] = v / nrm
     A_k = np.empty((stop, stop), dtype=np.complex128)
     done = 0  # the columns of A_k filled so far
-    f_eigh = None
+    u = None  # f(A_m) e_1 at the last check
     breakdown = False
     m = 1
     while True:
         if m >= check:
             project(m)
-            if f_eigh is None:
-                f_eigh = _f_eigh(A_k[:m - 1, :m - 1], f)
-            u_prev = _coefficients(f_eigh)
-            f_eigh = _f_eigh(A_k[:m, :m], f)
-            u = _coefficients(f_eigh)
+            u_prev = _projected(A_k[:m - 1, :m - 1], f) if u is None else u
+            u = _projected(A_k[:m, :m], f)
             d = u.copy()
             d[:m - 1] -= u_prev
             if np.linalg.norm(d) <= _SETTLED_RTOL * np.linalg.norm(u):
@@ -413,11 +404,8 @@ def build_space(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
         V[:, m] = w / wn
         m += 1
     project(m)
-    space = RationalKrylovSpace(V=V[:, :m], A_k=A_k[:m, :m].copy(),
-                                poles=poles, breakdown=breakdown)
-    if f_eigh is not None:
-        space._f_eigh[f] = f_eigh
-    return space
+    return RationalKrylovSpace(V=V[:, :m], A_k=A_k[:m, :m].copy(),
+                               poles=poles, breakdown=breakdown)
 
 
 def _orthogonalize(w: np.ndarray, V: np.ndarray):

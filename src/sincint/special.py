@@ -153,8 +153,9 @@ class Polynomial:
 
 
 def _check_count(n, what: str, low: int = 1) -> None:
-    """Refuse an n that is not a Python or numpy integer >= low (1 or 0)."""
-    if not isinstance(n, (int, np.integer)) or n < low:
+    """Refuse an n that is not a Python or numpy integer >= low (1 or 0);
+    a bool is not a count."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < low:
         kind = "positive" if low == 1 else "nonnegative"
         raise ValueError(f"{what} must be a {kind} integer, got {n!r}")
 

@@ -280,6 +280,10 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "degree must be a positive integer" in capsys.readouterr().err
 
+    def test_empty_step_list_is_3(self, capsys):
+        assert main(["converge", "--h-list", ",", "--quiet"]) == 3
+        assert "error=guard: empty --h-list" in capsys.readouterr().err
+
     def test_tolerance_mode_without_bound_is_3(self, capsys):
         rc = main(["converge", "--N", "8", "--h-list", "0.5",
                    "--backend", "ratkrylov:pade-sinc:1e-8", "--quiet"])

@@ -138,6 +138,24 @@ class TestSpectralRadius:
     def test_zero_matrix(self):
         assert estimate_spectral_radius(sp.csr_matrix((3, 3))) == 0.0
 
+    @pytest.mark.parametrize("iters", [2, 5, 30])
+    def test_one_product_per_iteration(self, monkeypatch, iters):
+        """k iterations take k + 1 products: the Rayleigh quotient's
+        product is the next iteration's."""
+        A = laplacian_1d(400)
+        products = []
+
+        class Counting:
+            shape = A.shape
+
+            def __matmul__(self, x):
+                products.append(1)
+                return A @ x
+
+        monkeypatch.setattr(expsum_module, "_POWER_ITERS", iters)
+        estimate_spectral_radius(Counting())
+        assert 1 < len(products) <= iters + 1
+
 
 class TestRealnessAndValidation:
     def test_outputs_real_dtype(self, lap64):

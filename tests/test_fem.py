@@ -124,8 +124,42 @@ class TestMeshIO:
         with pytest.raises(ValueError):
             mesh.validate()
 
+    @pytest.mark.parametrize("triangles,boundary,message", [
+        ([[0, 1, 3]], [], "triangle 0 references a vertex outside 0..2"),
+        ([[0, 1, 2]], [3], "boundary list references a vertex out of range"),
+        ([[0, 1, 2]], [1, 1], "boundary list contains duplicate vertices"),
+        ([[0, 2, 1]], [], "triangle 0 has clockwise orientation"),
+    ], ids=["triangle-index", "boundary-index", "duplicate-boundary",
+            "clockwise"])
+    def test_validate_refuses(self, triangles, boundary, message):
+        mesh = TriMesh(vertices=_unit_triangle().vertices,
+                       triangles=np.array(triangles),
+                       boundary=np.array(boundary, dtype=np.int64))
+        with pytest.raises(ValueError, match=message):
+            mesh.validate()
+
+    @pytest.mark.parametrize("text,message", [
+        ("3 1\n0.0 0.0\n1.0 0.0\n0.0 1.0\n0 1 2\n",
+         "first line must be 'nv nt nb'"),
+        ("3 1 0\n0.0 0.0\n1.0 0.0\n0 1 2\n",
+         "expected 5 lines of data, got 4"),
+    ], ids=["header", "line-count"])
+    def test_malformed_file_refused(self, tmp_path, text, message):
+        p = tmp_path / "bad.mesh"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_mesh(p)
+
 
 class TestConstrainedSystem:
+    def test_every_vertex_constrained_is_refused(self):
+        mesh = TriMesh(vertices=_unit_triangle().vertices,
+                       triangles=_unit_triangle().triangles,
+                       boundary=np.array([0, 1, 2]))
+        M, K = assemble_p1(mesh)
+        with pytest.raises(ValueError, match="every vertex is constrained"):
+            apply_dirichlet_nullspace(M, K, mesh)
+
     def test_frozen_stiffness_interval(self):
         mesh = structured_mesh(32)
         M, K = assemble_p1(mesh)

@@ -11,7 +11,8 @@ import scipy.sparse as sp
 from sincint.bounds import expsum_bound, sinc_family_bound
 from sincint.cli import main, parse_backend
 from sincint.expsum import expsum_sinc, expsum_sinc2
-from sincint.integrators import ExpSumBackend, make_filters
+from sincint.integrators import (ExpSumBackend, RationalKrylovBackend,
+                                 make_filters)
 from sincint.krylov import ShiftedSolveCache, build_space, sinc_apply
 from sincint.poles import (PoleSet, poles_E, poles_L, poles_Lbar,
                            poles_pade_exp)
@@ -68,6 +69,7 @@ _COUNT_GUARDS = {
     "sinc_family_bound": lambda n: sinc_family_bound("E", n, 2.0),
     "expsum_bound": lambda n: expsum_bound(n, 2.0),
     "ExpSumBackend": lambda n: ExpSumBackend(n),
+    "RationalKrylovBackend": lambda n: RationalKrylovBackend("E", n=n),
     "expsum_sinc": lambda n: expsum_sinc(laplacian_1d(8), np.ones(8), n),
     "expsum_sinc2": lambda n: expsum_sinc2(laplacian_1d(8), np.ones(8), n),
 }
@@ -80,7 +82,7 @@ class TestCountGuard:
         assert np.array_equal(fn(np.int64(3)), fn(3))
 
     @pytest.mark.parametrize("name", list(_COUNT_GUARDS))
-    @pytest.mark.parametrize("bad", [3.0, -1, "3"])
+    @pytest.mark.parametrize("bad", [3.0, -1, "3", True])
     def test_non_integer_refused(self, name, bad):
         with pytest.raises(ValueError, match="integer"):
             _COUNT_GUARDS[name](bad)
@@ -118,6 +120,16 @@ class TestNonFiniteSeed:
         v[5] = value
         with pytest.raises(ValueError, match="seed vector must be finite and nonzero"):
             build_space(laplacian_1d(16), v, poles_E(4))
+
+
+class TestSpaceArguments:
+    @pytest.mark.parametrize("seed,k,message", [
+        (np.ones(15), None, "seed length 15 does not match order 16"),
+        (np.ones(16), 0, "space dimension must be >= 1, got 0"),
+    ], ids=["seed-length", "k-0"])
+    def test_build_space_refuses(self, seed, k, message):
+        with pytest.raises(ValueError, match=message):
+            build_space(laplacian_1d(16), seed, poles_E(4), k=k)
 
 
 class TestDegreeCeiling:

@@ -23,7 +23,8 @@ from sincint.integrators import (
     make_filters,
     stormer_verlet_integrate,
 )
-from sincint.problems import laplacian_1d, synthetic_problem, synthetic_reference
+from sincint.problems import (laplacian_1d, laplacian_2d, synthetic_problem,
+                              synthetic_reference)
 
 
 def _harmonic_ivp(omega=2.0, y0=1.0, v0=0.5, tf=1.0):
@@ -249,6 +250,28 @@ class TestEngineProducts:
             assert out.dtype == np.float64
             assert np.array_equal(out, np.zeros(20))
 
+    def test_zero_vector_on_a_near_pole_engine(self, monkeypatch):
+        """Both E8 filters keep a near pole here, so a nonzero product
+        builds a space; a zero one returns float64 zeros without one."""
+        A = 31**2 * laplacian_2d(961)
+        engine = make_filters(A, 0.06, RationalKrylovBackend("E", n=8))
+        built = []
+        original = integrators_module.build_space
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(integrators_module, "build_space", counted)
+        for product in (engine.psi, engine.sigma):
+            out = product(np.zeros(961))
+            assert out.dtype == np.float64
+            assert np.array_equal(out, np.zeros(961))
+        assert built == []
+        for product in (engine.psi, engine.sigma):
+            product(np.ones(961))
+        assert len(built) == 2
+
 
 class TestToleranceDrivenDegrees:
     def test_degrees_shrink_with_step_size(self):
@@ -321,6 +344,8 @@ class TestValidation:
 
     def test_ivp_shape_checks(self):
         A = laplacian_1d(4)
+        with pytest.raises(ValueError, match=r"square, got shape \(4, 3\)"):
+            SecondOrderIVP(A=np.ones((4, 3)), y0=np.zeros(4), y1=np.zeros(4))
         with pytest.raises(ValueError):
             SecondOrderIVP(A=A, y0=np.zeros(3), y1=np.zeros(4))
         with pytest.raises(ValueError):

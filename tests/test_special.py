@@ -257,6 +257,13 @@ class TestScalarApproximants:
         err = abs(sinc_approx_exp_pade(1, 1.0) - np.sin(1.0))
         assert err == pytest.approx(0.04147098480789646, abs=1e-13)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("f", [sinc_approx_exp_pade, sinc_approx_hyp_sym],
+                             ids=["exp_pade", "hyp_sym"])
+    def test_degree_below_one_refused(self, f, n):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            f(n, 1.0)
+
     def test_both_approximants_hit_one_at_zero(self):
         for n in (1, 2, 3):
             assert sinc_approx_exp_pade(n, 0.0) == pytest.approx(1.0, abs=1e-12)
