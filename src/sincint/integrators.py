@@ -31,9 +31,10 @@ from typing import Callable
 
 import numpy as np
 import scipy.fft
+from scipy.linalg.blas import daxpy
 
 from .bounds import select_pole_count
-from .densefun import sym_eigendecomposition
+from .densefun import _check_real, sym_eigendecomposition
 from .expsum import (estimate_spectral_radius, scalar_sum_sinc,
                      scalar_sum_sinc2)
 # perfbench/spans.py wraps these two by name in this module
@@ -187,7 +188,9 @@ class RationalKrylovBackend:
     ShiftedSolveCache for the storage rule, and the krylov module
     docstring for why LU and not LDL^T, and why trsv and not getrs);
     tol mode estimates the spectral radius of that stored matrix.  Of
-    the benchmark operators only the full FEM Atil is stored dense.
+    the benchmark operators the full FEM Atil is stored dense by its
+    fill and the synthetic operator of order 20 by its order; the 2D
+    Laplacian of order 4096 is stored CSR.
 
     Each filter's route is chosen once, when the engine is made, from
     its poles and the Gershgorin interval [c - a, c + a] of h^2 A
@@ -206,9 +209,10 @@ class RationalKrylovBackend:
     - A filter whose poles are then all infinite is a polynomial in
       h^2 A: its Chebyshev expansion on [c - a, c + a], at the least
       degree the Bernstein-ellipse bound certifies to 2^-53
-      (_chebyshev_degree), run as the three-term recurrence, one real
-      product with h^2 A per degree and no Krylov space (Hochbruck and
-      Lubich, Numer. Math. 83, 1999).
+      (_chebyshev_degree), run as the three-term recurrence on the
+      stored h^2 A, one real product with it and three in-place vector
+      updates per degree and no Krylov space (Hochbruck and Lubich,
+      Numer. Math. 83, 1999).
     - A filter with a near pole grows a space one column at a time and
       stops at the first dimension where the last column moved the
       projected coefficients f(A_m) e_1 by at most 1e-13 relative
@@ -217,6 +221,9 @@ class RationalKrylovBackend:
       and, for each later one, at the dimension where its previous
       product stopped.  Shifts are solved when a product first reaches
       them, so set-up factors nothing.
+
+    Both routes compute a real input of any dtype or layout as its
+    float64 copy, and refuse a complex one as build_space does.
     """
 
     family: str = "E"
@@ -323,17 +330,44 @@ def _chebyshev_coefficients(f, c: float, a: float) -> np.ndarray:
     return coef
 
 
+def _seed(w) -> np.ndarray:
+    """w as a new float64 vector, which a product may overwrite.  Both
+    routes of the rational engine take their input through it, so both
+    refuse a complex w as build_space does and compute in float64."""
+    _check_real(w, "seed vector")
+    return np.array(w, dtype=np.float64).reshape(-1)
+
+
 def _chebyshev_product(B, c: float, a: float, coef: np.ndarray) -> Callable:
     """w -> sum_k coef[k] T_k(X) w with X = (B - cI) / a: the three-term
-    recurrence, one product with B per degree."""
+    recurrence, one product with B per degree, run on B itself.
+
+    Its two buffers hold s_k = (-1)^floor(k/2) T_k(X) w, whose recurrence
+    s_{k+1} = s_{k-1} + (-1)^k 2 X s_k overwrites s_{k-1} by two BLAS
+    axpy calls, with B s_k and with s_k; a third adds coef[k + 1] T_{k+1}
+    to the result, the sign of s_{k+1} folded into the coefficient.  The
+    signs spare the pass that negating T_{k-1} would take, so a degree
+    costs B @ s_k and three vector passes, and allocates only the
+    product; the first buffer is _seed's copy of w.  axpy's return value
+    is always used: it is a new array when its y is not contiguous
+    float64."""
+    steps = []  # per degree: the factors of B s_k and of s_k, the coefficient
+    for k in range(1, len(coef) - 1):
+        alpha = (-1) ** k * 2.0 / a
+        steps.append((alpha, -alpha * c, (-1) ** ((k + 1) // 2) * coef[k + 1]))
+
     def product(w):
-        y = coef[0] * w
+        s_prev = _seed(w)
+        y = coef[0] * s_prev
         if len(coef) > 1:
-            t_prev, t = w, (B @ w - c * w) / a
-            y += coef[1] * t
-            for ck in coef[2:]:
-                t_prev, t = t, (2.0 / a) * (B @ t - c * t) - t_prev
-                y += ck * t
+            s = daxpy(s_prev, B @ s_prev, None, -c)
+            s *= 1.0 / a
+            y = daxpy(s, y, None, coef[1])
+            for alpha, beta, gamma in steps:
+                s_prev = daxpy(B @ s, s_prev, None, alpha)
+                s_prev = daxpy(s, s_prev, None, beta)
+                y = daxpy(s_prev, y, None, gamma)
+                s_prev, s = s, s_prev
         return y
 
     return product
@@ -348,6 +382,7 @@ def _settling_product(cache: ShiftedSolveCache, poles: PoleSet,
 
     def product(w):
         nonlocal dim
+        w = _seed(w)
         if np.linalg.norm(w) == 0.0:
             return np.zeros_like(w)
         space = build_space(cache.matrix, w, poles, k=dim, cache=cache, f=f)

@@ -22,9 +22,9 @@ matrices", BIT 34, 1994).  A pole set counts as closed under
 conjugation only when its poles pair exactly, as the built-in sets do,
 so every pair of a closed set shares its factorization.
 
-The cache stores A dense or sparse by its fill (ShiftedSolveCache has
-the rule) and factors it in that storage.  A sparse A goes to
-SuperLU.  Every shifted matrix has the symmetric pattern of A, so
+The cache stores A dense or as CSR by its order and fill
+(ShiftedSolveCache has the rule and the times behind it) and factors
+it in that storage.  A sparse A goes to SuperLU.  Every shifted matrix has the symmetric pattern of A, so
 SuperLU orders it by minimum degree on A^T + A instead of its default
 COLAMD, a column order for unsymmetric patterns: on the 2D Laplacian of
 order 4096 this halves the LU fill, and with it the factorization and
@@ -108,6 +108,10 @@ _REAL_GUARD_RTOL = 1e-6
 # is full; the 2D Laplacian of order 4096 is 0.12% full and the
 # synthetic problem 23%.
 _DENSE_FILL = 0.5
+# A is stored dense, whatever its fill, up to this order: there a dense
+# product and a LAPACK LU cost less than CSR and SuperLU even on a
+# tridiagonal matrix (ShiftedSolveCache has the measured table)
+_DENSE_ORDER = 64
 
 
 class PoleCollisionError(RuntimeError):
@@ -162,21 +166,42 @@ class ShiftedSolveCache:
     The cache owns the operator: this is the one place that decides how A is
     stored, for the filter engines, sinc_apply, build_space and every other
     caller alike.  A complex A is refused before any float64 cast.  A is
-    then stored in float64, as an ndarray when more than _DENSE_FILL of its
-    entries are nonzero (stored entries of a sparse A, nonzero ones of an
-    ndarray, counted against all of them) and as CSC otherwise, whichever
-    storage it came in; an array that is not 2-D stays one, so that the
-    check names its shape.  The stored matrix is checked (real, square,
-    finite, symmetric: densefun's _check_symmetric), once, rather than on
-    every space built with it.  So the full FEM operator Atil of order 961,
-    handed on as CSR, is stored dense: there SuperLU fills the LU completely
-    anyway and took 0.18 s per complex shift against 0.06 s for LAPACK, and
+    then stored in float64, as an ndarray when its order is at most
+    _DENSE_ORDER or more than _DENSE_FILL of its entries are nonzero
+    (stored entries of a sparse A, nonzero ones of an ndarray, counted
+    against all of them) and as CSR otherwise, whichever storage it came
+    in; an array that is not 2-D stays one, so that the check names its
+    shape.  The stored matrix is checked (real, square, finite, symmetric:
+    densefun's _check_symmetric), once, rather than on every space built
+    with it.  So the full FEM operator Atil of order 961, handed on as
+    CSR, is stored dense: there SuperLU fills the LU completely anyway
+    and took 0.18 s per complex shift against 0.06 s for LAPACK, and
     a product with 20 columns took 9.5 ms in CSC against 1.6 ms dense (one
-    BLAS thread).  The 2D Laplacian and the synthetic problem stay sparse.
-    The cache also computes, once, the centre c and half-width a of the
-    Gershgorin interval of the stored matrix (interval, with
-    ||A - cI||_2 <= a), in O(nnz) sparse and O(n^2) dense; the filter
-    engine measures the distance of its poles from the spectrum by it.
+    BLAS thread).  The synthetic problem of order 20 is stored dense by
+    its order, and the 2D Laplacian of order 4096 as CSR.
+
+    The order cutoff comes from these times, in microseconds, on
+    n^2 laplacian_1d(n): a product with a vector, dense against CSR, and
+    the LU of one complex shift and a solve with it, LAPACK against
+    SuperLU (one BLAS thread, best of 5-7 repeats, a 2-vCPU Xeon
+    guest):
+
+        order   product       LU factor      solve
+           16   1.9 / 6.7      68 / 337    11.2 / 15.7
+           32   2.1 / 6.7     101 / 350    12.7 / 17.0
+           64   2.7 / 7.0     258 / 386    16.7 / 18.3
+           96   3.9 / 7.2     543 / 419    22.4 / 20.7
+          128   4.9 / 7.7     756 / 441    28.3 / 21.9
+          192   9.5 / 8.0    1673 / 477    44.0 / 25.0
+          256  13.0 / 8.2    3441 / 506    68.8 / 27.5
+
+    A random matrix 10% full and the 2D Laplacian gave the same products.
+    The dense product wins up to order 128, but the dense LU and solve
+    lose from order 96 on, so the cutoff is 64, where dense wins all
+    three.  The filter engine's Chebyshev route makes only products, its
+    near-pole route both.  A sparse matrix is CSR rather than CSC: on
+    63^2 laplacian_2d(4096) a product took 37 us in CSR against 44 us in
+    CSC, and storing a CSR input took 12 us as CSR against 169 us as CSC.
 
     A matrix stored sparse goes to SuperLU: the shifted matrices keep the
     symmetric pattern of A, so each is factored in a minimum-degree order on
@@ -197,11 +222,12 @@ class ShiftedSolveCache:
         if not sp.issparse(A):
             A = np.asarray(A)
         nnz = A.nnz if sp.issparse(A) else np.count_nonzero(A)
-        if A.ndim != 2 or nnz > _DENSE_FILL * np.prod(A.shape):
+        if (A.ndim != 2 or A.shape[0] <= _DENSE_ORDER
+                or nnz > _DENSE_FILL * np.prod(A.shape)):
             dense = A.toarray() if sp.issparse(A) else A
             self._A = np.asarray(dense, dtype=np.float64)
         else:
-            self._A = sp.csc_matrix(A, dtype=np.float64)
+            self._A = sp.csr_matrix(A, dtype=np.float64)
         _check_symmetric(self._A)
         self._interval = _gershgorin(self._A)
         # zeta -> solver of (zeta I - A), for Im zeta >= 0

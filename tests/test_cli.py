@@ -192,21 +192,37 @@ class TestConvergeCommand:
     def test_ci_smoke_builds_krylov_spaces(self, monkeypatch, capsys):
         """The arguments of the CI smoke of the rational route: at these
         steps E degree 8 keeps near poles, so the run builds spaces
-        rather than only Chebyshev expansions."""
-        spaces = []
-        original = integrators_module.build_space
+        rather than only Chebyshev expansions.  The synthetic operator
+        of order 20 is stored dense, so its shifts are factored by
+        LAPACK, never by SuperLU."""
+        spaces, orders, superlu = [], [], []
+        build_space = integrators_module.build_space
+        lu_factor = krylov_module.sla.lu_factor
+        splu = krylov_module.spla.splu
 
-        def counted(*args, **kwargs):
+        def counted_space(*args, **kwargs):
             spaces.append(1)
-            return original(*args, **kwargs)
+            return build_space(*args, **kwargs)
 
-        monkeypatch.setattr(integrators_module, "build_space", counted)
+        def counted_lu(M, *args, **kwargs):
+            orders.append(M.shape[0])
+            return lu_factor(M, *args, **kwargs)
+
+        def counted_splu(M, *args, **kwargs):
+            superlu.append(M.shape[0])
+            return splu(M, *args, **kwargs)
+
+        monkeypatch.setattr(integrators_module, "build_space", counted_space)
+        monkeypatch.setattr(krylov_module.sla, "lu_factor", counted_lu)
+        monkeypatch.setattr(krylov_module.spla, "splu", counted_splu)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             rc = main(["converge", "--h-list", "0.5,0.25", "--T", "1",
                        "--backend", "ratkrylov:E:n8", "--quiet"])
         assert rc == 0
         assert len(spaces) > 0
+        assert orders and set(orders) == {20}
+        assert superlu == []
 
 
 class TestWaveCommand:

@@ -2,6 +2,7 @@
 
 import re
 import warnings
+from contextlib import contextmanager
 from itertools import cycle, islice
 
 import numpy as np
@@ -9,14 +10,15 @@ import pytest
 import scipy.fft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebval
 
 import sincint.integrators as integrators_module
 import sincint.krylov as krylov_module
 import sincint.poles as poles_module
-from sincint.densefun import sinc_apply_dense, sym_eigendecomposition
+from sincint.densefun import (psi_apply_dense, sigma_apply_dense,
+                              sinc_apply_dense, sym_eigendecomposition)
 from sincint.fem import structured_mesh, wave_demo_problem
 from sincint.krylov import (
     PoleCollisionError,
@@ -330,27 +332,27 @@ class TestOneFactorizationPerPair:
 
     def test_Lbar4_psi_factors_two(self, monkeypatch):
         dtypes = _count_factorizations(monkeypatch)
-        engine = make_filters(laplacian_1d(64), 2.0,
+        engine = make_filters(laplacian_1d(128), 2.0,
                               RationalKrylovBackend("Lbar", n=4))
-        engine.psi(_seed_vector(64))
+        engine.psi(_seed_vector(128))
         assert len(dtypes) == 2
 
     def test_conjugate_shift_solves_on_the_pair_lu(self, monkeypatch):
         dtypes = _count_factorizations(monkeypatch)
-        A = _random_sparse_spd(40, 6)
+        A = _random_sparse_spd(100, 6)
         cache = ShiftedSolveCache(A)
         z = -0.8 + 1.3j
-        b = _complex_vector(40)
+        b = _complex_vector(100)
         cache.solve(z, b)
         x = cache.solve(z.conjugate(), b)
-        want = np.linalg.solve(z.conjugate() * np.eye(40) - A.toarray(), b)
+        want = np.linalg.solve(z.conjugate() * np.eye(100) - A.toarray(), b)
         assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
         assert dtypes == [np.complex128]
 
     def test_real_shift_takes_complex_rhs(self, monkeypatch):
-        A = _random_sparse_spd(40, 7)
-        b = _complex_vector(40)
-        shifted = sp.csc_matrix(-0.5 * np.eye(40) - A.toarray(),
+        A = _random_sparse_spd(100, 7)
+        b = _complex_vector(100)
+        shifted = sp.csc_matrix(-0.5 * np.eye(100) - A.toarray(),
                                 dtype=np.complex128)
         want = spla.splu(shifted).solve(b)
         dtypes = _count_factorizations(monkeypatch)
@@ -456,8 +458,9 @@ class TestDenseRoute:
         # pairs of psi and sigma; E's origin is a polynomial step
         assert superlu == []
         assert lapack == [np.complex128] * 6
-        # the reference is kept in CSC, so that SuperLU factors it
+        # the reference is kept sparse, so that SuperLU factors it
         monkeypatch.setattr(krylov_module, "_DENSE_FILL", 1.0)
+        monkeypatch.setattr(krylov_module, "_DENSE_ORDER", 0)
         B = sp.csc_matrix(Atil) * (h * h)
         sparse_cache = ShiftedSolveCache(B)
         assert sp.issparse(sparse_cache.matrix)
@@ -539,18 +542,20 @@ class TestDenseRoute:
             assert np.linalg.norm(product(w) - want) <= 1e-13
 
     def test_sparse_operator_still_uses_superlu(self, monkeypatch):
+        """Order 256, above the order up to which every matrix is stored
+        dense; at h = 0.15 the poles of E degree 8 are near."""
         superlu = _count_factorizations(monkeypatch)
         lapack = _count_dense_factorizations(monkeypatch)
-        A = synthetic_problem(20).A
+        A = 15**2 * laplacian_2d(256)
         engine = make_filters(A, 0.15, RationalKrylovBackend("E", n=8))
-        engine.psi(_seed_vector(20))
+        engine.psi(_seed_vector(256))
         assert superlu and not lapack
 
 
 class TestStorageRule:
-    """The cache stores its matrix by fill, whatever storage it is given:
-    dense when more than _DENSE_FILL of the entries are nonzero, CSC
-    otherwise."""
+    """The cache stores its matrix by order and fill, whatever storage it
+    is given: dense when its order is at most _DENSE_ORDER or more than
+    _DENSE_FILL of the entries are nonzero, CSR otherwise."""
 
     def test_full_csr_is_stored_dense(self):
         A = random_spd(40, 1)
@@ -558,11 +563,33 @@ class TestStorageRule:
         assert isinstance(B, np.ndarray) and B.dtype == np.float64
         assert np.array_equal(B, A.toarray())
 
-    def test_sparse_ndarray_is_stored_csc(self, lap64):
-        B = ShiftedSolveCache(lap64.toarray()).matrix
-        assert sp.issparse(B) and B.format == "csc"
+    def test_sparse_ndarray_is_stored_csr(self):
+        A = laplacian_1d(128)
+        B = ShiftedSolveCache(A.toarray()).matrix
+        assert sp.issparse(B) and B.format == "csr"
         assert B.dtype == np.float64
-        assert (B != lap64).nnz == 0
+        assert (B != A).nnz == 0
+
+    @pytest.mark.parametrize("above", [0, 1], ids=["at", "above"])
+    def test_sparse_operator_at_the_order_cutoff(self, monkeypatch, above):
+        """A tridiagonal operator, 3% full, is stored dense and factored
+        by LAPACK at the cutoff order, and stored CSR and factored by
+        SuperLU one order above it."""
+        n = krylov_module._DENSE_ORDER + above
+        A = laplacian_1d(n)
+        superlu = _count_factorizations(monkeypatch)
+        lapack = _count_dense_factorizations(monkeypatch)
+        cache = ShiftedSolveCache(A)
+        b = _complex_vector(n)
+        x = cache.solve(-1.0 + 2.0j, b)
+        want = np.linalg.solve((-1.0 + 2.0j) * np.eye(n) - A.toarray(), b)
+        assert _rel(x, want) <= 1e-13
+        if above:
+            assert sp.issparse(cache.matrix) and cache.matrix.format == "csr"
+            assert superlu == [np.complex128] and lapack == []
+        else:
+            assert isinstance(cache.matrix, np.ndarray)
+            assert lapack == [np.complex128] and superlu == []
 
     @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
     def test_check_names_the_shape_of_a_mostly_zero_array(self, shape):
@@ -764,11 +791,11 @@ class TestNeumannSeries:
         assert superlu == [] and lapack == [np.complex128] * 2
 
     def test_small_order_keeps_the_lu(self, monkeypatch):
-        A = _random_sparse_spd(40, 3)
+        A = _random_sparse_spd(100, 3)
         cache = ShiftedSolveCache(A)
         zeta = _shift_at(cache, 1e-3, 2.0)
         superlu = _count_factorizations(monkeypatch)
-        cache.solve(zeta, _complex_vector(40))
+        cache.solve(zeta, _complex_vector(100))
         assert superlu == [np.complex128]
 
     def test_series_solve_keeps_the_non_finite_check(self):
@@ -804,7 +831,10 @@ class TestBreakdownAboveRoundoff:
         """Directions taken after the space is invariant are roundoff
         (at most about 2e-13 of their norm before orthogonalization) and
         genuine ones are at least 1e-6, so a 1e-10 threshold gives the
-        same spaces whatever order the LU eliminates in."""
+        same spaces whatever order the LU eliminates in.  The synthetic
+        operator of order 20 is stored sparse here, so that SuperLU
+        factors it in both orders."""
+        monkeypatch.setattr(krylov_module, "_DENSE_ORDER", 0)
         spaces = _synthetic_sweep_spaces()
         original = krylov_module.spla.splu
 
@@ -1095,7 +1125,8 @@ class TestTruncatedSpace:
 
 def _random_tridiagonal_spd(n, seed):
     """A random tridiagonal SPD matrix, diagonally dominant, whose fill
-    is low enough that the cache stores it as CSC from order 6 on."""
+    is low enough that the cache stores it as CSR from order 6 on when
+    its order cutoff is lifted (_sparse_below_the_cutoff)."""
     rng = np.random.default_rng(seed)
     off = rng.uniform(-1.0, 1.0, n - 1)
     return sp.diags([off, rng.uniform(2.0, 3.0, n), off], [-1, 0, 1]).tocsr()
@@ -1114,6 +1145,16 @@ def _random_graph_laplacian(n, seed, dense):
         w = rng.integers(1, 33, n - 1) / 32.0
         W = np.diag(w, 1) + np.diag(w, -1)
     return sp.csr_matrix(np.diag(W.sum(axis=1)) - W)
+
+
+@contextmanager
+def _sparse_below_the_cutoff(sparse: bool):
+    """When sparse, the cache stores a small matrix by its fill alone, so
+    that small sparse operators still take the CSR and SuperLU route."""
+    with pytest.MonkeyPatch.context() as mp:
+        if sparse:
+            mp.setattr(krylov_module, "_DENSE_ORDER", 0)
+        yield
 
 
 class _CountingMatrix:
@@ -1184,9 +1225,9 @@ class TestFarPoles:
         assert engine.sigma(v).dtype == np.float64
         assert dtypes == [] and solves == []
 
-    @pytest.mark.parametrize("dense", [False, True], ids=["csc", "dense"])
+    @pytest.mark.parametrize("dense", [False, True], ids=["csr", "dense"])
     def test_real_shift_on_a_complex_vector_matches_numpy(self, dense):
-        A = random_spd(30, 2) if dense else _random_sparse_spd(40, 2)
+        A = random_spd(30, 2) if dense else _random_sparse_spd(100, 2)
         b = _complex_vector(A.shape[0], 3)
         x = ShiftedSolveCache(A).solve(-0.5, b)
         want = np.linalg.solve(-0.5 * np.eye(A.shape[0]) - A.toarray(), b)
@@ -1209,7 +1250,8 @@ class TestFarPoles:
         poles = PoleSet((zeta, zeta.conjugate(), -rng.uniform(0.1, 5.0))
                         + (_INF,) * infinite)
         v = rng.standard_normal(n)
-        space = build_space(A, v, poles, k=k, f=f)
+        with _sparse_below_the_cutoff(not dense):
+            space = build_space(A, v, poles, k=k, f=f)
         V = space.V
         want = V.conj().T @ B @ V
         assert np.linalg.norm(space.A_k - want) <= 1e-14 * np.linalg.norm(B, 2)
@@ -1236,7 +1278,8 @@ class TestFarPoles:
             A = (random_spd(n, seed, lam_max=4.0) if dense
                  else _random_tridiagonal_spd(n, seed))
         h = 10.0**log_h
-        engine = make_filters(A, h, RationalKrylovBackend("E", n=degree))
+        with _sparse_below_the_cutoff(not dense):
+            engine = make_filters(A, h, RationalKrylovBackend("E", n=degree))
         reference = make_filters(A, h, DenseBackend())
         w = np.random.default_rng(seed).standard_normal(n)
         for product, want in ((engine.psi, reference.psi),
@@ -1288,6 +1331,16 @@ def _interpolant(f, c, a, n):
     coef = scipy.fft.dct(f(c + a * x), type=2)[:n + 1] / (2 * n + 2)
     coef[0] *= 0.5
     return coef
+
+
+def _plain_recurrence(B, c, a, coef, w):
+    """sum_k coef[k] T_k(X) w, X = (B - cI) / a, by T_{k+1} = 2 X T_k -
+    T_{k-1} with a new array for every term."""
+    T = [w]  # T_k(X) w
+    for k in range(1, len(coef)):
+        Xt = (B @ T[-1] - c * T[-1]) / a
+        T.append(Xt if k == 1 else 2.0 * Xt - T[-2])
+    return sum(ck * t for ck, t in zip(coef, T))
 
 
 class TestChebyshevRoute:
@@ -1393,6 +1446,93 @@ class TestChebyshevRoute:
         least = next(m for m in range(n + 1)
                      if error(_interpolant(f, c, a, m)) <= 1e-15)
         assert n <= least + 2
+
+    @settings(max_examples=40)
+    @given(st.integers(min_value=1, max_value=60),
+           st.floats(min_value=-8.0, max_value=3.0),
+           st.floats(min_value=0.0, max_value=11.0),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_dense_and_csr_storage_agree(self, n, log_lo, decades, seed):
+        """A random SPD B of order 1 to 60, its eigenvalues spread from
+        10^log_lo over up to 11 decades, at most 10^3.  The recurrence on
+        B stored dense and stored CSR agrees to rounding with the plain
+        recurrence on X, and both match the dense filters within the
+        certified 2^-53 plus rounding.
+
+        The unit of rounding is len(coef) eps ||w|| (|coef[0]| + (1 +
+        |c|/a) sum_k>0 |coef[k]|): B s - c s rounds at eps (|c| + a) ||s||,
+        which X = (B - cI)/a scales by 1/a, and f grows like sinh on the
+        negative part of the Gershgorin interval, so ||coef||_1 reaches
+        1e16 here.  The dense filters round at about n eps ||w||.  Over
+        4000 random cases the storages agreed within 0.5 units and the
+        filters within 1.2 times their allowance."""
+        rng = np.random.default_rng(seed)
+        lam = 10.0 ** rng.uniform(log_lo, min(log_lo + decades, 3.0), n)
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        B = (Q * lam) @ Q.T
+        B = 0.5 * (B + B.T)
+        c, a = krylov_module._gershgorin(B)
+        w = rng.standard_normal(n)
+        eps_w = np.finfo(np.float64).eps * np.linalg.norm(w)
+        for f, dense in ((psi, psi_apply_dense), (sigma, sigma_apply_dense)):
+            coef = integrators_module._chebyshev_coefficients(f, c, a)
+            tail = np.sum(np.abs(coef[1:])) * (1 + abs(c) / a) if a else 0.0
+            unit = len(coef) * eps_w * (abs(coef[0]) + tail)
+            on_dense, on_csr = (
+                integrators_module._chebyshev_product(S, c, a, coef)(w)
+                for S in (B, sp.csr_matrix(B)))
+            plain = _plain_recurrence(B, c, a, coef, w)
+            want = dense(B, w)
+            for got in (on_dense, on_csr):
+                assert np.linalg.norm(got - plain) <= 4 * unit
+                assert (np.linalg.norm(got - want)
+                        <= 2.0**-53 * np.linalg.norm(w)
+                        + 4 * (unit + n * eps_w))
+
+
+def _route_operator(route):
+    """(A, h) at which every pole of E degree 8 is far, so that each
+    filter is a Chebyshev expansion, or near, so that each product
+    grows a settling space."""
+    if route == "far":
+        return 63**2 * laplacian_2d(4096), 0.01
+    return _lap_operator(), _H
+
+
+class TestInputContract:
+    """Both routes of the rational engine take the same inputs: a real
+    vector of any dtype or layout is computed as its float64 copy and
+    left as it was, and a complex one is refused, as build_space
+    refuses it."""
+
+    @pytest.mark.parametrize("route", ["far", "near"])
+    @pytest.mark.parametrize("kind", ["strided", "int", "float32"])
+    def test_real_input_is_computed_in_float64(self, route, kind):
+        A, h = _route_operator(route)
+        n = A.shape[0]
+        rng = np.random.default_rng(3)
+        w = {"strided": lambda: rng.standard_normal(2 * n)[::2],
+             "int": lambda: rng.integers(-5, 6, n),
+             "float32": lambda: rng.standard_normal(n).astype(np.float32),
+             }[kind]()
+        given_w = w.copy()
+        backend = RationalKrylovBackend("E", n=8)
+        for name in ("psi", "sigma"):
+            got = getattr(make_filters(A, h, backend), name)(w)
+            want = getattr(make_filters(A, h, backend), name)(
+                np.array(w, dtype=np.float64))
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
+            assert np.array_equal(w, given_w)
+
+    @pytest.mark.parametrize("route", ["far", "near"])
+    def test_complex_input_is_refused(self, route):
+        A, h = _route_operator(route)
+        engine = make_filters(A, h, RationalKrylovBackend("E", n=8))
+        w = _complex_vector(A.shape[0])
+        for product in (engine.psi, engine.sigma):
+            with pytest.raises(ValueError, match="seed vector must be real"):
+                product(w)
 
 
 def _recorded_shifts(monkeypatch) -> list:

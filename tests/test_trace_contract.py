@@ -56,10 +56,12 @@ ROUTES = {
 
 @pytest.mark.parametrize("spec", sorted(ROUTES))
 def test_route_reaches_its_layers(spans, spec):
-    A = 100.0 * laplacian_1d(40)
+    # order 80 is stored sparse, so degree 4 factors with SuperLU,
+    # which the tracer wraps
+    A = 100.0 * laplacian_1d(80)
     rng = np.random.default_rng(0)
-    ivp = SecondOrderIVP(A=A, y0=rng.standard_normal(40),
-                         y1=rng.standard_normal(40))
+    ivp = SecondOrderIVP(A=A, y0=rng.standard_normal(80),
+                         y1=rng.standard_normal(80))
     h = 0.2
     tr = spans.Tracer()
     with tr.installed():
