@@ -17,8 +17,6 @@ from .special import (
     laguerre_coeffs,
     poly_roots,
     pade_sinc_denominator,
-    gauss_legendre,
-    QuadratureRule,
     sinc_approx_exp_pade,
     sinc_approx_hyp_sym,
 )
@@ -34,11 +32,9 @@ from .poles import (
 )
 from .densefun import (
     sym_eigendecomposition,
-    funm_sym,
     sinc_apply_dense,
     psi_apply_dense,
     sigma_apply_dense,
-    expm_i_dense,
 )
 from .krylov import (
     PoleCollisionError,
@@ -81,8 +77,6 @@ from .problems import (
 from .fem import (
     TriMesh,
     structured_mesh,
-    save_mesh,
-    load_mesh,
     assemble_p1,
     FemSystem,
     apply_dirichlet_nullspace,
@@ -94,13 +88,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "sinc", "psi", "sigma", "Polynomial", "laguerre_coeffs", "poly_roots",
-    "pade_sinc_denominator", "gauss_legendre", "QuadratureRule",
-    "sinc_approx_exp_pade", "sinc_approx_hyp_sym",
+    "pade_sinc_denominator", "sinc_approx_exp_pade", "sinc_approx_hyp_sym",
     "sinc_family_bound", "expsum_bound", "select_pole_count",
     "PoleSet", "poles_E", "poles_L", "poles_Lbar", "poles_pade_sinc",
     "scale_poles", "square_poles",
-    "sym_eigendecomposition", "funm_sym", "sinc_apply_dense",
-    "psi_apply_dense", "sigma_apply_dense", "expm_i_dense",
+    "sym_eigendecomposition", "sinc_apply_dense", "psi_apply_dense",
+    "sigma_apply_dense",
     "PoleCollisionError", "RationalKrylovSpace", "ShiftedSolveCache",
     "build_space", "apply_function", "sinc_apply",
     "expsum_sinc", "expsum_sinc2", "expsum_error_check",
@@ -111,7 +104,6 @@ __all__ = [
     "stormer_verlet_integrate", "discrete_energy",
     "laplacian_1d", "laplacian_2d", "rutishauser", "SyntheticProblem",
     "synthetic_problem", "synthetic_reference", "spectral_interval",
-    "TriMesh", "structured_mesh", "save_mesh", "load_mesh", "assemble_p1",
-    "FemSystem", "apply_dirichlet_nullspace", "WaveProblem",
-    "wave_demo_problem",
+    "TriMesh", "structured_mesh", "assemble_p1", "FemSystem",
+    "apply_dirichlet_nullspace", "WaveProblem", "wave_demo_problem",
 ]

@@ -32,11 +32,9 @@ except ImportError:  # older scipy; tridiagonal input then takes eigh
 
 __all__ = [
     "sym_eigendecomposition",
-    "funm_sym",
     "sinc_apply_dense",
     "psi_apply_dense",
     "sigma_apply_dense",
-    "expm_i_dense",
 ]
 
 _MAX_DENSE_ORDER = 5000
@@ -126,13 +124,6 @@ def sym_eigendecomposition(A) -> tuple[np.ndarray, np.ndarray]:
     return lam, np.ascontiguousarray(Q)
 
 
-def funm_sym(A, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Full matrix f(A) = Q f(Lambda) Q^T for symmetric A."""
-    lam, Q = sym_eigendecomposition(A)
-    fl = np.asarray(f(lam))
-    return (Q * fl) @ Q.T
-
-
 def _apply(A, v: np.ndarray, f: Callable) -> np.ndarray:
     _check_real(v, "vector")
     lam, Q = sym_eigendecomposition(A)
@@ -155,9 +146,3 @@ def psi_apply_dense(A, v: np.ndarray, h: float = 1.0) -> np.ndarray:
 def sigma_apply_dense(A, v: np.ndarray, h: float = 1.0) -> np.ndarray:
     """sigma(h^2 A) v, the velocity filter of the one-step scheme."""
     return _apply(A, v, lambda lam: sigma(h * h * lam))
-
-
-def expm_i_dense(A, t: float) -> np.ndarray:
-    """Unitary propagator exp(-i t A) for symmetric A, as a dense matrix."""
-    lam, Q = sym_eigendecomposition(A)
-    return (Q * np.exp(-1j * t * lam)) @ Q.T

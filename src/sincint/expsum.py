@@ -24,7 +24,7 @@ from .bounds import expsum_bound
 from .densefun import _apply, sym_eigendecomposition
 # perfbench/spans.py wraps build_space by name in this module
 from .krylov import build_space  # noqa: F401
-from .special import gauss_legendre, sinc
+from .special import _check_count, sinc
 
 __all__ = [
     "expsum_sinc",
@@ -48,10 +48,11 @@ def _coeffs(nu: int) -> tuple[np.ndarray, ...]:
         1/8 sum w_p (2 l_p + 4) (exp(-i l_p mu) + exp(+i l_p mu))
     is real by construction.
     """
-    rule = gauss_legendre(nu, -1.0, 1.0)
-    shifted = rule.nodes - 1.0
-    out = (rule.nodes, 0.5 * rule.weights,
-           shifted, 0.125 * rule.weights * (2.0 * shifted + 4.0))
+    _check_count(nu, "node count")
+    nodes, weights = np.polynomial.legendre.leggauss(nu)
+    shifted = nodes - 1.0
+    out = (nodes, 0.5 * weights,
+           shifted, 0.125 * weights * (2.0 * shifted + 4.0))
     for arr in out:
         arr.flags.writeable = False
     return out

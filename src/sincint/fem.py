@@ -27,9 +27,7 @@ rather than SuperLU (krylov.ShiftedSolveCache has the rule).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -41,8 +39,6 @@ from .integrators import SecondOrderIVP, Trajectory, discrete_energy
 __all__ = [
     "TriMesh",
     "structured_mesh",
-    "save_mesh",
-    "load_mesh",
     "assemble_p1",
     "FemSystem",
     "apply_dirichlet_nullspace",
@@ -80,10 +76,6 @@ class TriMesh:
     def n_vertices(self) -> int:
         return self.vertices.shape[0]
 
-    @property
-    def n_triangles(self) -> int:
-        return self.triangles.shape[0]
-
     def validate(self) -> None:
         """Raise on out-of-range indices or degenerate (zero-area) triangles."""
         nv = self.n_vertices
@@ -108,7 +100,7 @@ class TriMesh:
         if neg.size:
             raise ValueError(
                 f"triangle {neg[0]} has clockwise orientation; "
-                "load_mesh repairs such files, or reorder the indices"
+                "reorder its indices"
             )
 
 
@@ -138,58 +130,6 @@ def structured_mesh(m: int) -> TriMesh:
     on_edge = (ii == 0) | (ii == m) | (jj == 0) | (jj == m)
     boundary = np.nonzero(on_edge.ravel())[0]
     mesh = TriMesh(vertices=vertices, triangles=np.array(tris), boundary=boundary)
-    mesh.validate()
-    return mesh
-
-
-def save_mesh(mesh: TriMesh, path) -> None:
-    """Write a mesh as plain text: header "nv nt nb", then vertex lines
-    "x y", triangle lines "i j k", and one boundary vertex id per line."""
-    lines = [f"{mesh.n_vertices} {mesh.n_triangles} {mesh.boundary.size}"]
-    for x, y in mesh.vertices:
-        lines.append(f"{float(x)!r} {float(y)!r}")
-    for i, j, k in mesh.triangles:
-        lines.append(f"{i} {j} {k}")
-    for b in mesh.boundary:
-        lines.append(str(b))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_mesh(path) -> TriMesh:
-    """Read the plain-text mesh format written by save_mesh.
-
-    Clockwise triangles are repaired by swapping their last two indices
-    (with a warning); degenerate triangles and out-of-range indices are
-    errors naming the offending triangle.
-    """
-    text = Path(path).read_text()
-    rows = [ln.split() for ln in text.splitlines() if ln.strip()]
-    if not rows or len(rows[0]) != 3:
-        raise ValueError(f"{path}: first line must be 'nv nt nb'")
-    nv, nt, nb = (int(x) for x in rows[0])
-    if len(rows) != 1 + nv + nt + nb:
-        raise ValueError(
-            f"{path}: expected {1 + nv + nt + nb} lines of data, got {len(rows)}"
-        )
-    vertices = np.array([[float(v) for v in r] for r in rows[1:1 + nv]])
-    triangles = np.array(
-        [[int(v) for v in r] for r in rows[1 + nv:1 + nv + nt]], dtype=np.int64
-    )
-    boundary = np.array([int(r[0]) for r in rows[1 + nv + nt:]], dtype=np.int64)
-    if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):
-        bad = np.where((triangles < 0).any(axis=1)
-                       | (triangles >= nv).any(axis=1))[0][0]
-        raise ValueError(f"{path}: triangle {bad} references a vertex out of range")
-    areas = _signed_areas(vertices, triangles)
-    flipped = np.where(areas < 0)[0]
-    if flipped.size:
-        warnings.warn(
-            f"{path}: reoriented {flipped.size} clockwise triangle(s): "
-            f"{flipped[:8].tolist()}{'...' if flipped.size > 8 else ''}",
-            stacklevel=2,
-        )
-        triangles[flipped] = triangles[flipped][:, [0, 2, 1]]
-    mesh = TriMesh(vertices=vertices, triangles=triangles, boundary=boundary)
     mesh.validate()
     return mesh
 

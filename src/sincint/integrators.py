@@ -86,7 +86,9 @@ class SecondOrderIVP:
 
     A is symmetric positive semidefinite (sparse or dense), y0 the
     initial position, y1 the initial velocity, forcing an optional map
-    t -> vector.  The time window is [t0, tf].
+    t -> vector.  The time window [t0, tf] is finite.  A, y0, y1 and
+    every forcing value must be real: complex ones are refused before
+    the float64 cast, which would drop their imaginary parts.
     """
 
     A: object
@@ -97,6 +99,8 @@ class SecondOrderIVP:
     tf: float = 1.0
 
     def __post_init__(self):
+        for x, what in ((self.A, "matrix"), (self.y0, "y0"), (self.y1, "y1")):
+            _check_real(x, what)
         self.y0 = np.asarray(self.y0, dtype=np.float64).reshape(-1)
         self.y1 = np.asarray(self.y1, dtype=np.float64).reshape(-1)
         n = self.A.shape[0]
@@ -106,6 +110,9 @@ class SecondOrderIVP:
             raise ValueError("initial data do not match the matrix order")
         if not (np.all(np.isfinite(self.y0)) and np.all(np.isfinite(self.y1))):
             raise ValueError("initial data y0 and y1 must be finite")
+        if not (np.isfinite(self.t0) and np.isfinite(self.tf)):
+            raise ValueError(
+                f"time window must be finite, got [{self.t0}, {self.tf}]")
         if not self.tf > self.t0:
             raise ValueError(f"need tf > t0, got [{self.t0}, {self.tf}]")
 
@@ -116,7 +123,9 @@ class SecondOrderIVP:
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         w = -(self.A @ y)
         if self.forcing is not None:
-            g = np.asarray(self.forcing(t), dtype=np.float64)
+            g = self.forcing(t)
+            _check_real(g, "forcing")
+            g = np.asarray(g, dtype=np.float64)
             if g.size != w.size:
                 raise ValueError(
                     f"forcing at t={t:g} has shape {g.shape}, not {w.shape}")
@@ -493,8 +502,13 @@ def gautschi_step(state: IntegratorState, ivp: SecondOrderIVP,
 
 def _step_count(ivp: SecondOrderIVP, h: float) -> int:
     _check_step(h)
-    span = ivp.tf - ivp.t0
-    n = int(round(span / h))
+    # Python floats, which overflow to inf without numpy's RuntimeWarning
+    span = float(ivp.tf) - float(ivp.t0)
+    steps = span / float(h)
+    if not np.isfinite(steps):
+        raise ValueError(f"step {h} over the window [{ivp.t0}, {ivp.tf}] "
+                         "gives a step count that is not finite")
+    n = int(round(steps))
     if n < 1 or abs(n * h - span) > 1e-9 * max(1.0, abs(span)):
         raise ValueError(
             f"step {h} does not divide the window [{ivp.t0}, {ivp.tf}]"

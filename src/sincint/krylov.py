@@ -325,10 +325,6 @@ class RationalKrylovSpace:
     def dim(self) -> int:
         return self.V.shape[1]
 
-    def project(self, f, c: np.ndarray) -> np.ndarray:
-        """f(A_k) c, by _projected, computed anew on each call."""
-        return _projected(self.A_k, f, c)
-
 
 def _projected(A_m: np.ndarray, f, c: np.ndarray | None = None) -> np.ndarray:
     """f(A_m) c, c = e_1 by default, through an eigendecomposition of the
@@ -450,7 +446,7 @@ def apply_function(space: RationalKrylovSpace, f, v: np.ndarray) -> np.ndarray:
     v must be the seed the space was built from (checked: its
     coefficient vector in the basis must be norm(v) e_1 to 1e-10).  f
     maps an eigenvalue array to function values, and acts through an
-    eigendecomposition of the Hermitian part of A_k (space.project):
+    eigendecomposition of the Hermitian part of A_k (_projected):
     A_k must be Hermitian up to roundoff, as build_space guarantees by
     projecting the certified symmetric matrix of a ShiftedSolveCache.
 
@@ -472,7 +468,7 @@ def apply_function(space: RationalKrylovSpace, f, v: np.ndarray) -> np.ndarray:
             "vector is not the seed of this space (projection deviates "
             "from norm(v) e_1); rebuild the space for this right-hand side"
         )
-    y = space.V @ space.project(f, c)
+    y = space.V @ _projected(space.A_k, f, c)
     if np.isrealobj(v) and space.poles.is_conjugate_closed():
         scale = max(float(np.linalg.norm(y)), 1e-300)
         if float(np.linalg.norm(y.imag)) <= _REAL_GUARD_RTOL * scale:

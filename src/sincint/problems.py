@@ -152,15 +152,18 @@ def synthetic_reference(problem: SyntheticProblem, t: float) -> np.ndarray:
     return Q @ out
 
 
-def spectral_interval(A, dense_cutoff: int = 1500) -> tuple[float, float]:
+_INTERVAL_DENSE_ORDER = 1500
+
+
+def spectral_interval(A) -> tuple[float, float]:
     """Extreme eigenvalues (lam_min, lam_max) of a symmetric PSD matrix.
 
-    Small orders go through the dense solver; larger ones use a Lanczos
-    run for the top of the spectrum and a shift-invert Lanczos run at
-    zero for the bottom (the matrix must then be nonsingular).
+    Orders up to 1500 go through the dense solver; larger ones use a
+    Lanczos run for the top of the spectrum and a shift-invert Lanczos
+    run at zero for the bottom (the matrix must then be nonsingular).
     """
     n = A.shape[0]
-    if n <= dense_cutoff:
+    if n <= _INTERVAL_DENSE_ORDER:
         lam, _ = sym_eigendecomposition(A)
         return float(lam[0]), float(lam[-1])
     A = sp.csc_matrix(A, dtype=np.float64)

@@ -1,4 +1,4 @@
-"""Scalar special functions, polynomials and quadrature rules.
+"""Scalar special functions and polynomials.
 
 Everything in this module is plain numpy on scalars or small arrays; the
 matrix-level machinery lives in :mod:`sincint.densefun`,
@@ -7,9 +7,8 @@ matrix-level machinery lives in :mod:`sincint.densefun`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -21,8 +20,6 @@ __all__ = [
     "laguerre_coeffs",
     "poly_roots",
     "pade_sinc_denominator",
-    "QuadratureRule",
-    "gauss_legendre",
     "sinc_approx_exp_pade",
     "sinc_approx_hyp_sym",
 ]
@@ -295,33 +292,6 @@ def pade_sinc_denominator(n: int, exact: bool = False):
     if exact:
         return fracs
     return Polynomial(tuple(float(f) for f in fracs))
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights of a quadrature rule on [a, b]."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    a: float
-    b: float
-
-    def integrate(self, f: Callable) -> float:
-        return float(np.sum(self.weights * f(self.nodes)))
-
-
-def gauss_legendre(nu: int, a: float = -1.0, b: float = 1.0) -> QuadratureRule:
-    """Gauss-Legendre rule with nu nodes mapped affinely to [a, b].
-
-    Exact for polynomials of degree 2*nu - 1.
-    """
-    _check_count(nu, "node count")
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a}, b={b}")
-    x, w = np.polynomial.legendre.leggauss(int(nu))
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return QuadratureRule(nodes=mid + half * x, weights=half * w, a=float(a), b=float(b))
 
 
 def _laguerre_at(n: int, alpha: float, z: np.ndarray) -> np.ndarray:

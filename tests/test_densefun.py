@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from sincint import densefun
 from sincint.densefun import (
-    expm_i_dense,
-    funm_sym,
     psi_apply_dense,
     sigma_apply_dense,
     sinc_apply_dense,
@@ -239,23 +237,9 @@ class TestComplexInput:
             apply(laplacian_1d(4), v)
         assert routes == {"dstevd": 0, "eigh": 0}
 
-    def test_complex_matrix_raises_in_funm(self):
-        with pytest.raises(ValueError, match="complex"):
-            funm_sym(_hermitian_2x2(), np.exp)
-
     def test_complex_dtype_with_real_values_raises(self):
         with pytest.raises(ValueError, match="complex"):
             sym_eigendecomposition(laplacian_1d(4).astype(np.complex128))
-
-
-class TestFunm:
-    def test_identity_function(self, lap64):
-        F = funm_sym(lap64, lambda lam: np.ones_like(lam))
-        assert np.allclose(F, np.eye(64), atol=1e-12)
-
-    def test_linear_function_recovers_matrix(self, lap64):
-        F = funm_sym(lap64, lambda lam: lam)
-        assert np.allclose(F, lap64.toarray(), atol=1e-12)
 
 
 class TestApplies:
@@ -282,21 +266,3 @@ class TestApplies:
     def test_shape_mismatch(self, lap64):
         with pytest.raises(ValueError, match="shape"):
             sinc_apply_dense(lap64, np.ones(63))
-
-
-class TestPropagator:
-    def test_unitary(self, lap64):
-        U = expm_i_dense(lap64, 0.37)
-        assert np.allclose(U @ U.conj().T, np.eye(64), atol=1e-12)
-
-    def test_group_property(self, lap64):
-        U1 = expm_i_dense(lap64, 0.2)
-        U2 = expm_i_dense(lap64, 0.5)
-        U3 = expm_i_dense(lap64, 0.7)
-        assert np.allclose(U1 @ U2, U3, atol=1e-12)
-
-    def test_diagonal_case(self):
-        A = np.diag([1.0, 2.0])
-        U = expm_i_dense(A, 1.0)
-        assert np.allclose(np.diag(U), np.exp(-1j * np.array([1.0, 2.0])),
-                           atol=1e-14)

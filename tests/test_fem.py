@@ -1,4 +1,4 @@
-"""P1 triangular elements: element forms, assembly, mesh IO, wave setup."""
+"""P1 triangular elements: element forms, assembly, mesh checks, wave setup."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,6 @@ from sincint.fem import (
     TriMesh,
     apply_dirichlet_nullspace,
     assemble_p1,
-    load_mesh,
-    save_mesh,
     structured_mesh,
     wave_demo_problem,
 )
@@ -86,34 +84,7 @@ class TestStructuredMesh:
 
 
 class TestMeshIO:
-    def test_roundtrip_exact(self, tmp_path):
-        mesh = structured_mesh(4)
-        p = tmp_path / "m.mesh"
-        save_mesh(mesh, p)
-        back = load_mesh(p)
-        assert np.array_equal(back.vertices, mesh.vertices)
-        assert np.array_equal(back.triangles, mesh.triangles)
-        assert np.array_equal(back.boundary, mesh.boundary)
-
-    def test_clockwise_triangle_repaired_with_warning(self, tmp_path):
-        mesh = _unit_triangle()
-        flipped = TriMesh(vertices=mesh.vertices,
-                          triangles=np.array([[0, 2, 1]]),
-                          boundary=mesh.boundary)
-        p = tmp_path / "cw.mesh"
-        save_mesh(flipped, p)
-        with pytest.warns(UserWarning, match="reoriented"):
-            back = load_mesh(p)
-        M0, K0 = assemble_p1(mesh)
-        M1, K1 = assemble_p1(back)
-        assert np.max(np.abs((M0 - M1).toarray())) <= 1e-15
-        assert np.max(np.abs((K0 - K1).toarray())) <= 1e-15
-
-    def test_bad_index_names_triangle(self, tmp_path):
-        p = tmp_path / "bad.mesh"
-        p.write_text("3 1 0\n0.0 0.0\n1.0 0.0\n0.0 1.0\n0 1 7\n")
-        with pytest.raises(ValueError, match="triangle 0"):
-            load_mesh(p)
+    """TriMesh.validate, the check every mesh passes before assembly."""
 
     def test_degenerate_triangle_rejected(self):
         mesh = TriMesh(
@@ -137,18 +108,6 @@ class TestMeshIO:
                        boundary=np.array(boundary, dtype=np.int64))
         with pytest.raises(ValueError, match=message):
             mesh.validate()
-
-    @pytest.mark.parametrize("text,message", [
-        ("3 1\n0.0 0.0\n1.0 0.0\n0.0 1.0\n0 1 2\n",
-         "first line must be 'nv nt nb'"),
-        ("3 1 0\n0.0 0.0\n1.0 0.0\n0 1 2\n",
-         "expected 5 lines of data, got 4"),
-    ], ids=["header", "line-count"])
-    def test_malformed_file_refused(self, tmp_path, text, message):
-        p = tmp_path / "bad.mesh"
-        p.write_text(text)
-        with pytest.raises(ValueError, match=message):
-            load_mesh(p)
 
 
 class TestConstrainedSystem:

@@ -1,7 +1,9 @@
 """One guard per input condition, the same on every route: the operator
 check, the real-vector check, the integer-count guard, exact conjugate
-closure, the step-size check and the tolerance-mode degree ceiling."""
+closure, the step-size check, the tolerance-mode degree ceiling, the
+finite time window and real problem data."""
 
+import functools
 import warnings
 
 import numpy as np
@@ -9,15 +11,17 @@ import pytest
 import scipy.sparse as sp
 
 from sincint.bounds import expsum_bound, sinc_family_bound
+from sincint import cli
 from sincint.cli import main, parse_backend
 from sincint.expsum import expsum_sinc, expsum_sinc2
-from sincint.integrators import (ExpSumBackend, RationalKrylovBackend,
-                                 make_filters)
+from sincint.integrators import (DenseBackend, ExpSumBackend,
+                                 RationalKrylovBackend, SecondOrderIVP,
+                                 gautschi_integrate, make_filters)
 from sincint.krylov import ShiftedSolveCache, build_space, sinc_apply
 from sincint.poles import (PoleSet, poles_E, poles_L, poles_Lbar,
                            poles_pade_exp)
-from sincint.problems import laplacian_1d
-from sincint.special import gauss_legendre, laguerre_coeffs
+from sincint.problems import laplacian_1d, synthetic_problem
+from sincint.special import laguerre_coeffs
 
 _BACKENDS = ["dense", "expsum:8", "ratkrylov:E:n4", "ratkrylov:E:1e-10"]
 
@@ -61,7 +65,6 @@ class TestOperatorShapeAndDtype:
 
 _COUNT_GUARDS = {
     "laguerre_coeffs": lambda n: laguerre_coeffs(n, -2.0).coeffs,
-    "gauss_legendre": lambda n: gauss_legendre(n).nodes,
     "poles_pade_exp": lambda n: poles_pade_exp(n).values,
     "poles_E": lambda n: poles_E(n).values,
     "poles_L": lambda n: poles_L(n).values,
@@ -171,3 +174,67 @@ class TestStepSize:
         assert main(argv + ["--quiet"]) == 3
         err = capsys.readouterr().err
         assert "error=guard: step size h must be finite and positive" in err
+
+
+def _ivp(**data):
+    return SecondOrderIVP(**{"A": laplacian_1d(4), "y0": np.ones(4),
+                             "y1": np.zeros(4), **data})
+
+
+class TestTimeWindow:
+    """A window that is not finite is refused when the problem is made,
+    and a step count span / h that is not finite when the steps are
+    counted, before the count is rounded to an integer."""
+
+    @pytest.mark.parametrize("t0,tf", [(0.0, np.inf), (-np.inf, 1.0),
+                                       (0.0, np.nan)],
+                             ids=["tf-inf", "t0-inf", "tf-nan"])
+    def test_problem_refuses(self, t0, tf):
+        with pytest.raises(ValueError, match="time window must be finite"):
+            _ivp(t0=t0, tf=tf)
+
+    @pytest.mark.parametrize("real", [float, np.float64])
+    def test_step_count_that_overflows_is_refused(self, real):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="step count that is not finite"):
+                gautschi_integrate(_ivp(tf=real(1e300)), real(1e-300),
+                                   DenseBackend())
+
+    @pytest.mark.parametrize("argv,message", [
+        (["converge", "--T", "inf"], "time window must be finite"),
+        (["wave", "--m", "4", "--T", "inf"], "time window must be finite"),
+        (["converge", "--T", "1e300", "--h-list", "1e-300"],
+         "step count that is not finite"),
+    ], ids=["converge-inf", "wave-inf", "converge-overflow"])
+    def test_cli_exits_3(self, argv, message, tmp_path, capsys):
+        if argv[0] == "wave":
+            argv = argv + ["--out-prefix", str(tmp_path / "wave")]
+        assert main(argv + ["--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error=guard: ") and message in err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestRealProblemData:
+    """A complex A, y0, y1 or forcing value is refused, not cast to
+    float64 with its imaginary part dropped."""
+
+    @pytest.mark.parametrize("name,what", [("A", "matrix"), ("y0", "y0"),
+                                           ("y1", "y1")])
+    def test_problem_refuses(self, name, what):
+        data = {"A": laplacian_1d(4), "y0": np.ones(4), "y1": np.zeros(4)}
+        with pytest.raises(ValueError, match=f"{what} must be real"):
+            _ivp(**{name: data[name] * (1.0 + 1.0j)})
+
+    def test_complex_forcing_is_refused(self):
+        ivp = _ivp(forcing=lambda t: np.full(4, 1j * np.cos(t)))
+        with pytest.raises(ValueError, match="forcing must be real"):
+            gautschi_integrate(ivp, 0.1, DenseBackend())
+
+    def test_cli_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "synthetic_problem", functools.partial(
+            synthetic_problem, forcing_scale=0.5j))
+        assert main(["converge", "--h-list", "0.1", "--quiet"]) == 3
+        assert "error=guard: forcing must be real" in capsys.readouterr().err

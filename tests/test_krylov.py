@@ -1076,7 +1076,7 @@ class TestTruncatedSpace:
     @staticmethod
     def _unguarded(space, f, w):
         c = (w.conj() @ space.V).conj()
-        return space.V @ space.project(f, c)
+        return space.V @ krylov_module._projected(space.A_k, f, c)
 
     @staticmethod
     def _used_closed(space):

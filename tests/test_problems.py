@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import sincint.problems as problems_module
 from sincint.densefun import sym_eigendecomposition
 from sincint.integrators import DenseBackend, gautschi_integrate
 from sincint.problems import (
@@ -163,11 +164,13 @@ def _loop_reference(prob, t):
 
 
 class TestSpectralInterval:
-    def test_dense_and_lanczos_paths_agree(self):
+    def test_dense_and_lanczos_paths_agree(self, monkeypatch):
         L = laplacian_1d(100)
         k = np.arange(1, 101)
         exact = 2 - 2 * np.cos(k * np.pi / 101)
         for cutoff in (1500, 50):
-            lo, hi = spectral_interval(L, dense_cutoff=cutoff)
+            monkeypatch.setattr(problems_module, "_INTERVAL_DENSE_ORDER",
+                                cutoff)
+            lo, hi = spectral_interval(L)
             assert lo == pytest.approx(exact[0], abs=1e-10)
             assert hi == pytest.approx(exact[-1], abs=1e-10)

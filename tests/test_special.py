@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from sincint.special import (
     Polynomial,
-    gauss_legendre,
     laguerre_coeffs,
     pade_sinc_denominator,
     poly_roots,
@@ -221,32 +220,6 @@ class TestPadeSincTable:
         for n in (0, 3, 12, 20):
             with pytest.raises(ValueError):
                 pade_sinc_denominator(n)
-
-
-class TestGaussLegendre:
-    def test_weight_sum_is_length(self):
-        rule = gauss_legendre(7, -2.0, 0.0)
-        assert rule.weights.sum() == pytest.approx(2.0, rel=1e-14)
-        assert rule.nodes.min() > -2.0 and rule.nodes.max() < 0.0
-
-    def test_single_node_is_midpoint(self):
-        rule = gauss_legendre(1, 0.0, 4.0)
-        assert rule.nodes == pytest.approx([2.0])
-        assert rule.weights == pytest.approx([4.0])
-
-    @given(st.integers(min_value=1, max_value=10))
-    def test_polynomial_exactness(self, nu):
-        rule = gauss_legendre(nu, -1.0, 3.0)
-        for d in range(2 * nu):
-            exact = (3.0 ** (d + 1) - (-1.0) ** (d + 1)) / (d + 1)
-            quad = rule.integrate(lambda x, d=d: x**d)
-            assert quad == pytest.approx(exact, rel=1e-12, abs=1e-12)
-
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            gauss_legendre(0)
-        with pytest.raises(ValueError):
-            gauss_legendre(3, 1.0, 1.0)
 
 
 class TestScalarApproximants:
