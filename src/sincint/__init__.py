@@ -13,9 +13,6 @@ from .special import (
     sinc,
     psi,
     sigma,
-    Polynomial,
-    laguerre_coeffs,
-    poly_roots,
     pade_sinc_denominator,
     sinc_approx_exp_pade,
     sinc_approx_hyp_sym,
@@ -27,8 +24,6 @@ from .poles import (
     poles_L,
     poles_Lbar,
     poles_pade_sinc,
-    scale_poles,
-    square_poles,
 )
 from .densefun import (
     sym_eigendecomposition,
@@ -87,11 +82,10 @@ from .fem import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "sinc", "psi", "sigma", "Polynomial", "laguerre_coeffs", "poly_roots",
+    "sinc", "psi", "sigma",
     "pade_sinc_denominator", "sinc_approx_exp_pade", "sinc_approx_hyp_sym",
     "sinc_family_bound", "expsum_bound", "select_pole_count",
     "PoleSet", "poles_E", "poles_L", "poles_Lbar", "poles_pade_sinc",
-    "scale_poles", "square_poles",
     "sym_eigendecomposition", "sinc_apply_dense", "psi_apply_dense",
     "sigma_apply_dense",
     "PoleCollisionError", "RationalKrylovSpace", "ShiftedSolveCache",

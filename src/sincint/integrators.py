@@ -40,8 +40,8 @@ from .expsum import (estimate_spectral_radius, scalar_sum_sinc,
 # perfbench/spans.py wraps these two by name in this module
 from .expsum import expsum_sinc, expsum_sinc2  # noqa: F401
 from .krylov import ShiftedSolveCache, apply_function, build_space
-from .poles import PoleSet, filter_poles, sinc_family
-from .special import _ROOTS_MAX_DEGREE, _check_count
+from .poles import _MAX_DEGREE, PoleSet, filter_poles, sinc_family
+from .special import _check_count
 from .special import psi as psi_scalar
 from .special import sigma as sigma_scalar
 
@@ -409,11 +409,11 @@ def _rational_filters(A, h: float, backend: RationalKrylovBackend) -> _Filters:
     if n is None:
         zmax = estimate_spectral_radius(cache.matrix)
         n = select_pole_count(backend.family, zmax, backend.tol)
-        if n > _ROOTS_MAX_DEGREE:
+        if n > _MAX_DEGREE:
             raise ValueError(
                 f"tol={backend.tol:g} at zmax={zmax:g} selects degree {n}, "
                 "but the pole families are built only up to degree "
-                f"{_ROOTS_MAX_DEGREE}; use a smaller h or a fixed degree")
+                f"{_MAX_DEGREE}; use a smaller h or a fixed degree")
     c, a = cache.interval
 
     def route(poles, f):

@@ -1,7 +1,8 @@
 """Pole families for rational approximation of sinc.
 
 Each family is derived from zeros of generalized Laguerre polynomials
-with negative integer parameter:
+with negative integer parameter, computed as the eigenvalues of the
+real tridiagonal matrix of their three-term recurrence (degrees 1..20):
 
 * ``E``: the [n/n] Pade poles of exp (zeros of L_n^(-2n-1)) rotated to
   the imaginary axis in conjugate pairs, plus the origin (2n+1 poles).
@@ -13,7 +14,11 @@ with negative integer parameter:
 POLE_FAMILIES maps each name to its constructor; sinc_family looks a
 name up and refuses any other.  A PoleSet counts as closed under
 conjugation only when its poles pair exactly, the condition under
-which a ShiftedSolveCache shares one LU per pair.
+which a ShiftedSolveCache shares one LU per pair.  The closed families
+pair exactly because every generator is a real matrix (the recurrence
+matrix, or the companion matrix of the pade-sinc table), whose real
+LAPACK eigensolver returns each complex eigenvalue with its exact
+conjugate and each real one with a zero imaginary part.
 
 Pole sets live on the "sinc plane": they target sinc(A)v directly.  The
 integrator filters act on h^2 A, and :func:`filter_poles` transports a
@@ -30,8 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .special import (_check_count, laguerre_coeffs, pade_sinc_denominator,
-                      poly_roots)
+from .special import _check_count, pade_sinc_denominator
 
 __all__ = [
     "PoleSet",
@@ -40,8 +44,6 @@ __all__ = [
     "poles_Lbar",
     "poles_pade_sinc",
     "poles_pade_exp",
-    "scale_poles",
-    "square_poles",
     "filter_poles",
     "POLE_FAMILIES",
     "sinc_family",
@@ -62,9 +64,10 @@ class PoleSet:
     sentinel meaning a plain Krylov (multiplication) step.  The
     conjugate-closed sets (E, Lbar, pade-sinc, pade-exp) and their
     filter_poles transports hold exact conjugate pairs, with exactly
-    real real poles: their generators are real polynomials, whose roots
-    poly_roots computes in real arithmetic.  So a ShiftedSolveCache
-    factors one LU per pair.
+    real real poles: their zeros are eigenvalues of real matrices, which
+    LAPACK's real eigensolver returns as exact pairs, and rotating by
+    +-i or squaring keeps a pair exact.  So a ShiftedSolveCache factors
+    one LU per pair.
     """
 
     values: tuple
@@ -102,11 +105,38 @@ def _conjugate_closed(values) -> bool:
     return Counter(finite) == Counter(v.conjugate() for v in finite)
 
 
+# Degree cap of the Laguerre families.  Their recurrence-matrix zeros
+# are good to 5.2e-10 relative at degree 20 and drift above it (2.1e-8
+# at 24, 1.9e-6 at 32), so a higher cap needs tabulated poles.
+_MAX_DEGREE = 20
+
+
+def _laguerre_zeros(n: int, c: int) -> np.ndarray:
+    """Zeros of the generalized Laguerre polynomial L_n^(alpha), alpha =
+    -2n-c (c = 1 for pade-exp and E, 2 for L and Lbar).
+
+    The recurrence (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1}
+    says that (L_0, ..., L_{n-1})(x) is an eigenvector of the tridiagonal
+    J built below, with eigenvalue x, exactly where L_n(x) = 0 (Golub and
+    Welsch, 1969).  J is real, so LAPACK returns its complex eigenvalues
+    as exact conjugate pairs and its real ones with a zero imaginary
+    part.
+    """
+    _check_count(n, "degree")
+    if n > _MAX_DEGREE:
+        raise ValueError(
+            f"degree {n} exceeds the supported maximum {_MAX_DEGREE}")
+    alpha = -2 * n - c
+    k = np.arange(n, dtype=np.float64)
+    J = (np.diag(2 * k + 1 + alpha) - np.diag(k[1:], 1)
+         - np.diag(k[1:] + alpha, -1))
+    return np.linalg.eigvals(J)
+
+
 def poles_pade_exp(k: int) -> PoleSet:
     """[k/k] Pade poles of exp (Re < 0), zeros of L_k^(-2k-1); E rotates them."""
-    _check_count(k, "degree")
-    p = laguerre_coeffs(k, -2 * k - 1)
-    return PoleSet(tuple(poly_roots(p)), family="pade-exp", degree=k)
+    return PoleSet(tuple(_laguerre_zeros(k, 1)), family="pade-exp",
+                   degree=k)
 
 
 def poles_E(n: int) -> PoleSet:
@@ -120,46 +150,24 @@ def poles_E(n: int) -> PoleSet:
 
 def poles_L(n: int) -> PoleSet:
     """One-sided hypergeometric sinc poles: zeros of L_n^(-2n-2) over 2i."""
-    _check_count(n, "degree")
-    x = poly_roots(laguerre_coeffs(n, -2 * n - 2))
+    x = _laguerre_zeros(n, 2)
     return PoleSet(tuple(r / 2j for r in x), family="L", degree=n)
 
 
 def poles_Lbar(n: int) -> PoleSet:
     """Conjugate-symmetrized hypergeometric poles: {+-i x} for the same zeros."""
-    _check_count(n, "degree")
-    x = poly_roots(laguerre_coeffs(n, -2 * n - 2))
     vals = []
-    for r in x:
+    for r in _laguerre_zeros(n, 2):
         vals.append(1j * r)
         vals.append(-1j * r)
     return PoleSet(tuple(vals), family="Lbar", degree=n)
 
 
 def poles_pade_sinc(n: int) -> PoleSet:
-    """Zeros of the tabulated diagonal Pade denominator of sinc."""
-    p = pade_sinc_denominator(n)
-    return PoleSet(tuple(poly_roots(p)), family="pade-sinc", degree=n)
-
-
-def scale_poles(ps: PoleSet, c: complex) -> PoleSet:
-    """Multiply every finite pole by c, keeping label and degree."""
-    if c == 0:
-        raise ValueError("scale factor must be nonzero")
-    vals = tuple(v if cmath.isinf(v) else complex(v) * c for v in ps.values)
-    return PoleSet(vals, family=ps.family, degree=ps.degree)
-
-
-def square_poles(ps: PoleSet) -> PoleSet:
-    """Map each finite pole zeta to zeta**2 (sinc plane to matrix plane).
-
-    sigma(h^2 A) = sinc(sqrt(h^2 A)) turns a pole zeta of the sinc
-    approximant into a pole zeta^2 of the induced rational function of
-    h^2 A; for psi = sinc(sqrt(z)/2)^2 the composition with the halved
-    argument gives (2 zeta)^2, obtained by scaling first.
-    """
-    vals = tuple(v if cmath.isinf(v) else complex(v) ** 2 for v in ps.values)
-    return PoleSet(vals, family=ps.family, degree=ps.degree)
+    """Zeros of the tabulated diagonal Pade denominator of sinc, from the
+    companion matrix of its real coefficients."""
+    roots = np.roots(pade_sinc_denominator(n)[::-1])
+    return PoleSet(tuple(roots), family="pade-sinc", degree=n)
 
 
 def filter_poles(ps: PoleSet) -> tuple[PoleSet, PoleSet]:
@@ -167,9 +175,12 @@ def filter_poles(ps: PoleSet) -> tuple[PoleSet, PoleSet]:
 
     A sinc approximant with poles zeta induces one for sigma(z) =
     sinc(sqrt(z)) with poles zeta^2, and for psi = sinc(sqrt(z)/2)^2
-    with poles (2 zeta)^2.
+    with poles (2 zeta)^2.  The infinity sentinel stays infinite.
     """
-    return square_poles(scale_poles(ps, 2.0)), square_poles(ps)
+    return tuple(
+        PoleSet(tuple(v if cmath.isinf(v) else (s * v) ** 2 for v in ps),
+                family=ps.family, degree=ps.degree)
+        for s in (2.0, 1.0))
 
 
 POLE_FAMILIES = {

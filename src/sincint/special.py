@@ -1,4 +1,5 @@
-"""Scalar special functions and polynomials.
+"""Scalar special functions: sinc, sigma and psi, the Pade table of sinc
+and the two scalar approximants.
 
 Everything in this module is plain numpy on scalars or small arrays; the
 matrix-level machinery lives in :mod:`sincint.densefun`,
@@ -7,7 +8,6 @@ matrix-level machinery lives in :mod:`sincint.densefun`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -16,9 +16,6 @@ __all__ = [
     "sinc",
     "psi",
     "sigma",
-    "Polynomial",
-    "laguerre_coeffs",
-    "poly_roots",
     "pade_sinc_denominator",
     "sinc_approx_exp_pade",
     "sinc_approx_hyp_sym",
@@ -118,106 +115,11 @@ def psi(z):
     return _sinc_sqrt(0.25 * z.astype(np.float64, copy=False)) ** 2
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Polynomial in the monomial basis, coefficients in ascending order.
-
-    The trailing (leading-degree) coefficient is nonzero unless the
-    polynomial is identically zero; the constructor trims exact zeros.
-    """
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        c = tuple(complex(x) for x in self.coeffs)
-        while len(c) > 1 and c[-1] == 0:
-            c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=np.complex128)
-        acc = np.zeros_like(z)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc[()]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.coeffs, dtype=np.complex128)
-
-
-def _check_count(n, what: str, low: int = 1) -> None:
-    """Refuse an n that is not a Python or numpy integer >= low (1 or 0);
-    a bool is not a count."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < low:
-        kind = "positive" if low == 1 else "nonnegative"
-        raise ValueError(f"{what} must be a {kind} integer, got {n!r}")
-
-
-_LAGUERRE_MAX_DEGREE = 64
-
-
-def laguerre_coeffs(n: int, alpha: float) -> Polynomial:
-    """Generalized Laguerre polynomial L_n^(alpha) in the monomial basis.
-
-    Uses the three-term recurrence
-        (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1},
-    valid for any real alpha, including the negative integer parameters
-    that generate the pole families.  Degrees above 64 are refused: the
-    coefficients overflow the double range long before that and the pole
-    generators never need them.
-    """
-    _check_count(n, "degree", low=0)
-    if n > _LAGUERRE_MAX_DEGREE:
-        raise ValueError(
-            f"degree {n} exceeds the supported maximum {_LAGUERRE_MAX_DEGREE}"
-        )
-    alpha = float(alpha)
-    if n == 0:
-        return Polynomial((1.0,))
-    prev = np.zeros(n + 1)
-    prev[0] = 1.0
-    cur = np.zeros(n + 1)
-    cur[0] = 1.0 + alpha
-    cur[1] = -1.0
-    for k in range(1, n):
-        nxt = (2 * k + 1 + alpha) * cur - (k + alpha) * prev
-        nxt[1:] -= cur[:-1]
-        nxt /= k + 1
-        prev, cur = cur, nxt
-    return Polynomial(tuple(cur))
-
-
-_ROOTS_MAX_DEGREE = 20
-
-
-def poly_roots(p: Polynomial) -> np.ndarray:
-    """All complex roots of p, sorted by (|z|, arg z).
-
-    Backed by the balanced companion-matrix eigensolver.  Degrees above
-    20 are refused because the coefficient spread of the tabulated
-    polynomials makes the companion route unreliable there.
-
-    Real coefficients are solved in real arithmetic, whose eigensolver
-    returns the complex roots as exact conjugate pairs and the real ones
-    with a zero imaginary part; the complex route pairs them only up to
-    roundoff (1e-9 relative at degree 17).
-    """
-    if p.degree < 1:
-        raise ValueError("root finding needs degree >= 1")
-    if p.degree > _ROOTS_MAX_DEGREE:
-        raise ValueError(
-            f"degree {p.degree} exceeds the supported maximum {_ROOTS_MAX_DEGREE}"
-        )
-    c = p.as_array()
-    if not c.imag.any():
-        c = c.real
-    r = np.roots(c[::-1]).astype(np.complex128)
-    order = np.lexsort((np.angle(r), np.abs(r)))
-    return r[order]
+def _check_count(n, what: str) -> None:
+    """Refuse an n that is not a positive Python or numpy integer; a
+    bool is not a count."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"{what} must be a positive integer, got {n!r}")
 
 
 # Denominators of the diagonal [n/n] Pade approximants of sinc, exact
@@ -280,8 +182,8 @@ def pade_sinc_denominator(n: int, exact: bool = False):
     n:
         Even degree in {2, 4, 6, 8, 10}.
     exact:
-        When True, return the tuple of exact Fractions instead of a
-        float-coefficient Polynomial.
+        When True, return the tuple of exact Fractions instead of the
+        float coefficients (ascending order).
     """
     if n not in _PADE_SINC_DENOMINATORS:
         raise ValueError(
@@ -291,7 +193,7 @@ def pade_sinc_denominator(n: int, exact: bool = False):
     fracs = _PADE_SINC_DENOMINATORS[n]
     if exact:
         return fracs
-    return Polynomial(tuple(float(f) for f in fracs))
+    return np.array([float(f) for f in fracs])
 
 
 def _laguerre_at(n: int, alpha: float, z: np.ndarray) -> np.ndarray:
@@ -316,8 +218,7 @@ def sinc_approx_exp_pade(n: int, z):
 
     Real z yields real values.  Near z = 0 the limit 1 is substituted.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_count(n, "degree")
     z = np.asarray(z)
     scalar = z.ndim == 0
     zc = np.atleast_1d(z).astype(np.complex128)
@@ -343,8 +244,10 @@ def _hyp_sym_polys(n: int) -> tuple[np.ndarray, np.ndarray]:
     for k in range(1, n + 1):
         # ratio of consecutive 1F1(-n; -2n-1; x) series terms
         B[k] = B[k - 1] * (-n + k - 1) / ((-2 * n - 1 + k - 1) * k)
-    m = 2 * n + 2
-    S = np.array([(-1.0) ** k / float(np.prod(np.arange(2, k + 2))) for k in range(m)])
+    # (-1)^k / (k+1)!, the series of 1F1(1; 2; -x), by the same ratio
+    S = np.ones(2 * n + 2)
+    for k in range(1, 2 * n + 2):
+        S[k] = -S[k - 1] / (k + 1)
     A = np.convolve(S, B)[: n + 1]
     return A, B
 
@@ -356,8 +259,7 @@ def sinc_approx_hyp_sym(n: int, z):
     ix relates to (exp(ix) - 1)/(ix)) over +-iz, giving a real, even
     rational function of z with numerator and denominator of degree 2n.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_count(n, "degree")
     A, B = _hyp_sym_polys(n)
     z = np.asarray(z)
     scalar = z.ndim == 0

@@ -1,5 +1,8 @@
 """Shared test configuration: hypothesis profile and small fixtures."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -36,3 +39,16 @@ def random_spd(n: int, seed: int, lam_max: float | None = None) -> sp.csr_matrix
         top = np.linalg.eigvalsh(A)[-1]
         A = A * (lam_max / top)
     return sp.csr_matrix(A)
+
+
+def laguerre_fractions(n: int, alpha: int) -> list[Fraction]:
+    """Exact coefficients of L_n^(alpha) in ascending order: the k-th is
+    (-1)^k binom(n+alpha, n-k) / k!, with the generalized binomial formed
+    as a rational product."""
+    coeffs = []
+    for k in range(n + 1):
+        binom = Fraction(1)
+        for j in range(1, n - k + 1):
+            binom *= Fraction(alpha + k + j, j)
+        coeffs.append((-1) ** k * binom / math.factorial(k))
+    return coeffs

@@ -21,7 +21,7 @@ from sincint.krylov import ShiftedSolveCache, build_space, sinc_apply
 from sincint.poles import (PoleSet, poles_E, poles_L, poles_Lbar,
                            poles_pade_exp)
 from sincint.problems import laplacian_1d, synthetic_problem
-from sincint.special import laguerre_coeffs
+from sincint.special import sinc_approx_exp_pade, sinc_approx_hyp_sym
 
 _BACKENDS = ["dense", "expsum:8", "ratkrylov:E:n4", "ratkrylov:E:1e-10"]
 
@@ -64,7 +64,8 @@ class TestOperatorShapeAndDtype:
 
 
 _COUNT_GUARDS = {
-    "laguerre_coeffs": lambda n: laguerre_coeffs(n, -2.0).coeffs,
+    "sinc_approx_exp_pade": lambda n: sinc_approx_exp_pade(n, 1.0),
+    "sinc_approx_hyp_sym": lambda n: sinc_approx_hyp_sym(n, 1.0),
     "poles_pade_exp": lambda n: poles_pade_exp(n).values,
     "poles_E": lambda n: poles_E(n).values,
     "poles_L": lambda n: poles_L(n).values,

@@ -851,13 +851,13 @@ class TestPoleSetsOncePerProcess:
     def test_engines_of_one_family_and_degree_share_pole_sets(
             self, monkeypatch):
         calls = []
-        original = poles_module.poly_roots
+        original = poles_module._laguerre_zeros
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(poles_module, "poly_roots", counted)
+        monkeypatch.setattr(poles_module, "_laguerre_zeros", counted)
         integrators_module._filter_pole_sets.cache_clear()
         spaces = _counted_spaces(monkeypatch)
         # the grid scaling keeps every pole near the spectrum at both

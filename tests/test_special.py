@@ -1,4 +1,5 @@
-"""Scalar functions, polynomials, the rational table, and quadrature."""
+"""Scalar functions, the Laguerre polynomials and zeros, the rational
+table and the scalar approximants."""
 
 import math
 from fractions import Fraction
@@ -7,18 +8,20 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyval
 
+from sincint.poles import PoleSet, _laguerre_zeros
 from sincint.special import (
-    Polynomial,
-    laguerre_coeffs,
+    _laguerre_at,
     pade_sinc_denominator,
-    poly_roots,
     psi,
     sigma,
     sinc,
     sinc_approx_exp_pade,
     sinc_approx_hyp_sym,
 )
+
+from conftest import laguerre_fractions
 
 
 class TestSinc:
@@ -99,81 +102,79 @@ class TestFilters:
                                        rel=1e-12, abs=1e-15)
 
 
-class TestPolynomial:
-    def test_trims_trailing_zeros(self):
-        p = Polynomial((1.0, 2.0, 0.0, 0.0))
-        assert p.degree == 1
-        assert p.coeffs == (1.0 + 0j, 2.0 + 0j)
-
-    def test_zero_polynomial(self):
-        assert Polynomial((0.0, 0.0)).degree == 0
-
-    def test_horner_evaluation(self):
-        p = Polynomial((6.0, 3.0, 0.5))
-        assert p(0.0) == 6.0
-        assert p(2.0) == pytest.approx(6 + 6 + 2)
-        out = p(np.array([0.0, 1.0]))
-        assert out.shape == (2,)
-
-
 class TestLaguerre:
+    """L_n^(alpha): _laguerre_at evaluates it by its three-term
+    recurrence, and _laguerre_zeros refuses a degree that is not a
+    positive integer."""
+
+    _Z = np.array([0.0, 2.0, -1.5 + 0.5j])
+
     def test_degree_one(self):
-        p = laguerre_coeffs(1, -3.0)
-        assert p.coeffs == pytest.approx((-2.0, -1.0))
+        np.testing.assert_allclose(_laguerre_at(1, -3.0, self._Z),
+                                   -2.0 - self._Z, rtol=1e-15)
 
     def test_degree_two(self):
-        p = laguerre_coeffs(2, -5.0)
-        assert p.coeffs == pytest.approx((6.0, 3.0, 0.5))
+        want = 6.0 + 3.0 * self._Z + 0.5 * self._Z**2
+        np.testing.assert_allclose(_laguerre_at(2, -5.0, self._Z), want,
+                                   rtol=1e-15)
 
     def test_degree_zero(self):
-        assert laguerre_coeffs(0, 7.0).coeffs == (1.0 + 0j,)
+        assert np.array_equal(_laguerre_at(0, 7.0, self._Z), np.ones(3))
 
     @given(st.integers(min_value=0, max_value=16),
-           st.integers(min_value=-40, max_value=10))
-    def test_recurrence_matches_binomial_formula(self, n, alpha):
-        # L_n^(a)(x) = sum_k (-1)^k C(n+a, n-k) x^k / k!, with the
-        # generalized binomial evaluated exactly as a rational product
-        p = laguerre_coeffs(n, alpha)
-        for k in range(n + 1):
-            binom = Fraction(1)
-            for j in range(1, n - k + 1):
-                binom *= Fraction(alpha + k + j, j)
-            exact = (-1) ** k * binom / math.factorial(k)
-            assert complex(p.coeffs[k]).real == pytest.approx(
-                float(exact), rel=1e-9, abs=1e-12)
+           st.integers(min_value=-40, max_value=10),
+           st.sampled_from([-1.5, 0.25, 2.0, 7.0]))
+    def test_recurrence_matches_binomial_formula(self, n, alpha, x):
+        # L_n^(a)(x) = sum_k (-1)^k C(n+a, n-k) x^k / k!, summed exactly;
+        # the recurrence rounds relative to the L_j^(a)(x), j <= n, it
+        # passes through, so the tolerance is relative to their largest
+        # sum of term moduli
+        X = Fraction(x)
+        exact = sum(c * X**k for k, c in enumerate(laguerre_fractions(n, alpha)))
+        scale = max(sum(abs(c) * abs(X) ** k
+                        for k, c in enumerate(laguerre_fractions(j, alpha)))
+                    for j in range(n + 1))
+        got = _laguerre_at(n, alpha, np.array([x]))[0]
+        assert abs(got - float(exact)) <= 1e-12 * float(scale)
 
     def test_guards(self):
-        with pytest.raises(ValueError):
-            laguerre_coeffs(65, 0.0)
-        with pytest.raises(ValueError):
-            laguerre_coeffs(-1, 0.0)
+        for n in (2.0, True, "3"):
+            with pytest.raises(ValueError,
+                               match="degree must be a positive integer"):
+                _laguerre_zeros(n, 1)
 
 
 class TestPolyRoots:
+    """The pole generators' zeros: Laguerre zeros as eigenvalues of the
+    recurrence matrix, and PoleSet's canonical order."""
+
     def test_quadratic(self):
-        r = poly_roots(Polynomial((6.0, 3.0, 0.5)))
+        # L_2^(-5)(x) = 6 + 3x + x^2/2
+        r = _laguerre_zeros(2, 1)
         expected = sorted([-3 - 1j * np.sqrt(3), -3 + 1j * np.sqrt(3)],
                           key=lambda z: z.imag)
         got = sorted(r, key=lambda z: z.imag)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_sorted_by_modulus_then_angle(self):
-        r = poly_roots(Polynomial((-4.0, 0.0, 1.0)))  # roots +-2
+        r = PoleSet(tuple(np.roots([1.0, 1.0, -4.0, -4.0]))).values  # -1, +-2
         assert list(np.abs(r)) == sorted(np.abs(r))
+        assert r == pytest.approx((-1.0, 2.0, -2.0), abs=1e-14)
 
     @pytest.mark.parametrize("n", [1, 3, 6, 10])
     @pytest.mark.parametrize("offset", [1, 2])
     def test_laguerre_root_residuals(self, n, offset):
-        p = laguerre_coeffs(n, -2 * n - offset)
-        scale = np.abs(p.as_array()).max()
-        for r in poly_roots(p):
-            assert abs(p(r)) <= 1e-8 * scale
+        p = [float(c) for c in laguerre_fractions(n, -2 * n - offset)]
+        scale = np.abs(p).max()
+        for r in _laguerre_zeros(n, offset):
+            assert abs(polyval(r, p)) <= 1e-8 * scale
 
     def test_guards(self):
-        with pytest.raises(ValueError):
-            poly_roots(Polynomial((1.0,)))
-        with pytest.raises(ValueError):
-            poly_roots(Polynomial((0.0,) * 21 + (1.0,)))
+        with pytest.raises(ValueError, match="positive integer"):
+            _laguerre_zeros(0, 1)
+        with pytest.raises(ValueError, match="degree 21 exceeds the "
+                           "supported maximum 20"):
+            _laguerre_zeros(21, 1)
 
 
 # exact Taylor coefficients of sinc: x^(2k) has coefficient
@@ -207,7 +208,8 @@ class TestPadeSincTable:
     def test_float_view_matches_fractions(self, n):
         fr = pade_sinc_denominator(n, exact=True)
         fl = pade_sinc_denominator(n)
-        assert fl.coeffs == pytest.approx([float(f) for f in fr], rel=1e-16)
+        assert isinstance(fl, np.ndarray)
+        assert list(fl) == pytest.approx([float(f) for f in fr], rel=1e-16)
 
     def test_normalization_and_parity(self):
         for n in (2, 4, 6, 8, 10):
@@ -234,7 +236,8 @@ class TestScalarApproximants:
     @pytest.mark.parametrize("f", [sinc_approx_exp_pade, sinc_approx_hyp_sym],
                              ids=["exp_pade", "hyp_sym"])
     def test_degree_below_one_refused(self, f, n):
-        with pytest.raises(ValueError, match="need n >= 1"):
+        with pytest.raises(ValueError,
+                           match="degree must be a positive integer"):
             f(n, 1.0)
 
     def test_both_approximants_hit_one_at_zero(self):
@@ -256,3 +259,10 @@ class TestScalarApproximants:
         z = np.linspace(0.0, 2.0, 50)
         assert np.max(np.abs(sinc_approx_exp_pade(5, z) - sinc(z))) < 5e-7
         assert np.max(np.abs(sinc_approx_hyp_sym(5, z) - sinc(z))) < 5e-8
+
+    @pytest.mark.parametrize("n", [20, 25, 30, 40, 64])
+    def test_hyp_sym_stays_accurate_at_high_degree(self, n):
+        # its series 1/(k+1)! must not be formed in integers, which wrap
+        # past 20!
+        z = np.linspace(0.0, 6.0, 601)
+        assert np.max(np.abs(sinc_approx_hyp_sym(n, z) - sinc(z))) <= 1e-14
