@@ -139,7 +139,7 @@ def _bench_matrix(name: str, small: bool):
         return laplacian_2d(256 if small else 4096)
     if name == "fem":
         wp = wave_demo_problem(structured_mesh(8 if small else 32))
-        return wp.ivp.A
+        return wp.Atil
     raise ValueError(f"unknown benchmark matrix {name!r}")
 
 

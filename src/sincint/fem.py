@@ -276,7 +276,9 @@ def wave_demo_problem(mesh: TriMesh, tf: float = 1.0,
     Atil = np.tril(Atil)
     Atil += np.tril(Atil, -1).T
     y0 = L.T @ u0_free
-    ivp = SecondOrderIVP(A=_full_csr(Atil), y0=y0,
+    # the CSR Atil, which SecondOrderIVP stores dense at small orders
+    Atil = _full_csr(Atil)
+    ivp = SecondOrderIVP(A=Atil, y0=y0,
                          y1=np.zeros(nf), forcing=None, t0=0.0, tf=tf)
-    return WaveProblem(system=system, L=L, Atil=ivp.A, u0=system.expand(u0_free),
+    return WaveProblem(system=system, L=L, Atil=Atil, u0=system.expand(u0_free),
                        ivp=ivp)

@@ -198,10 +198,12 @@ class ShiftedSolveCache:
     A random matrix 10% full and the 2D Laplacian gave the same products.
     The dense product wins up to order 128, but the dense LU and solve
     lose from order 96 on, so the cutoff is 64, where dense wins all
-    three.  The filter engine's Chebyshev route makes only products, its
-    near-pole route both.  A sparse matrix is CSR rather than CSC: on
-    63^2 laplacian_2d(4096) a product took 37 us in CSR against 44 us in
-    CSC, and storing a CSR input took 12 us as CSR against 169 us as CSC.
+    three.  The filter engine's Chebyshev route makes only products (up
+    to the cutoff, only while it builds the stored matrix of its
+    polynomial at its first product), its near-pole route both.  A
+    sparse matrix is CSR rather than CSC: on 63^2 laplacian_2d(4096) a
+    product took 37 us in CSR against 44 us in CSC, and storing a CSR
+    input took 12 us as CSR against 169 us as CSC.
 
     A matrix stored sparse goes to SuperLU: the shifted matrices keep the
     symmetric pattern of A, so each is factored in a minimum-degree order on

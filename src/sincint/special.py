@@ -27,6 +27,8 @@ __all__ = [
 # roundoff, while sin(z)/z itself loses at most one ulp above it.
 _SERIES_THRESHOLD = 1e-2
 _SERIES_TERMS = 8
+# _laguerre_at rescales the values of its recurrence that reach this
+_LAGUERRE_RESCALE = 2.0**512
 
 
 # (-1)^k / (2k+1)! for the series branch, highest k first for Horner.
@@ -197,7 +199,15 @@ def pade_sinc_denominator(n: int, exact: bool = False):
 
 
 def _laguerre_at(n: int, alpha: float, z: np.ndarray) -> np.ndarray:
-    """Evaluate L_n^(alpha)(z) for complex z via the recurrence."""
+    """Evaluate L_n^(alpha)(z) for complex z, of at least one axis, via
+    the recurrence.
+
+    L_n grows past the float64 range from about n = 400 at |z| = 6.  So
+    wherever the values along z's first axis pass _LAGUERRE_RESCALE, the
+    pair of the recurrence there is scaled by the power of two that
+    brings the largest into [1/2, 1).  Values there carry that unknown
+    factor, but their ratios along the first axis, all that
+    sinc_approx_exp_pade takes, are unchanged and gain no rounding."""
     z = np.asarray(z, dtype=np.complex128)
     prev = np.ones_like(z)
     if n == 0:
@@ -205,6 +215,12 @@ def _laguerre_at(n: int, alpha: float, z: np.ndarray) -> np.ndarray:
     cur = 1.0 + alpha - z
     for k in range(1, n):
         prev, cur = cur, ((2 * k + 1 + alpha - z) * cur - (k + alpha) * prev) / (k + 1)
+        top = np.max(np.abs(cur), axis=0)
+        if np.any(top >= _LAGUERRE_RESCALE):
+            scale = np.where(top >= _LAGUERRE_RESCALE,
+                             np.ldexp(1.0, -np.frexp(top)[1]), 1.0)
+            prev *= scale
+            cur *= scale
     return cur
 
 
@@ -214,18 +230,20 @@ def sinc_approx_exp_pade(n: int, z):
     With L = L_n^(-2n-1), the [n/n] Pade approximant of exp is
     L(-x)/L(x) up to sign normalization, and averaging it at +-iz gives
 
-        E_n(z) = -(L(-iz)^2 - L(iz)^2) / (2iz L(iz) L(-iz)).
+        E_n(z) = -(L(-iz)^2 - L(iz)^2) / (2iz L(iz) L(-iz)),
 
+    evaluated as -(r - 1/r) / (2iz) from the ratio r = L(-iz)/L(iz),
+    which stays finite where L itself would overflow (_laguerre_at).
     Real z yields real values.  Near z = 0 the limit 1 is substituted.
     """
     _check_count(n, "degree")
     z = np.asarray(z)
     scalar = z.ndim == 0
     zc = np.atleast_1d(z).astype(np.complex128)
-    Lp = _laguerre_at(n, -2 * n - 1, 1j * zc)
-    Lm = _laguerre_at(n, -2 * n - 1, -1j * zc)
+    L = _laguerre_at(n, -2 * n - 1, np.stack([-1j * zc, 1j * zc]))
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = -(Lm**2 - Lp**2) / (2j * zc * Lp * Lm)
+        r = L[0] / L[1]
+        val = -(r - 1.0 / r) / (2j * zc)
     val = np.where(np.abs(zc) < 1e-8, 1.0 + 0j, val)
     if not np.iscomplexobj(z):
         val = np.real(val)

@@ -169,6 +169,19 @@ class TestWaveProblem:
             assert got.dtype == ref.dtype
             assert np.array_equal(got, ref)
 
+    @pytest.mark.parametrize("m", [8, 32])
+    def test_ivp_stores_a_small_atil_dense(self, m):
+        """The IVP holds Atil of order 49 as an ndarray with the values
+        of the CSR WaveProblem.Atil, and that of order 961 as the same
+        CSR matrix."""
+        wp = wave_demo_problem(structured_mesh(m), tf=0.5)
+        assert wp.Atil.format == "csr"
+        if m == 8:
+            assert isinstance(wp.ivp.A, np.ndarray)
+            assert np.array_equal(wp.ivp.A, wp.Atil.toarray())
+        else:
+            assert wp.ivp.A is wp.Atil
+
     def test_full_csr_drops_zeros(self):
         F = np.arange(16.0).reshape(4, 4)
         F[1, 2] = -0.0

@@ -189,6 +189,64 @@ class TestStability:
         # bounded oscillation, not drift: early and late windows agree
         assert np.mean(E[-250:]) == pytest.approx(np.mean(E[:250]), rel=0.05)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2e150,
+                                       1e200], ids=str)
+    def test_blow_up_check_raises_and_never_warns(self, value):
+        """NaN, inf, a norm above the 1e150 cap and a finite vector
+        whose squared norm overflows all raise BlowUpError; RuntimeWarning
+        is an error in this suite, so a warning would fail here."""
+        y = np.ones(10)
+        y[3] = value
+        with pytest.raises(BlowUpError, match="at step 7, t=0.5"):
+            integrators_module._check_finite(y, 7, 0.5)
+
+    def test_blow_up_check_passes_up_to_the_cap(self):
+        integrators_module._check_finite(np.array([1e150, 0.0]), 1, 0.0)
+        integrators_module._check_finite(np.array([-1e150]), 1, 0.0)
+        integrators_module._check_finite(np.zeros(3), 1, 0.0)
+
+    def test_leapfrog_past_the_overflow_of_the_squared_norm(self):
+        """The iterates pass 1.3e154, where the squared norm overflows,
+        before the cap check sees them."""
+        ivp = SecondOrderIVP(1e12 * laplacian_1d(10), np.ones(10),
+                             np.zeros(10), tf=100.0)
+        with pytest.raises(BlowUpError, match="at step 13"):
+            stormer_verlet_integrate(ivp, 1.0)
+
+    def test_huge_initial_velocity_is_a_blow_up(self):
+        ivp = SecondOrderIVP(laplacian_1d(10), np.ones(10),
+                             np.full(10, 1e200), tf=1.0)
+        with pytest.raises(BlowUpError, match="at step 1"):
+            gautschi_integrate(ivp, 0.5, DenseBackend())
+
+
+class TestOperatorStorage:
+    """SecondOrderIVP stores a sparse A of order at most
+    krylov._DENSE_ORDER (64) as an ndarray, so rhs makes a dense product;
+    a larger sparse A stays as given."""
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_order_cutoff(self, n):
+        A = 100.0 * laplacian_1d(n)
+        ivp = SecondOrderIVP(A=A, y0=np.ones(n), y1=np.zeros(n),
+                             forcing=lambda t: np.full(n, t))
+        if n <= 64:
+            assert isinstance(ivp.A, np.ndarray)
+            assert np.array_equal(ivp.A, A.toarray())
+        else:
+            assert ivp.A is A
+        y = np.random.default_rng(n).standard_normal(n)
+        want = -(A @ y) + 0.5
+        got = ivp.rhs(0.5, y)
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+    def test_dense_and_large_operators_are_kept(self):
+        dense = np.diag(np.arange(1.0, 4.0))
+        assert SecondOrderIVP(A=dense, y0=np.ones(3), y1=np.ones(3)).A is dense
+        coo = laplacian_1d(100).tocoo()
+        assert SecondOrderIVP(A=coo, y0=np.ones(100),
+                              y1=np.ones(100)).A is coo
+
 
 def _energy_loop(traj, A, v0=None):
     """Reference: the per-step formula of discrete_energy."""

@@ -10,7 +10,7 @@ import pytest
 import scipy.fft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebval
 
@@ -1343,6 +1343,24 @@ def _plain_recurrence(B, c, a, coef, w):
     return sum(ck * t for ck, t in zip(coef, T))
 
 
+def _random_dense_spd(n, log_lo, decades, rng):
+    """Q diag(lam) Q^T with lam spread from 10^log_lo over up to
+    `decades` decades, at most 10^3."""
+    lam = 10.0 ** rng.uniform(log_lo, min(log_lo + decades, 3.0), n)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    B = (Q * lam) @ Q.T
+    return 0.5 * (B + B.T)
+
+
+def _recurrence_unit(coef, c, a, w):
+    """The unit of rounding of the Chebyshev recurrence,
+    len(coef) eps ||w|| (|coef[0]| + (1 + |c|/a) sum_k>0 |coef[k]|);
+    TestChebyshevRoute.test_dense_and_csr_storage_agree derives it."""
+    tail = np.sum(np.abs(coef[1:])) * (1 + abs(c) / a) if a else 0.0
+    eps_w = np.finfo(np.float64).eps * np.linalg.norm(w)
+    return len(coef) * eps_w * (abs(coef[0]) + tail)
+
+
 class TestChebyshevRoute:
     """A filter whose engine poles are all infinite is its Chebyshev
     expansion on the Gershgorin interval [c - a, c + a] of h^2 A, at the
@@ -1467,17 +1485,13 @@ class TestChebyshevRoute:
         4000 random cases the storages agreed within 0.5 units and the
         filters within 1.2 times their allowance."""
         rng = np.random.default_rng(seed)
-        lam = 10.0 ** rng.uniform(log_lo, min(log_lo + decades, 3.0), n)
-        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-        B = (Q * lam) @ Q.T
-        B = 0.5 * (B + B.T)
+        B = _random_dense_spd(n, log_lo, decades, rng)
         c, a = krylov_module._gershgorin(B)
         w = rng.standard_normal(n)
         eps_w = np.finfo(np.float64).eps * np.linalg.norm(w)
         for f, dense in ((psi, psi_apply_dense), (sigma, sigma_apply_dense)):
             coef = integrators_module._chebyshev_coefficients(f, c, a)
-            tail = np.sum(np.abs(coef[1:])) * (1 + abs(c) / a) if a else 0.0
-            unit = len(coef) * eps_w * (abs(coef[0]) + tail)
+            unit = _recurrence_unit(coef, c, a, w)
             on_dense, on_csr = (
                 integrators_module._chebyshev_product(S, c, a, coef)(w)
                 for S in (B, sp.csr_matrix(B)))
@@ -1489,13 +1503,131 @@ class TestChebyshevRoute:
                         <= 2.0**-53 * np.linalg.norm(w)
                         + 4 * (unit + n * eps_w))
 
+    @settings(max_examples=40)
+    @given(st.integers(min_value=1, max_value=64),
+           st.floats(min_value=-8.0, max_value=3.0),
+           st.floats(min_value=0.0, max_value=11.0),
+           st.booleans(),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @example(n=64, log_lo=-8.0, decades=11.0, scalar=False, seed=0)
+    @example(n=12, log_lo=1.5, decades=0.0, scalar=True, seed=0)
+    def test_materialized_filter_matches_the_recurrence(
+            self, n, log_lo, decades, scalar, seed):
+        """The matrix P = p(B) that the engine keeps for an operator
+        stored dense at order 64 or less, built by the recurrence on
+        n x n blocks: P w agrees with the recurrence on w within 4 of
+        its rounding units (as in test_dense_and_csr_storage_agree) and
+        with the dense filters within 2^-53 plus that rounding.  B is a
+        random SPD matrix as there, or a multiple of the identity,
+        whose interval has a = 0 (as has every B of order 1).  The first
+        example's interval reaches below 0 (c - a < 0).  Over 3000
+        random cases P w came within 0.64 units of the recurrence and
+        0.78 of the allowance of the filters."""
+        rng = np.random.default_rng(seed)
+        B = (10.0**log_lo * np.eye(n) if scalar
+             else _random_dense_spd(n, log_lo, decades, rng))
+        c, a = krylov_module._gershgorin(B)
+        assert (a == 0.0) == (scalar or n == 1)
+        if (n, log_lo, decades, scalar, seed) == (64, -8.0, 11.0, False, 0):
+            assert c - a < 0
+        w = rng.standard_normal(n)
+        eps_w = np.finfo(np.float64).eps * np.linalg.norm(w)
+        for f, dense in ((psi, psi_apply_dense), (sigma, sigma_apply_dense)):
+            coef = integrators_module._chebyshev_coefficients(f, c, a)
+            unit = _recurrence_unit(coef, c, a, w)
+            got = integrators_module._materialized_product(B, c, a, f)(w)
+            recurrence = integrators_module._chebyshev_product(B, c, a,
+                                                               coef)(w)
+            assert np.linalg.norm(got - recurrence) <= 4 * unit
+            assert (np.linalg.norm(got - dense(B, w))
+                    <= 2.0**-53 * np.linalg.norm(w) + 4 * (unit + n * eps_w))
+
+    def test_small_operator_keeps_one_matrix_per_called_filter(
+            self, monkeypatch):
+        """On the synthetic operator of order 20, stored dense, the psi
+        filter builds its matrix at its first product and then makes no
+        product with h^2 A: with the stored matrix overwritten by NaN,
+        later products are unchanged.  Sigma, never called, computes
+        neither its coefficients nor its matrix."""
+        builds, expanded = [], []
+        original = integrators_module._chebyshev_matrix
+        coefficients = integrators_module._chebyshev_coefficients
+
+        def counted(B, c, a, coef):
+            builds.append(len(coef) - 1)
+            return original(B, c, a, coef)
+
+        def recorded(f, c, a):
+            expanded.append(f)
+            return coefficients(f, c, a)
+
+        caches = []
+
+        class Recorded(ShiftedSolveCache):
+            def __init__(self, A):
+                super().__init__(A)
+                caches.append(self)
+
+        monkeypatch.setattr(integrators_module, "_chebyshev_matrix", counted)
+        monkeypatch.setattr(integrators_module, "_chebyshev_coefficients",
+                            recorded)
+        monkeypatch.setattr(integrators_module, "ShiftedSolveCache", Recorded)
+        spaces = _counted_spaces(monkeypatch)
+        engine = make_filters(synthetic_problem(20).A, 0.01,
+                              RationalKrylovBackend("E", n=8))
+        assert builds == [] and expanded == []
+        (cache,) = caches
+        B = cache.matrix
+        assert isinstance(B, np.ndarray) and B.shape == (20, 20)
+        c, a = cache.interval
+        coef = coefficients(psi, c, a)
+        w = _seed_vector(20)
+        recurrence = integrators_module._chebyshev_product(B, c, a, coef)(w)
+        first = engine.psi(w)
+        assert builds == [len(coef) - 1] and expanded == [psi]
+        assert (np.linalg.norm(first - recurrence)
+                <= 4 * _recurrence_unit(coef, c, a, w))
+        B[...] = np.nan
+        for _ in range(3):
+            assert np.array_equal(engine.psi(w), first)
+        assert builds == [len(coef) - 1] and expanded == [psi]
+        assert spaces == []
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_order_cutoff_of_the_materialized_filter(self, monkeypatch, n):
+        """A full operator is stored dense at every order, but only one
+        of order at most 64 is materialized; above, each product runs
+        the recurrence.  Both match the dense filters."""
+        builds = []
+        original = integrators_module._chebyshev_matrix
+
+        def counted(*args):
+            builds.append(args[0].shape)
+            return original(*args)
+
+        monkeypatch.setattr(integrators_module, "_chebyshev_matrix", counted)
+        spaces = _counted_spaces(monkeypatch)
+        A = _random_dense_spd(n, -2.0, 2.0, np.random.default_rng(n))
+        h = 0.1
+        engine = make_filters(A, h, RationalKrylovBackend("E", n=8))
+        reference = make_filters(A, h, DenseBackend())
+        w = _seed_vector(n)
+        for product, want in ((engine.psi, reference.psi),
+                              (engine.sigma, reference.sigma)):
+            assert _rel(product(w), want(w)) <= 1e-13
+        assert builds == ([(n, n)] * 2 if n <= 64 else [])
+        assert spaces == []
+
 
 def _route_operator(route):
     """(A, h) at which every pole of E degree 8 is far, so that each
-    filter is a Chebyshev expansion, or near, so that each product
-    grows a settling space."""
+    filter is a Chebyshev expansion (on an operator of order 20, stored
+    dense, a matrix built at its first product), or near, so that each
+    product grows a settling space."""
     if route == "far":
         return 63**2 * laplacian_2d(4096), 0.01
+    if route == "far-small":
+        return synthetic_problem(20).A, 0.01
     return _lap_operator(), _H
 
 
@@ -1505,7 +1637,7 @@ class TestInputContract:
     left as it was, and a complex one is refused, as build_space
     refuses it."""
 
-    @pytest.mark.parametrize("route", ["far", "near"])
+    @pytest.mark.parametrize("route", ["far", "far-small", "near"])
     @pytest.mark.parametrize("kind", ["strided", "int", "float32"])
     def test_real_input_is_computed_in_float64(self, route, kind):
         A, h = _route_operator(route)
@@ -1525,7 +1657,7 @@ class TestInputContract:
             assert np.array_equal(got, want)
             assert np.array_equal(w, given_w)
 
-    @pytest.mark.parametrize("route", ["far", "near"])
+    @pytest.mark.parametrize("route", ["far", "far-small", "near"])
     def test_complex_input_is_refused(self, route):
         A, h = _route_operator(route)
         engine = make_filters(A, h, RationalKrylovBackend("E", n=8))

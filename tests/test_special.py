@@ -260,6 +260,25 @@ class TestScalarApproximants:
         assert np.max(np.abs(sinc_approx_exp_pade(5, z) - sinc(z))) < 5e-7
         assert np.max(np.abs(sinc_approx_hyp_sym(5, z) - sinc(z))) < 5e-8
 
+    @pytest.mark.parametrize("n", [20, 200, 400, 800, 2000])
+    def test_exp_pade_stays_accurate_at_high_degree(self, n):
+        """L_n itself overflows from about n = 400 on [0, 6]; the ratio
+        the approximant is evaluated from does not, and RuntimeWarning is
+        an error in this suite."""
+        z = np.linspace(-6.0, 6.0, 1201)
+        got = sinc_approx_exp_pade(n, z)
+        assert np.max(np.abs(got - sinc(z))) <= 1e-14
+
+    def test_exp_pade_rescaled_ratio_off_the_real_axis(self):
+        """At complex z the ratio of the two scaled Laguerre values still
+        gives the approximant: E_n is even, and at n = 600 it matches
+        sinc near the origin."""
+        z = np.array([0.3 + 0.2j, 2.0 - 1.0j, 1.5 + 0.5j])
+        got = sinc_approx_exp_pade(600, z)
+        np.testing.assert_allclose(sinc_approx_exp_pade(600, -z), got,
+                                   rtol=1e-14)
+        assert np.max(np.abs(got - sinc(z))) <= 1e-13
+
     @pytest.mark.parametrize("n", [20, 25, 30, 40, 64])
     def test_hyp_sym_stays_accurate_at_high_degree(self, n):
         # its series 1/(k+1)! must not be formed in integers, which wrap
