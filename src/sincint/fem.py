@@ -203,7 +203,8 @@ class WaveProblem:
     L is the dense lower Cholesky factor of the constrained mass
     matrix (dpotrf, zero above the diagonal); ivp carries
     y'' + Atil y = 0 with Atil = L^{-1} Kc L^{-T}, formed by dsygst and
-    exactly symmetric.
+    exactly symmetric.  Atil is CSR; when it is full, as on the
+    structured meshes, ivp.A is an ndarray view of its values.
     """
 
     system: FemSystem
@@ -276,9 +277,12 @@ def wave_demo_problem(mesh: TriMesh, tf: float = 1.0,
     Atil = np.tril(Atil)
     Atil += np.tril(Atil, -1).T
     y0 = L.T @ u0_free
-    # the CSR Atil, which SecondOrderIVP stores dense at small orders
     Atil = _full_csr(Atil)
-    ivp = SecondOrderIVP(A=Atil, y0=y0,
-                         y1=np.zeros(nf), forcing=None, t0=0.0, tf=tf)
+    # a full Atil's CSR values are its rows in order: the IVP, which
+    # stores a full operator dense, gets them as an n x n view, no copy
+    full = Atil.nnz == nf * nf
+    ivp = SecondOrderIVP(A=Atil.data.reshape(nf, nf) if full else Atil,
+                         y0=y0, y1=np.zeros(nf), forcing=None, t0=0.0,
+                         tf=tf)
     return WaveProblem(system=system, L=L, Atil=Atil, u0=system.expand(u0_free),
                        ivp=ivp)

@@ -32,11 +32,11 @@ from typing import Callable
 import numpy as np
 import scipy.fft
 import scipy.sparse as sp
-from scipy.linalg.blas import daxpy
+from scipy.linalg.blas import daxpy, dsymv
 
 from . import krylov
 from .bounds import select_pole_count
-from .densefun import _check_real, sym_eigendecomposition
+from .densefun import _check_real, _check_symmetric, sym_eigendecomposition
 from .expsum import (estimate_spectral_radius, scalar_sum_sinc,
                      scalar_sum_sinc2)
 # perfbench/spans.py wraps these two by name in this module
@@ -92,11 +92,19 @@ class SecondOrderIVP:
     every forcing value must be real: complex ones are refused before
     the float64 cast, which would drop their imaginary parts.
 
-    A sparse A of order at most krylov._DENSE_ORDER is stored as an
-    ndarray, the order rule of ShiftedSolveCache without its fill rule,
-    so that rhs skips the sparse dispatch: at order 20 the dense product
-    took 0.9 us against 3.2 us in CSR (one BLAS thread).  A larger
-    sparse A, such as the FEM operator of order 961, stays as given.
+    A is stored by the rule of ShiftedSolveCache: as a C-ordered
+    float64 ndarray when its order is at most krylov._DENSE_ORDER (64)
+    or more than half of its entries are nonzero, otherwise as CSR; a
+    sparse A that the rule leaves sparse is kept as given, in whatever
+    format.  rhs applies an ndarray by BLAS dsymv on its lower triangle,
+    as the filter engine does (integrators._chebyshev_product), so an A
+    stored dense is checked once, by densefun's _check_symmetric (real,
+    finite, symmetric to 1e-12): on a nonsymmetric A dsymv would
+    silently apply another operator.  rhs took 1.6 us at order 20
+    against 4.2 us for the CSR product, and 0.18 ms at order 961, the
+    full FEM operator, against 0.74 ms (one BLAS thread).
+    wave_demo_problem hands that operator in as an ndarray view of its
+    CSR values, which is stored without a copy.
     """
 
     A: object
@@ -114,8 +122,13 @@ class SecondOrderIVP:
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise ValueError(f"A must be square, got shape {self.A.shape}")
-        if sp.issparse(self.A) and n <= krylov._DENSE_ORDER:
-            self.A = self.A.toarray()
+        if krylov._stores_dense(self.A):
+            self.A = np.asarray(
+                self.A.toarray() if sp.issparse(self.A) else self.A,
+                dtype=np.float64, order="C")
+            _check_symmetric(self.A)
+        elif not sp.issparse(self.A):
+            self.A = sp.csr_matrix(self.A, dtype=np.float64)
         if self.y0.shape != (n,) or self.y1.shape != (n,):
             raise ValueError("initial data do not match the matrix order")
         if not (np.all(np.isfinite(self.y0)) and np.all(np.isfinite(self.y1))):
@@ -131,7 +144,15 @@ class SecondOrderIVP:
         return self.y0.shape[0]
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        w = -(self.A @ y)
+        if isinstance(self.A, np.ndarray):
+            _check_real(y, "state")
+            y = np.asarray(y, dtype=np.float64)
+            if y.shape != (self.dim,):
+                raise ValueError(
+                    f"state has shape {y.shape}, not {(self.dim,)}")
+            w = dsymv(-1.0, self.A.T, y)
+        else:
+            w = -(self.A @ y)
         if self.forcing is not None:
             g = self.forcing(t)
             _check_real(g, "forcing")
@@ -229,8 +250,9 @@ class RationalKrylovBackend:
       h^2 A: its Chebyshev expansion on [c - a, c + a], at the least
       degree the Bernstein-ellipse bound certifies to 2^-53
       (_chebyshev_degree), run as the three-term recurrence on the
-      stored h^2 A, one real product with it and three in-place vector
-      updates per degree and no Krylov space (Hochbruck and Lubich,
+      stored h^2 A, one real product with it (BLAS dsymv on the lower
+      triangle of an ndarray) and three in-place vector updates per
+      degree and no Krylov space (Hochbruck and Lubich,
       Numer. Math. 83, 1999).  When h^2 A is stored as an ndarray of
       order at most krylov._DENSE_ORDER, the filter's first product
       instead computes the coefficients, runs the recurrence once on
@@ -249,7 +271,8 @@ class RationalKrylovBackend:
       them, so set-up factors nothing.
 
     Both routes compute a real input of any dtype or layout as its
-    float64 copy, and refuse a complex one as build_space does.
+    float64 copy, and refuse a complex one, or one whose length is not
+    the order, as build_space does.
     """
 
     family: str = "E"
@@ -356,12 +379,17 @@ def _chebyshev_coefficients(f, c: float, a: float) -> np.ndarray:
     return coef
 
 
-def _seed(w) -> np.ndarray:
-    """w as a new float64 vector, which a product may overwrite.  Both
-    routes of the rational engine take their input through it, so both
-    refuse a complex w as build_space does and compute in float64."""
+def _seed(w, n: int) -> np.ndarray:
+    """w as a new float64 vector, which a product may overwrite.  Every
+    route of the rational engine takes its input through it, so each
+    computes in float64 and refuses, as build_space does, a complex w
+    and one whose length is not the order n (BLAS dsymv would read only
+    the first n entries of a longer one)."""
     _check_real(w, "seed vector")
-    return np.array(w, dtype=np.float64).reshape(-1)
+    w = np.array(w, dtype=np.float64).reshape(-1)
+    if w.shape != (n,):
+        raise ValueError(f"seed length {w.shape[0]} does not match order {n}")
+    return w
 
 
 def _chebyshev_product(B, c: float, a: float, coef: np.ndarray) -> Callable:
@@ -373,24 +401,49 @@ def _chebyshev_product(B, c: float, a: float, coef: np.ndarray) -> Callable:
     axpy calls, with B s_k and with s_k; a third adds coef[k + 1] T_{k+1}
     to the result, the sign of s_{k+1} folded into the coefficient.  The
     signs spare the pass that negating T_{k-1} would take, so a degree
-    costs B @ s_k and three vector passes, and allocates only the
+    costs B s_k and three vector passes, and allocates only the
     product; the first buffer is _seed's copy of w.  axpy's return value
     is always used: it is a new array when its y is not contiguous
-    float64."""
+    float64.
+
+    B s_k is B @ s_k for a sparse B, and for an ndarray BLAS dsymv on its
+    lower triangle, the triangle np.linalg.eigh reads too: dsymv reads
+    the upper triangle of its default argument, here B^T, which is
+    F-contiguous, so f2py passes it without a copy, for the C-contiguous
+    B that ShiftedSolveCache stores (a copy took 1.6 ms per call at
+    order 961).  It reads half of the matrix where B @ s reads all of
+    it; ShiftedSolveCache.interval holds the spectrum of the matrix it
+    applies.  Microseconds per product with a vector, dsymv against
+    numpy's B @ x (gemv), one BLAS thread, best of 7 repeats on a
+    2-vCPU Xeon guest, whose load moved single timings by up to 30%:
+
+        order   dsymv   B @ x
+           20     0.6     1.1
+           64     1.5     1.6
+          225     8.4     8.8
+          512      40      76
+          961     170     292
+
+    Up to order 64 the engine keeps the matrix of the polynomial
+    instead (_materialized_product)."""
+    if isinstance(B, np.ndarray):
+        matvec = functools.partial(dsymv, 1.0, B.T)
+    else:
+        matvec = B.__matmul__
     steps = []  # per degree: the factors of B s_k and of s_k, the coefficient
     for k in range(1, len(coef) - 1):
         alpha = (-1) ** k * 2.0 / a
         steps.append((alpha, -alpha * c, (-1) ** ((k + 1) // 2) * coef[k + 1]))
 
     def product(w):
-        s_prev = _seed(w)
+        s_prev = _seed(w, B.shape[0])
         y = coef[0] * s_prev
         if len(coef) > 1:
-            s = daxpy(s_prev, B @ s_prev, None, -c)
+            s = daxpy(s_prev, matvec(s_prev), None, -c)
             s *= 1.0 / a
             y = daxpy(s, y, None, coef[1])
             for alpha, beta, gamma in steps:
-                s_prev = daxpy(B @ s, s_prev, None, alpha)
+                s_prev = daxpy(matvec(s), s_prev, None, alpha)
                 s_prev = daxpy(s, s_prev, None, beta)
                 y = daxpy(s_prev, y, None, gamma)
                 s_prev, s = s, s_prev
@@ -425,7 +478,7 @@ def _materialized_product(B: np.ndarray, c: float, a: float,
 
     def product(w):
         nonlocal P
-        w = _seed(w)
+        w = _seed(w, B.shape[0])
         if P is None:
             P = _chebyshev_matrix(B, c, a, _chebyshev_coefficients(f, c, a))
         return P @ w
@@ -442,8 +495,8 @@ def _settling_product(cache: ShiftedSolveCache, poles: PoleSet,
 
     def product(w):
         nonlocal dim
-        w = _seed(w)
-        if np.linalg.norm(w) == 0.0:
+        w = _seed(w, cache.matrix.shape[0])
+        if not np.any(w):
             return np.zeros_like(w)
         space = build_space(cache.matrix, w, poles, k=dim, cache=cache, f=f)
         dim = space.dim

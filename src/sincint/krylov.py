@@ -81,6 +81,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import dnrm2, dznrm2
 
 from .densefun import _check_real, _check_symmetric
 from .poles import PoleSet
@@ -114,6 +115,16 @@ _DENSE_FILL = 0.5
 _DENSE_ORDER = 64
 
 
+def _stores_dense(A) -> bool:
+    """Whether A, an ndarray or a sparse matrix, is stored as an ndarray
+    (ShiftedSolveCache has the rule): an array that is not 2-D, an order
+    of at most _DENSE_ORDER or more than _DENSE_FILL of the entries
+    nonzero (stored entries of a sparse A)."""
+    nnz = A.nnz if sp.issparse(A) else np.count_nonzero(A)
+    return (A.ndim != 2 or A.shape[0] <= _DENSE_ORDER
+            or nnz > _DENSE_FILL * np.prod(A.shape))
+
+
 class PoleCollisionError(RuntimeError):
     """A shift zeta coincides with an eigenvalue: (zeta I - A) is singular."""
 
@@ -126,6 +137,13 @@ def _real_apply(op, X: np.ndarray) -> np.ndarray:
     W = op(np.column_stack((X.real, X.imag)))
     half = W.shape[1] // 2
     return (W[:, :half] + 1j * W[:, half:]).reshape(X.shape)
+
+
+def _norm(x: np.ndarray) -> float:
+    """||x||_2 by BLAS nrm2, which scales its sum of squares: a finite x
+    past 1.3e154 has a finite norm, where np.linalg.norm's squared sum
+    overflows with a RuntimeWarning.  NaN and inf give NaN and inf."""
+    return float((dznrm2 if np.iscomplexobj(x) else dnrm2)(x))
 
 
 def _gershgorin(B) -> tuple[float, float]:
@@ -171,10 +189,11 @@ class ShiftedSolveCache:
     (stored entries of a sparse A, nonzero ones of an ndarray, counted
     against all of them) and as CSR otherwise, whichever storage it came
     in; an array that is not 2-D stays one, so that the check names its
-    shape.  The stored matrix is checked (real, square, finite, symmetric:
-    densefun's _check_symmetric), once, rather than on every space built
-    with it.  So the full FEM operator Atil of order 961, handed on as
-    CSR, is stored dense: there SuperLU fills the LU completely anyway
+    shape.  SecondOrderIVP stores its A by the same rule.  The stored
+    matrix is checked (real, square, finite, symmetric: densefun's
+    _check_symmetric), once, rather than on every space built with it.
+    So the full FEM operator Atil of order 961, handed on as CSR, is
+    stored dense: there SuperLU fills the LU completely anyway
     and took 0.18 s per complex shift against 0.06 s for LAPACK, and
     a product with 20 columns took 9.5 ms in CSC against 1.6 ms dense (one
     BLAS thread).  The synthetic problem of order 20 is stored dense by
@@ -200,7 +219,13 @@ class ShiftedSolveCache:
     lose from order 96 on, so the cutoff is 64, where dense wins all
     three.  The filter engine's Chebyshev route makes only products (up
     to the cutoff, only while it builds the stored matrix of its
-    polynomial at its first product), its near-pole route both.  A
+    polynomial at its first product), its near-pole route both.  Above
+    the cutoff its products with a dense matrix are BLAS dsymv on the
+    lower triangle, which reads half the matrix: 170 us against 292 us
+    for B @ x at order 961, 40 against 76 us at 512, and within 10% of
+    it at orders 64 and 225 (integrators._chebyshev_product has the
+    table).  So a dense matrix is stored C-ordered, whose transpose
+    dsymv takes without a copy; an F-ordered ndarray is copied once.  A
     sparse matrix is CSR rather than CSC: on 63^2 laplacian_2d(4096) a
     product took 37 us in CSR against 44 us in CSC, and storing a CSR
     input took 12 us as CSR against 169 us as CSC.
@@ -223,15 +248,14 @@ class ShiftedSolveCache:
         _check_real(A, "matrix")
         if not sp.issparse(A):
             A = np.asarray(A)
-        nnz = A.nnz if sp.issparse(A) else np.count_nonzero(A)
-        if (A.ndim != 2 or A.shape[0] <= _DENSE_ORDER
-                or nnz > _DENSE_FILL * np.prod(A.shape)):
+        if _stores_dense(A):
             dense = A.toarray() if sp.issparse(A) else A
-            self._A = np.asarray(dense, dtype=np.float64)
+            self._A = np.asarray(dense, dtype=np.float64, order="C")
         else:
             self._A = sp.csr_matrix(A, dtype=np.float64)
-        _check_symmetric(self._A)
-        self._interval = _gershgorin(self._A)
+        skew = _check_symmetric(self._A)
+        c, a = _gershgorin(self._A)
+        self._interval = (c, a + self._A.shape[0] * skew)
         # zeta -> solver of (zeta I - A), for Im zeta >= 0
         self._solvers: dict[complex, Callable] = {}
 
@@ -241,7 +265,17 @@ class ShiftedSolveCache:
 
     @property
     def interval(self) -> tuple[float, float]:
-        """(c, a): the spectrum of the matrix lies in [c - a, c + a]."""
+        """(c, a): the spectrum of the matrix lies in [c - a, c + a].
+
+        So does the spectrum of the matrix the filter engine's products
+        apply, which for an ndarray is the symmetric completion L of its
+        lower triangle (BLAS dsymv, see integrators._chebyshev_product).
+        L differs from the stored B only above the diagonal, by at most
+        skew = max|B - B^T| per entry, the asymmetry _check_symmetric
+        admits (1e-12 of max|B|), so ||L - B||_2 <= n skew, and a is the
+        Gershgorin half-width of B widened by n skew.  For an exactly
+        symmetric B, as every benchmark operator is, skew = 0 and the
+        interval is _gershgorin's, bit for bit."""
         return self._interval
 
     def _solver(self, zeta: complex) -> Callable:
@@ -377,7 +411,7 @@ def build_space(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     if v.shape[0] != n:
         raise ValueError(f"seed length {v.shape[0]} does not match order {n}")
-    nrm = float(np.linalg.norm(v))
+    nrm = _norm(v)
     if not 0.0 < nrm < np.inf:
         raise ValueError(f"seed vector must be finite and nonzero, got norm {nrm}")
     if k is not None and k < 1:
@@ -462,18 +496,18 @@ def apply_function(space: RationalKrylovSpace, f, v: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(v).reshape(-1)
     c = (v.conj() @ space.V).conj()
-    nrm = float(np.linalg.norm(v))
+    nrm = _norm(v)
     e1 = np.zeros_like(c)
     e1[0] = nrm
-    if np.linalg.norm(c - e1) > _SEED_RTOL * max(nrm, 1e-300):
+    if _norm(c - e1) > _SEED_RTOL * max(nrm, 1e-300):
         raise ValueError(
             "vector is not the seed of this space (projection deviates "
             "from norm(v) e_1); rebuild the space for this right-hand side"
         )
     y = space.V @ _projected(space.A_k, f, c)
     if np.isrealobj(v) and space.poles.is_conjugate_closed():
-        scale = max(float(np.linalg.norm(y)), 1e-300)
-        if float(np.linalg.norm(y.imag)) <= _REAL_GUARD_RTOL * scale:
+        scale = max(_norm(y), 1e-300)
+        if _norm(y.imag) <= _REAL_GUARD_RTOL * scale:
             return np.ascontiguousarray(y.real)
         # the poles build_space consumed: the first dim - 1 of the cycle
         used = PoleSet(tuple(islice(cycle(space.poles), space.dim - 1)))

@@ -171,16 +171,14 @@ class TestWaveProblem:
 
     @pytest.mark.parametrize("m", [8, 32])
     def test_ivp_stores_a_small_atil_dense(self, m):
-        """The IVP holds Atil of order 49 as an ndarray with the values
-        of the CSR WaveProblem.Atil, and that of order 961 as the same
-        CSR matrix."""
+        """The IVP holds the full Atil, of order 49 or 961, as an ndarray
+        view of the values of the CSR WaveProblem.Atil, not a copy."""
         wp = wave_demo_problem(structured_mesh(m), tf=0.5)
         assert wp.Atil.format == "csr"
-        if m == 8:
-            assert isinstance(wp.ivp.A, np.ndarray)
-            assert np.array_equal(wp.ivp.A, wp.Atil.toarray())
-        else:
-            assert wp.ivp.A is wp.Atil
+        assert wp.Atil.nnz == wp.Atil.shape[0] ** 2
+        assert isinstance(wp.ivp.A, np.ndarray)
+        assert np.array_equal(wp.ivp.A, wp.Atil.toarray())
+        assert np.shares_memory(wp.ivp.A, wp.Atil.data)
 
     def test_full_csr_drops_zeros(self):
         F = np.arange(16.0).reshape(4, 4)

@@ -26,6 +26,8 @@ from sincint.integrators import (
 from sincint.problems import (laplacian_1d, laplacian_2d, synthetic_problem,
                               synthetic_reference)
 
+from conftest import random_spd
+
 
 def _harmonic_ivp(omega=2.0, y0=1.0, v0=0.5, tf=1.0):
     A = sp.csr_matrix(np.diag([omega * omega]))
@@ -221,9 +223,10 @@ class TestStability:
 
 
 class TestOperatorStorage:
-    """SecondOrderIVP stores a sparse A of order at most
-    krylov._DENSE_ORDER (64) as an ndarray, so rhs makes a dense product;
-    a larger sparse A stays as given."""
+    """SecondOrderIVP stores A by the rule of ShiftedSolveCache: an
+    ndarray when its order is at most krylov._DENSE_ORDER (64) or more
+    than half of it is nonzero, so rhs makes a dense product; a sparser
+    sparse A of a larger order stays as given."""
 
     @pytest.mark.parametrize("n", [64, 65])
     def test_order_cutoff(self, n):
@@ -239,6 +242,51 @@ class TestOperatorStorage:
         want = -(A @ y) + 0.5
         got = ivp.rhs(0.5, y)
         assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("given", ["csr", "ndarray"])
+    def test_full_operator_above_the_order_cutoff(self, given):
+        """A CSR matrix of order 65, more than half full, is stored as an
+        ndarray; an ndarray is kept, not copied.  rhs applies it by
+        BLAS dsymv on its lower triangle."""
+        A = random_spd(65, 2)
+        dense = A.toarray()
+        ivp = SecondOrderIVP(A=A if given == "csr" else dense,
+                             y0=np.ones(65), y1=np.zeros(65))
+        assert isinstance(ivp.A, np.ndarray) and ivp.A.dtype == np.float64
+        assert np.array_equal(ivp.A, dense)
+        if given == "ndarray":
+            assert ivp.A is dense
+        y = np.random.default_rng(1).standard_normal(65)
+        want = -(dense @ y)
+        assert np.linalg.norm(ivp.rhs(0.0, y) - want) <= (
+            1e-15 * np.linalg.norm(want))
+        ivp.A[np.triu_indices(65, 1)] = np.nan
+        assert np.linalg.norm(ivp.rhs(0.0, y) - want) <= (
+            1e-15 * np.linalg.norm(want))
+
+    @pytest.mark.parametrize("given", ["csr", "ndarray"])
+    @pytest.mark.parametrize("n", [3, 80])
+    def test_nonsymmetric_dense_operator_is_refused(self, given, n):
+        """An A stored dense is checked once, as the cache checks it:
+        dsymv would apply the symmetric completion of its lower triangle
+        instead."""
+        A = random_spd(n, 3).toarray()
+        A[n - 1, 0] += 1e-6
+        with pytest.raises(ValueError, match="not symmetric"):
+            SecondOrderIVP(A=sp.csr_matrix(A) if given == "csr" else A,
+                           y0=np.ones(n), y1=np.zeros(n))
+
+    def test_sparse_ndarray_above_the_cutoff_is_stored_csr(self):
+        A = 100.0 * laplacian_1d(80)
+        ivp = SecondOrderIVP(A=A.toarray(), y0=np.ones(80), y1=np.zeros(80))
+        assert sp.issparse(ivp.A) and ivp.A.format == "csr"
+        assert (ivp.A != A).nnz == 0
+
+    def test_rhs_refuses_a_state_of_another_length(self):
+        """dsymv would read the first n entries of a longer vector."""
+        ivp = SecondOrderIVP(A=np.eye(3), y0=np.ones(3), y1=np.zeros(3))
+        with pytest.raises(ValueError, match=r"shape \(4,\), not \(3,\)"):
+            ivp.rhs(0.0, np.ones(4))
 
     def test_dense_and_large_operators_are_kept(self):
         dense = np.diag(np.arange(1.0, 4.0))

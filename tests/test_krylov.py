@@ -220,6 +220,35 @@ class TestApplyGuards:
             build_space(A, v, PoleSet((2.0 + 0j,)), k=2)
 
 
+class TestSeedNormOverflow:
+    """A finite seed whose squared norm overflows (entries past about
+    1e154) is computed like any other: its norm comes from BLAS nrm2,
+    which scales.  RuntimeWarning is an error in this suite, and these
+    also turn it into one explicitly."""
+
+    def test_sinc_apply(self):
+        A = laplacian_1d(30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = sinc_apply(A, np.full(30, 1e160), poles_E(4))
+        want = sinc_apply(A, np.ones(30), poles_E(4))
+        assert got.dtype == np.float64
+        assert _rel(got / 1e160, want) <= 1e-13
+
+    def test_settling_filter_product(self, monkeypatch):
+        """At h = 0.1 both E8 filters on the 2D Laplacian have near
+        poles, so psi grows a settling space from the seed."""
+        spaces = _counted_spaces(monkeypatch)
+        engine = make_filters(63**2 * laplacian_2d(4096), 0.1,
+                              RationalKrylovBackend("E", n=8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = engine.psi(np.full(4096, 1e160))
+        want = engine.psi(np.ones(4096))
+        assert len(spaces) == 2
+        assert _rel(got / 1e160, want) <= 1e-13
+
+
 class TestRealness:
     def test_conjugate_closed_poles_give_real_result(self, lap64):
         v = _seed_vector(64)
@@ -1619,25 +1648,111 @@ class TestChebyshevRoute:
         assert spaces == []
 
 
+class TestDenseSymmetricProducts:
+    """A product with an ndarray is BLAS dsymv on its lower triangle, and
+    the cache's interval holds the spectrum of the symmetric completion
+    of that triangle, also for a matrix asymmetric within the 1e-12
+    that _check_symmetric admits."""
+
+    @settings(max_examples=40)
+    @given(st.integers(min_value=1, max_value=120),
+           st.floats(min_value=-8.0, max_value=3.0),
+           st.floats(min_value=0.0, max_value=11.0),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @example(n=97, log_lo=-8.0, decades=11.0, seed=0)
+    def test_recurrence_reads_the_lower_triangle(self, n, log_lo, decades,
+                                                 seed):
+        """A random SPD B as in test_dense_and_csr_storage_agree, given
+        in C and in Fortran order: the dsymv recurrence agrees with the
+        recurrence on B @ s within 4 of its rounding units and with the
+        dense filters within 2^-53 plus rounding, and NaN written above
+        the diagonal changes no bit of it."""
+        rng = np.random.default_rng(seed)
+        B = _random_dense_spd(n, log_lo, decades, rng)
+        c, a = krylov_module._gershgorin(B)
+        w = rng.standard_normal(n)
+        eps_w = np.finfo(np.float64).eps * np.linalg.norm(w)
+        upper = np.triu_indices(n, 1)
+        for f, dense in ((psi, psi_apply_dense), (sigma, sigma_apply_dense)):
+            coef = integrators_module._chebyshev_coefficients(f, c, a)
+            unit = _recurrence_unit(coef, c, a, w)
+            plain = _plain_recurrence(B, c, a, coef, w)
+            want = dense(B, w)
+            for order in "CF":
+                S = np.array(B, order=order)
+                got = integrators_module._chebyshev_product(S, c, a, coef)(w)
+                assert np.linalg.norm(got - plain) <= 4 * unit
+                assert (np.linalg.norm(got - want)
+                        <= 2.0**-53 * np.linalg.norm(w)
+                        + 4 * (unit + n * eps_w))
+                S[upper] = np.nan
+                assert np.array_equal(
+                    integrators_module._chebyshev_product(S, c, a, coef)(w),
+                    got)
+
+    @pytest.mark.parametrize("n", [3, 10, 40])
+    def test_interval_holds_the_lower_completion(self, n):
+        """B is the all-ones matrix with its two end diagonal entries and
+        every entry above the diagonal lowered by 0.9e-12.  Its lower
+        completion L has constant row sums but at its end rows, so
+        Gershgorin is nearly tight on L, and B's own interval misses
+        L's largest eigenvalue (by 3e-13 to 7e-13 at these orders)."""
+        delta = 0.9e-12
+        B = np.ones((n, n)) - delta * np.triu(np.ones((n, n)), 1)
+        B[0, 0] -= delta
+        B[-1, -1] -= delta
+        L = np.tril(B) + np.tril(B, -1).T
+        lam = np.linalg.eigvalsh(L)
+        c, a = ShiftedSolveCache(B).interval
+        assert c - a <= lam[0] and lam[-1] <= c + a
+        c0, a0 = krylov_module._gershgorin(B)
+        assert lam[-1] > c0 + a0
+
+    @settings(max_examples=20)
+    @given(st.integers(min_value=1, max_value=100),
+           st.floats(min_value=0.0, max_value=1.0),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_interval_of_a_nearly_symmetric_matrix(self, n, skew, seed):
+        """A random symmetric S with up to 1e-12 max(max|S|, 1) added
+        above its diagonal: the interval holds the spectrum of the lower
+        completion (S itself), and for S it is _gershgorin's, bit for
+        bit, given as an ndarray or as CSR."""
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, n))
+        S = X + X.T
+        E = np.triu(rng.uniform(-1.0, 1.0, (n, n)), 1)
+        B = S + skew * 1e-12 * max(np.abs(S).max(), 1.0) * E
+        lam = np.linalg.eigvalsh(S)
+        c, a = ShiftedSolveCache(B).interval
+        assert c - a <= lam[0] and lam[-1] <= c + a
+        for storage in (S, sp.csr_matrix(S)):
+            cache = ShiftedSolveCache(storage)
+            assert cache.interval == krylov_module._gershgorin(cache.matrix)
+
+
 def _route_operator(route):
     """(A, h) at which every pole of E degree 8 is far, so that each
     filter is a Chebyshev expansion (on an operator of order 20, stored
-    dense, a matrix built at its first product), or near, so that each
-    product grows a settling space."""
+    dense, a matrix built at its first product; on the full FEM
+    operator of order 225, stored dense, a recurrence of dsymv
+    products), or near, so that each product grows a settling space."""
     if route == "far":
         return 63**2 * laplacian_2d(4096), 0.01
     if route == "far-small":
         return synthetic_problem(20).A, 0.01
+    if route == "far-dense":
+        return wave_demo_problem(structured_mesh(16)).Atil, 0.02
     return _lap_operator(), _H
 
 
 class TestInputContract:
     """Both routes of the rational engine take the same inputs: a real
     vector of any dtype or layout is computed as its float64 copy and
-    left as it was, and a complex one is refused, as build_space
-    refuses it."""
+    left as it was, and a complex one or one of another length is
+    refused, as build_space refuses it."""
 
-    @pytest.mark.parametrize("route", ["far", "far-small", "near"])
+    @pytest.mark.parametrize("route", ["far", "far-small", "far-dense",
+                                       "near"])
     @pytest.mark.parametrize("kind", ["strided", "int", "float32"])
     def test_real_input_is_computed_in_float64(self, route, kind):
         A, h = _route_operator(route)
@@ -1657,7 +1772,8 @@ class TestInputContract:
             assert np.array_equal(got, want)
             assert np.array_equal(w, given_w)
 
-    @pytest.mark.parametrize("route", ["far", "far-small", "near"])
+    @pytest.mark.parametrize("route", ["far", "far-small", "far-dense",
+                                       "near"])
     def test_complex_input_is_refused(self, route):
         A, h = _route_operator(route)
         engine = make_filters(A, h, RationalKrylovBackend("E", n=8))
@@ -1665,6 +1781,21 @@ class TestInputContract:
         for product in (engine.psi, engine.sigma):
             with pytest.raises(ValueError, match="seed vector must be real"):
                 product(w)
+
+    @pytest.mark.parametrize("route", ["far", "far-small", "far-dense",
+                                       "near"])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_input_of_another_length_is_refused(self, route, extra):
+        A, h = _route_operator(route)
+        n = A.shape[0]
+        engine = make_filters(A, h, RationalKrylovBackend("E", n=8))
+        for product in (engine.psi, engine.sigma):
+            with pytest.raises(ValueError,
+                               match=f"seed length {n + extra} does not "
+                                     f"match order {n}"):
+                product(np.ones(n + extra))
+            with pytest.raises(ValueError, match="seed length"):
+                product(np.zeros(n + extra))
 
 
 def _recorded_shifts(monkeypatch) -> list:
