@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 import scipy.fft
 import scipy.sparse as sp
-from scipy.linalg.blas import daxpy, dsymv
+from scipy.linalg.blas import daxpy, dnrm2, dsymv
 
 from . import krylov
 from .bounds import select_pole_count
@@ -95,16 +96,39 @@ class SecondOrderIVP:
     A is stored by the rule of ShiftedSolveCache: as a C-ordered
     float64 ndarray when its order is at most krylov._DENSE_ORDER (64)
     or more than half of its entries are nonzero, otherwise as CSR; a
-    sparse A that the rule leaves sparse is kept as given, in whatever
-    format.  rhs applies an ndarray by BLAS dsymv on its lower triangle,
-    as the filter engine does (integrators._chebyshev_product), so an A
-    stored dense is checked once, by densefun's _check_symmetric (real,
-    finite, symmetric to 1e-12): on a nonsymmetric A dsymv would
-    silently apply another operator.  rhs took 1.6 us at order 20
-    against 4.2 us for the CSR product, and 0.18 ms at order 961, the
-    full FEM operator, against 0.74 ms (one BLAS thread).
-    wave_demo_problem hands that operator in as an ndarray view of its
-    CSR values, which is stored without a copy.
+    sparse A that the rule leaves sparse is kept in the format it was
+    given, in float64 (the same object when it is float64 already), so
+    that every product rhs makes is float64.  rhs applies an ndarray by
+    BLAS dsymv on its lower triangle, as the filter engine does
+    (integrators._chebyshev_product), so an A stored dense is checked
+    once, by densefun's _check_symmetric (real, finite, symmetric to
+    1e-12): on a nonsymmetric A dsymv would silently apply another
+    operator.  rhs took 1.6 us at order 20 against 4.2 us for the CSR
+    product, and 0.18 ms at order 961, the full FEM operator, against
+    0.74 ms (one BLAS thread).  wave_demo_problem hands that operator in
+    as an ndarray view of its CSR values, which is stored without a
+    copy.
+
+    rhs guards its input at the cost of its arithmetic.  With A stored
+    dense, a state that is a float64 ndarray of shape (n,) passes with
+    one type, dtype and shape test (_is_vector); any other state is
+    refused when complex, cast to float64 and refused when not of shape
+    (n,).  A forcing value that is a float64 ndarray skips the realness
+    check and the cast that any other value takes; every value must
+    have n entries, and is finite exactly when its BLAS nrm2 is, since
+    nrm2 scales its sum of squares.  It is added in place into the
+    product rhs has just made, which rounds as w + g does.
+    Microseconds per piece of rhs on synthetic_problem(20), float64
+    state and forcing, against the full guard that other inputs take
+    (one BLAS thread, best of 9 x 20000 calls, a 2-vCPU Xeon guest):
+
+        piece                     float64 vector   full guard
+        state guard                    0.24           0.5
+        dsymv                          0.45
+        forcing call (np.full)         1.05
+        forcing guard                  0.53           2.0
+        adding the forcing             0.42
+        rhs in all                     3.3
     """
 
     A: object
@@ -122,13 +146,12 @@ class SecondOrderIVP:
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise ValueError(f"A must be square, got shape {self.A.shape}")
-        if krylov._stores_dense(self.A):
-            self.A = np.asarray(
-                self.A.toarray() if sp.issparse(self.A) else self.A,
-                dtype=np.float64, order="C")
-            _check_symmetric(self.A)
-        elif not sp.issparse(self.A):
-            self.A = sp.csr_matrix(self.A, dtype=np.float64)
+        if sp.issparse(self.A) and not krylov._stores_dense(self.A):
+            self.A = self.A.astype(np.float64, copy=False)
+        else:
+            self.A = krylov._stored(self.A)
+            if isinstance(self.A, np.ndarray):
+                _check_symmetric(self.A)
         if self.y0.shape != (n,) or self.y1.shape != (n,):
             raise ValueError("initial data do not match the matrix order")
         if not (np.all(np.isfinite(self.y0)) and np.all(np.isfinite(self.y1))):
@@ -145,24 +168,28 @@ class SecondOrderIVP:
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         if isinstance(self.A, np.ndarray):
-            _check_real(y, "state")
-            y = np.asarray(y, dtype=np.float64)
-            if y.shape != (self.dim,):
-                raise ValueError(
-                    f"state has shape {y.shape}, not {(self.dim,)}")
+            if not _is_vector(y, self.dim):
+                _check_real(y, "state")
+                y = np.asarray(y, dtype=np.float64)
+                if y.shape != (self.dim,):
+                    raise ValueError(
+                        f"state has shape {y.shape}, not {(self.dim,)}")
             w = dsymv(-1.0, self.A.T, y)
         else:
             w = -(self.A @ y)
         if self.forcing is not None:
             g = self.forcing(t)
-            _check_real(g, "forcing")
-            g = np.asarray(g, dtype=np.float64)
+            if type(g) is not np.ndarray or g.dtype != np.float64:
+                _check_real(g, "forcing")
+                g = np.asarray(g, dtype=np.float64)
             if g.size != w.size:
                 raise ValueError(
                     f"forcing at t={t:g} has shape {g.shape}, not {w.shape}")
-            if not np.isfinite(g).all():
+            g = g.reshape(-1)
+            # nrm2 scales its sum, so it is finite exactly when g is
+            if not math.isfinite(dnrm2(g)):
                 raise ValueError(f"forcing is not finite at t={t:g}")
-            w = w + g.reshape(-1)
+            w += g
         return w
 
 
@@ -270,9 +297,9 @@ class RationalKrylovBackend:
       product stopped.  Shifts are solved when a product first reaches
       them, so set-up factors nothing.
 
-    Both routes compute a real input of any dtype or layout as its
-    float64 copy, and refuse a complex one, or one whose length is not
-    the order, as build_space does.
+    Both routes compute a real input of any dtype or layout in float64
+    and leave it as it was, and refuse a complex one, or one whose
+    length is not the order, as build_space does.
     """
 
     family: str = "E"
@@ -379,12 +406,21 @@ def _chebyshev_coefficients(f, c: float, a: float) -> np.ndarray:
     return coef
 
 
+def _is_vector(x, n: int) -> bool:
+    """Whether x is a float64 ndarray of shape (n,): such a vector passes
+    the input guards of rhs and of a stored filter matrix with this one
+    test, and any other input takes the full guard."""
+    return type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (n,)
+
+
 def _seed(w, n: int) -> np.ndarray:
     """w as a new float64 vector, which a product may overwrite.  Every
     route of the rational engine takes its input through it, so each
     computes in float64 and refuses, as build_space does, a complex w
     and one whose length is not the order n (BLAS dsymv would read only
-    the first n entries of a longer one)."""
+    the first n entries of a longer one).  A stored filter matrix,
+    which never writes its input, passes a float64 vector of the order
+    on as it is."""
     _check_real(w, "seed vector")
     w = np.array(w, dtype=np.float64).reshape(-1)
     if w.shape != (n,):
@@ -473,12 +509,16 @@ def _chebyshev_matrix(B: np.ndarray, c: float, a: float,
 def _materialized_product(B: np.ndarray, c: float, a: float,
                           f: Callable) -> Callable:
     """w -> P w with P = _chebyshev_matrix(B, c, a, coef) on the
-    _chebyshev_coefficients of f, both computed at the first product."""
+    _chebyshev_coefficients of f, both computed at the first product.
+    A float64 vector of the order goes straight to P @ w, which never
+    writes w; any other input goes through _seed (0.98 us of copy
+    and checks at order 20, against 1.35 us for the whole product)."""
     P = None
 
     def product(w):
         nonlocal P
-        w = _seed(w, B.shape[0])
+        if not _is_vector(w, B.shape[0]):
+            w = _seed(w, B.shape[0])
         if P is None:
             P = _chebyshev_matrix(B, c, a, _chebyshev_coefficients(f, c, a))
         return P @ w
@@ -508,7 +548,9 @@ def _settling_product(cache: ShiftedSolveCache, poles: PoleSet,
 def _rational_filters(A, h: float, backend: RationalKrylovBackend) -> _Filters:
     """The engine of a RationalKrylovBackend; its docstring gives the
     route of each filter."""
-    cache = ShiftedSolveCache(h * h * A)
+    # stored first, so that h^2 scales the stored values: a full CSR A
+    # is densified once, not scaled and copied as CSR before that
+    cache = ShiftedSolveCache(h * h * krylov._stored(A))
     n = backend.n
     if n is None:
         zmax = estimate_spectral_radius(cache.matrix)
@@ -576,12 +618,18 @@ def make_filters(A, h: float, backend):
 
 
 def _check_finite(y: np.ndarray, n: int, t: float) -> None:
-    """BlowUpError unless ||y|| <= _NORM_CAP: one norm, whose overflow
-    to inf (a finite y past about 1.3e154) and whose NaN fail the same
-    comparison, so it never warns."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.linalg.norm(y)
-    if not norm <= _NORM_CAP:
+    """BlowUpError unless ||y|| <= _NORM_CAP: one BLAS nrm2
+    (krylov._norm), which scales its sum of squares, so a finite y past
+    about 1.3e154 has a finite norm above the cap, and NaN and inf fail
+    the same comparison.  It never warns, so it needs no np.errstate.
+    Microseconds at order 20 (one BLAS thread, best of 9 x 20000
+    calls, a 2-vCPU Xeon guest):
+
+        krylov._norm and the comparison               0.5
+          of which BLAS dnrm2                         0.13
+        np.linalg.norm inside np.errstate             2.4
+    """
+    if not krylov._norm(y) <= _NORM_CAP:
         raise BlowUpError(
             f"solution norm left the representable range at step {n}, t={t:g}"
         )
@@ -601,7 +649,28 @@ def gautschi_init(ivp: SecondOrderIVP, h: float, engine) -> IntegratorState:
 def gautschi_step(state: IntegratorState, ivp: SecondOrderIVP,
                   engine) -> IntegratorState:
     """Advance one step with the engine of (ivp.A, state.h): exactly one
-    psi product and one product with A."""
+    psi product and one product with A.
+
+    Every guard of a step runs on every step, on one code path, at the
+    cost of its arithmetic: the vectors the step makes are float64 of
+    the order, which pass the guards of rhs and of a stored filter
+    matrix with one test each.  Microseconds per piece on
+    synthetic_problem(20) at h = 0.01, ratkrylov:E:1e-12, where psi is
+    one stored matrix (one BLAS thread, best of 9 x 20000 calls, a
+    2-vCPU Xeon guest):
+
+        y + h v                          0.9
+        _check_finite                    0.5
+        rhs (forcing call 1.05)          3.3
+        psi: P @ w                       1.35
+        v + h psi                        0.95
+        IntegratorState                  0.5
+        gautschi_step in all             8.3
+
+    With the full guards on every vector (np.errstate around the norm,
+    _check_real and a float64 cast of state and forcing, np.isfinite on
+    every forcing entry, _seed's copy of w) the step took 14.0.
+    """
     h = state.h
     y_next = state.y + h * state.v_half
     t_next = state.t + h

@@ -125,6 +125,20 @@ def _stores_dense(A) -> bool:
             or nnz > _DENSE_FILL * np.prod(A.shape))
 
 
+def _stored(A):
+    """A in the storage ShiftedSolveCache keeps, the one place of the
+    storage rule: a complex A is refused before any float64 cast, and
+    by _stores_dense A becomes a C-ordered float64 ndarray or a float64
+    CSR matrix.  A stored ndarray comes back as the same object."""
+    _check_real(A, "matrix")
+    if not sp.issparse(A):
+        A = np.asarray(A)
+    if _stores_dense(A):
+        return np.asarray(A.toarray() if sp.issparse(A) else A,
+                          dtype=np.float64, order="C")
+    return sp.csr_matrix(A, dtype=np.float64)
+
+
 class PoleCollisionError(RuntimeError):
     """A shift zeta coincides with an eigenvalue: (zeta I - A) is singular."""
 
@@ -245,14 +259,7 @@ class ShiftedSolveCache:
     """
 
     def __init__(self, A):
-        _check_real(A, "matrix")
-        if not sp.issparse(A):
-            A = np.asarray(A)
-        if _stores_dense(A):
-            dense = A.toarray() if sp.issparse(A) else A
-            self._A = np.asarray(dense, dtype=np.float64, order="C")
-        else:
-            self._A = sp.csr_matrix(A, dtype=np.float64)
+        self._A = _stored(A)
         skew = _check_symmetric(self._A)
         c, a = _gershgorin(self._A)
         self._interval = (c, a + self._A.shape[0] * skew)

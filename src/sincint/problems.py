@@ -92,7 +92,7 @@ class SyntheticProblem:
         self.y1 = np.zeros(self.N)
 
     def forcing(self, t: float) -> np.ndarray:
-        return (self.forcing_scale * np.sin(t)) * np.ones(self.N)
+        return np.full(self.N, self.forcing_scale * np.sin(t))
 
     def as_ivp(self, tf: float = 1.0, t0: float = 0.0) -> SecondOrderIVP:
         return SecondOrderIVP(A=self.A, y0=self.y0, y1=self.y1,

@@ -159,6 +159,17 @@ class TestWaveProblem:
         want = sla.solve_triangular(L, inv_L_Kc.T, lower=True).T
         assert np.linalg.norm(A - want) <= 1e-13 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_lower_triangle_mirrored_in_place(self, n, order):
+        """Blocks of 64 rows, at and across their edges, give the full
+        symmetric matrix of the lower triangle, bit for bit."""
+        F = np.random.default_rng(n).standard_normal((n, n))
+        F = np.asarray(F, order=order)
+        want = np.tril(F) + np.tril(F, -1).T
+        fem_module._mirror_lower(F)
+        assert np.array_equal(F, want)
+
     @pytest.mark.parametrize("m", [8, 32])
     def test_atil_csr_matches_csr_matrix_of_the_full_array(self, m):
         wp = wave_demo_problem(structured_mesh(m), tf=0.5)

@@ -296,6 +296,138 @@ class TestOperatorStorage:
                               y1=np.ones(100)).A is coo
 
 
+class TestStepGuardPaths:
+    """Each guard a step runs has two paths: a float64 ndarray of the
+    right shape passes it with one test, and every other input takes the
+    full guard, with the same messages and results as before."""
+
+    @staticmethod
+    def _ivp(storage, forcing=None):
+        """Order 6, stored dense (rhs is dsymv), or order 80 and
+        tridiagonal, kept sparse (rhs is the CSR product)."""
+        A = (random_spd(6, 4).toarray() if storage == "dense"
+             else 100.0 * laplacian_1d(80))
+        n = A.shape[0]
+        return SecondOrderIVP(A=A, y0=np.ones(n), y1=np.zeros(n),
+                              forcing=forcing)
+
+    @pytest.mark.parametrize("kind", ["float32", "strided", "list"])
+    def test_state_of_another_type_or_layout(self, kind):
+        ivp = self._ivp("dense")
+        y = np.random.default_rng(2).standard_normal(6)
+        given = {"float32": lambda: y.astype(np.float32),
+                 "strided": lambda: np.repeat(y, 2)[::2],
+                 "list": lambda: y.tolist()}[kind]()
+        want = ivp.rhs(0.5, np.array(given, dtype=np.float64))
+        got = ivp.rhs(0.5, given)
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+        if kind == "strided":
+            assert np.array_equal(got, ivp.rhs(0.5, y))
+
+    @pytest.mark.parametrize("y, message", [
+        (np.ones(6) * (1 + 1j), "state must be real"),
+        (np.ones(7), r"state has shape \(7,\), not \(6,\)"),
+        (np.ones((6, 1)), r"state has shape \(6, 1\), not \(6,\)"),
+        (np.ones(5).tolist(), r"state has shape \(5,\), not \(6,\)"),
+    ], ids=["complex", "longer", "column", "short-list"])
+    def test_state_refused(self, y, message):
+        with pytest.raises(ValueError, match=message):
+            self._ivp("dense").rhs(0.5, y)
+
+    @pytest.mark.parametrize("storage", ["dense", "sparse"])
+    @pytest.mark.parametrize("kind", ["list", "int", "column", "float32"])
+    def test_forcing_of_another_type_or_shape(self, storage, kind):
+        """Each is computed as its flat float64 copy, and added to the
+        product as w + g would add it, bit for bit."""
+        n = self._ivp(storage).dim
+        g = np.arange(n) - 3
+        given = {"list": g.tolist(), "int": g, "column": g.reshape(n, 1),
+                 "float32": g.astype(np.float32)}[kind]
+        plain = self._ivp(storage, forcing=lambda t: g.astype(np.float64))
+        other = self._ivp(storage, forcing=lambda t: given)
+        y = np.random.default_rng(5).standard_normal(n)
+        got = other.rhs(0.5, y)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, plain.rhs(0.5, y))
+        assert np.array_equal(got, self._ivp(storage).rhs(0.5, y) + g)
+
+    @pytest.mark.parametrize("storage", ["dense", "sparse"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=str)
+    @pytest.mark.parametrize("at", ["first", "last"])
+    def test_non_finite_forcing_at_either_end(self, storage, value, at):
+        def forcing(t):
+            g = np.ones(ivp.dim)
+            g[0 if at == "first" else -1] = value
+            return g
+
+        ivp = self._ivp(storage, forcing=forcing)
+        with pytest.raises(ValueError, match="forcing is not finite at t=0.5"):
+            ivp.rhs(0.5, np.ones(ivp.dim))
+
+    def test_huge_finite_forcing_is_finite(self):
+        """nrm2 scales its sum, so a finite value past 1.3e154, whose
+        squared norm overflows, passes the finiteness check."""
+        ivp = self._ivp("dense", forcing=lambda t: np.full(6, 1e300))
+        assert np.all(ivp.rhs(0.0, np.zeros(6)) == 1e300)
+
+    @pytest.mark.parametrize("n", [1, 4097])
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=str)
+    @pytest.mark.parametrize("at", ["first", "last"])
+    def test_blow_up_check_at_either_end(self, n, value, at):
+        """The nrm2 kernel takes its tail of a vector whose length is not
+        a multiple of its block apart; a NaN or inf there fails too."""
+        y = np.ones(n)
+        y[0 if at == "first" else n - 1] = value
+        with pytest.raises(BlowUpError, match="at step 3, t=0.25"):
+            integrators_module._check_finite(y, 3, 0.25)
+        integrators_module._check_finite(np.ones(n), 3, 0.25)
+
+    def test_sparse_operator_is_kept_in_float64(self):
+        """A sparse A left sparse keeps its format and object, in
+        float64, so that rhs adds a forcing value into its own product."""
+        A = laplacian_1d(80).astype(np.int64)
+        ivp = SecondOrderIVP(A=A, y0=np.ones(80), y1=np.zeros(80),
+                             forcing=lambda t: np.full(80, 0.5))
+        assert ivp.A.format == "csr" and ivp.A.dtype == np.float64
+        y = np.arange(80)
+        assert np.array_equal(ivp.rhs(0.0, y), -(A @ y) + 0.5)
+
+    def test_synthetic_run_with_list_forcing_is_bit_identical(self):
+        prob = synthetic_problem(20)
+        plain = prob.as_ivp(tf=1.0)
+        listed = SecondOrderIVP(A=prob.A, y0=prob.y0, y1=prob.y1,
+                                forcing=lambda t: prob.forcing(t).tolist(),
+                                tf=1.0)
+        backend = parse_backend("ratkrylov:E:1e-12")
+        for h in (0.1, 0.01):
+            want = gautschi_integrate(plain, h, backend)
+            got = gautschi_integrate(listed, h, backend)
+            assert np.array_equal(got.states, want.states)
+            assert np.array_equal(got.v_half, want.v_half)
+
+    def test_rational_engine_stores_before_it_scales(self, monkeypatch):
+        """A full CSR operator is stored dense before h^2 scales it, and
+        the engine's matrix and interval are those of a cache built from
+        the scaled CSR matrix, bit for bit."""
+        given = []
+        original = integrators_module.ShiftedSolveCache
+
+        def recorded(A):
+            given.append(A)
+            return original(A)
+
+        monkeypatch.setattr(integrators_module, "ShiftedSolveCache", recorded)
+        from sincint.fem import structured_mesh, wave_demo_problem
+        Atil = wave_demo_problem(structured_mesh(16)).Atil
+        h = 0.02
+        make_filters(Atil, h, RationalKrylovBackend("Lbar", n=4))
+        (stored,) = given
+        assert isinstance(stored, np.ndarray)
+        cache = original(h * h * Atil)
+        assert np.array_equal(stored, cache.matrix)
+        assert original(stored).interval == cache.interval
+
+
 def _energy_loop(traj, A, v0=None):
     """Reference: the per-step formula of discrete_energy."""
     E = np.empty(traj.times.shape[0])

@@ -1774,6 +1774,23 @@ class TestInputContract:
 
     @pytest.mark.parametrize("route", ["far", "far-small", "far-dense",
                                        "near"])
+    def test_float64_input_is_left_as_it_was(self, route):
+        """A float64 vector of the order, which the stored filter matrix
+        takes without a copy, is read and not written, and each product
+        is a new array."""
+        A, h = _route_operator(route)
+        engine = make_filters(A, h, RationalKrylovBackend("E", n=8))
+        w = _seed_vector(A.shape[0])
+        given_w = w.copy()
+        for product in (engine.psi, engine.sigma):
+            first = product(w)
+            again = product(w)
+            assert not np.shares_memory(first, w)
+            assert not np.shares_memory(again, first)
+            assert np.array_equal(w, given_w)
+
+    @pytest.mark.parametrize("route", ["far", "far-small", "far-dense",
+                                       "near"])
     def test_complex_input_is_refused(self, route):
         A, h = _route_operator(route)
         engine = make_filters(A, h, RationalKrylovBackend("E", n=8))
