@@ -1,9 +1,8 @@
-"""Command-line harness: pole tables, benchmark matrices, and experiments.
+"""Command-line harness: pole tables, benchmarks, and experiments.
 
 Subcommands
 -----------
 poles         print a pole family as CSV rows re,im
-matrix        write a benchmark matrix in Matrix Market format
 poles-bench   sinc(A)v accuracy of the pole families against the dense oracle
 expsum-bench  exponential-sum accuracy sweep over the node count
 converge      step-size sweep of the integrator on the synthetic problem
@@ -48,7 +47,6 @@ from .poles import POLE_FAMILIES, sinc_family
 from .problems import (
     laplacian_1d,
     laplacian_2d,
-    rutishauser,
     synthetic_problem,
     synthetic_reference,
 )
@@ -116,19 +114,6 @@ def cmd_poles(args) -> int:
         w.writerow(["re", "im"])
         for z in ps:
             w.writerow([repr(z.real), repr(z.imag)])
-    return 0
-
-
-_MATRIX_FNS = {"lap1d": laplacian_1d, "lap2d": laplacian_2d,
-               "rutishauser": rutishauser}
-
-
-def cmd_matrix(args) -> int:
-    from scipy.io import mmwrite
-
-    A = _MATRIX_FNS[args.name](args.n)
-    mmwrite(args.out, A)
-    _say(args, f"wrote {args.name} of order {A.shape[0]} to {args.out}")
     return 0
 
 
@@ -288,13 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, type=int, help="family degree")
     add_common(p, seed=False)
     p.set_defaults(func=cmd_poles)
-
-    p = sub.add_parser("matrix", help="write a benchmark matrix (.mtx)")
-    p.add_argument("--name", required=True, choices=sorted(_MATRIX_FNS))
-    p.add_argument("--n", required=True, type=int, help="matrix order")
-    p.add_argument("--out", required=True, help="Matrix Market output path")
-    p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("poles-bench",
                        help="pole-family accuracy sweep for sinc(A)v")

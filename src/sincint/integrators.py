@@ -32,7 +32,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.fft
-import scipy.sparse as sp
 from scipy.linalg.blas import daxpy, dnrm2, dsymv
 
 from . import krylov
@@ -93,31 +92,31 @@ class SecondOrderIVP:
     every forcing value must be real: complex ones are refused before
     the float64 cast, which would drop their imaginary parts.
 
-    A is stored by the rule of ShiftedSolveCache: as a C-ordered
-    float64 ndarray when its order is at most krylov._DENSE_ORDER (64)
-    or more than half of its entries are nonzero, otherwise as CSR; a
-    sparse A that the rule leaves sparse is kept in the format it was
-    given, in float64 (the same object when it is float64 already), so
-    that every product rhs makes is float64.  rhs applies an ndarray by
-    BLAS dsymv on its lower triangle, as the filter engine does
-    (integrators._chebyshev_product), so an A stored dense is checked
-    once, by densefun's _check_symmetric (real, finite, symmetric to
-    1e-12): on a nonsymmetric A dsymv would silently apply another
-    operator.  rhs took 1.6 us at order 20 against 4.2 us for the CSR
-    product, and 0.18 ms at order 961, the full FEM operator, against
-    0.74 ms (one BLAS thread).  wave_demo_problem hands that operator in
-    as an ndarray view of its CSR values, which is stored without a
-    copy.
+    A is admitted and stored by krylov._stored, the gate of every
+    operator (ShiftedSolveCache has the rule): one that is not square
+    or of order 0 is refused, and A becomes a C-ordered float64 ndarray
+    when its order is at most krylov._DENSE_ORDER (64) or more than half
+    of its entries are nonzero, otherwise float64 CSR (the same object
+    when it is float64 CSR already), so that every product rhs makes is
+    float64.  rhs applies an ndarray by BLAS dsymv on its lower
+    triangle, as the filter engine does (integrators._chebyshev_product),
+    so an A stored dense is checked once, by densefun's _check_symmetric
+    (real, finite, symmetric to 1e-12): on a nonsymmetric A dsymv would
+    silently apply another operator.  rhs took 1.6 us at order 20
+    against 4.2 us for the CSR product, and 0.18 ms at order 961, the
+    full FEM operator, against 0.74 ms (one BLAS thread).
+    wave_demo_problem hands that operator in as an ndarray view of its
+    CSR values, which is stored without a copy.
 
-    rhs guards its input at the cost of its arithmetic.  With A stored
-    dense, a state that is a float64 ndarray of shape (n,) passes with
-    one type, dtype and shape test (_is_vector); any other state is
-    refused when complex, cast to float64 and refused when not of shape
-    (n,).  A forcing value that is a float64 ndarray skips the realness
-    check and the cast that any other value takes; every value must
-    have n entries, and is finite exactly when its BLAS nrm2 is, since
-    nrm2 scales its sum of squares.  It is added in place into the
-    product rhs has just made, which rounds as w + g does.
+    rhs guards its input at the cost of its arithmetic, with one guard
+    for either storage of A.  A state that is a float64 ndarray of shape
+    (n,) passes with one type, dtype and shape test (_is_vector); any
+    other state is refused when complex, cast to float64 and refused
+    when not of shape (n,).  A forcing value that is a float64 ndarray
+    skips the realness check and the cast that any other value takes;
+    every value must have n entries, and is finite exactly when its BLAS
+    nrm2 is, since nrm2 scales its sum of squares.  It is added in place
+    into the product rhs has just made, which rounds as w + g does.
     Microseconds per piece of rhs on synthetic_problem(20), float64
     state and forcing, against the full guard that other inputs take
     (one BLAS thread, best of 9 x 20000 calls, a 2-vCPU Xeon guest):
@@ -139,19 +138,14 @@ class SecondOrderIVP:
     tf: float = 1.0
 
     def __post_init__(self):
-        for x, what in ((self.A, "matrix"), (self.y0, "y0"), (self.y1, "y1")):
+        self.A = krylov._stored(self.A)
+        if isinstance(self.A, np.ndarray):
+            _check_symmetric(self.A)
+        for x, what in ((self.y0, "y0"), (self.y1, "y1")):
             _check_real(x, what)
         self.y0 = np.asarray(self.y0, dtype=np.float64).reshape(-1)
         self.y1 = np.asarray(self.y1, dtype=np.float64).reshape(-1)
         n = self.A.shape[0]
-        if self.A.shape != (n, n):
-            raise ValueError(f"A must be square, got shape {self.A.shape}")
-        if sp.issparse(self.A) and not krylov._stores_dense(self.A):
-            self.A = self.A.astype(np.float64, copy=False)
-        else:
-            self.A = krylov._stored(self.A)
-            if isinstance(self.A, np.ndarray):
-                _check_symmetric(self.A)
         if self.y0.shape != (n,) or self.y1.shape != (n,):
             raise ValueError("initial data do not match the matrix order")
         if not (np.all(np.isfinite(self.y0)) and np.all(np.isfinite(self.y1))):
@@ -167,13 +161,13 @@ class SecondOrderIVP:
         return self.y0.shape[0]
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
+        if not _is_vector(y, self.dim):
+            _check_real(y, "state")
+            y = np.asarray(y, dtype=np.float64)
+            if y.shape != (self.dim,):
+                raise ValueError(
+                    f"state has shape {y.shape}, not {(self.dim,)}")
         if isinstance(self.A, np.ndarray):
-            if not _is_vector(y, self.dim):
-                _check_real(y, "state")
-                y = np.asarray(y, dtype=np.float64)
-                if y.shape != (self.dim,):
-                    raise ValueError(
-                        f"state has shape {y.shape}, not {(self.dim,)}")
             w = dsymv(-1.0, self.A.T, y)
         else:
             w = -(self.A @ y)
@@ -413,21 +407,6 @@ def _is_vector(x, n: int) -> bool:
     return type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (n,)
 
 
-def _seed(w, n: int) -> np.ndarray:
-    """w as a new float64 vector, which a product may overwrite.  Every
-    route of the rational engine takes its input through it, so each
-    computes in float64 and refuses, as build_space does, a complex w
-    and one whose length is not the order n (BLAS dsymv would read only
-    the first n entries of a longer one).  A stored filter matrix,
-    which never writes its input, passes a float64 vector of the order
-    on as it is."""
-    _check_real(w, "seed vector")
-    w = np.array(w, dtype=np.float64).reshape(-1)
-    if w.shape != (n,):
-        raise ValueError(f"seed length {w.shape[0]} does not match order {n}")
-    return w
-
-
 def _chebyshev_product(B, c: float, a: float, coef: np.ndarray) -> Callable:
     """w -> sum_k coef[k] T_k(X) w with X = (B - cI) / a: the three-term
     recurrence, one product with B per degree, run on B itself.
@@ -438,9 +417,9 @@ def _chebyshev_product(B, c: float, a: float, coef: np.ndarray) -> Callable:
     to the result, the sign of s_{k+1} folded into the coefficient.  The
     signs spare the pass that negating T_{k-1} would take, so a degree
     costs B s_k and three vector passes, and allocates only the
-    product; the first buffer is _seed's copy of w.  axpy's return value
-    is always used: it is a new array when its y is not contiguous
-    float64.
+    product; the first buffer is krylov._seed's copy of w.  axpy's
+    return value is always used: it is a new array when its y is not
+    contiguous float64.
 
     B s_k is B @ s_k for a sparse B, and for an ndarray BLAS dsymv on its
     lower triangle, the triangle np.linalg.eigh reads too: dsymv reads
@@ -472,7 +451,7 @@ def _chebyshev_product(B, c: float, a: float, coef: np.ndarray) -> Callable:
         steps.append((alpha, -alpha * c, (-1) ** ((k + 1) // 2) * coef[k + 1]))
 
     def product(w):
-        s_prev = _seed(w, B.shape[0])
+        s_prev = krylov._seed(w, B.shape[0])
         y = coef[0] * s_prev
         if len(coef) > 1:
             s = daxpy(s_prev, matvec(s_prev), None, -c)
@@ -511,14 +490,15 @@ def _materialized_product(B: np.ndarray, c: float, a: float,
     """w -> P w with P = _chebyshev_matrix(B, c, a, coef) on the
     _chebyshev_coefficients of f, both computed at the first product.
     A float64 vector of the order goes straight to P @ w, which never
-    writes w; any other input goes through _seed (0.98 us of copy
-    and checks at order 20, against 1.35 us for the whole product)."""
+    writes w; any other input goes through krylov._seed (0.98 us of
+    copy and checks at order 20, against 1.35 us for the whole
+    product)."""
     P = None
 
     def product(w):
         nonlocal P
         if not _is_vector(w, B.shape[0]):
-            w = _seed(w, B.shape[0])
+            w = krylov._seed(w, B.shape[0])
         if P is None:
             P = _chebyshev_matrix(B, c, a, _chebyshev_coefficients(f, c, a))
         return P @ w
@@ -535,7 +515,7 @@ def _settling_product(cache: ShiftedSolveCache, poles: PoleSet,
 
     def product(w):
         nonlocal dim
-        w = _seed(w, cache.matrix.shape[0])
+        w = krylov._seed(w, cache.matrix.shape[0])
         if not np.any(w):
             return np.zeros_like(w)
         space = build_space(cache.matrix, w, poles, k=dim, cache=cache, f=f)

@@ -115,28 +115,45 @@ _DENSE_FILL = 0.5
 _DENSE_ORDER = 64
 
 
-def _stores_dense(A) -> bool:
-    """Whether A, an ndarray or a sparse matrix, is stored as an ndarray
-    (ShiftedSolveCache has the rule): an array that is not 2-D, an order
-    of at most _DENSE_ORDER or more than _DENSE_FILL of the entries
-    nonzero (stored entries of a sparse A)."""
-    nnz = A.nnz if sp.issparse(A) else np.count_nonzero(A)
-    return (A.ndim != 2 or A.shape[0] <= _DENSE_ORDER
-            or nnz > _DENSE_FILL * np.prod(A.shape))
-
-
 def _stored(A):
-    """A in the storage ShiftedSolveCache keeps, the one place of the
-    storage rule: a complex A is refused before any float64 cast, and
-    by _stores_dense A becomes a C-ordered float64 ndarray or a float64
-    CSR matrix.  A stored ndarray comes back as the same object."""
+    """A admitted and stored: the one place of the storage rule
+    (ShiftedSolveCache has it), for the cache, the rational filter
+    engine and SecondOrderIVP alike.  A complex A is refused before any
+    float64 cast, and so is one that is not square or of order 0.  A
+    then becomes a C-ordered float64 ndarray when its order is at most
+    _DENSE_ORDER or more than _DENSE_FILL of its entries are nonzero
+    (stored entries of a sparse A), and a float64 CSR matrix otherwise;
+    a sparse A keeps its container kind.  A stored ndarray, and a
+    float64 CSR matrix left sparse, come back as the same object."""
     _check_real(A, "matrix")
     if not sp.issparse(A):
         A = np.asarray(A)
-    if _stores_dense(A):
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {A.shape}")
+    n = A.shape[0]
+    if n == 0:
+        raise ValueError("matrix must be square of order >= 1, "
+                         "got shape (0, 0)")
+    nnz = A.nnz if sp.issparse(A) else np.count_nonzero(A)
+    if n <= _DENSE_ORDER or nnz > _DENSE_FILL * n * n:
         return np.asarray(A.toarray() if sp.issparse(A) else A,
                           dtype=np.float64, order="C")
+    if sp.issparse(A):
+        return A.tocsr().astype(np.float64, copy=False)
     return sp.csr_matrix(A, dtype=np.float64)
+
+
+def _seed(w, n: int) -> np.ndarray:
+    """w as a new float64 vector, which a product may overwrite.
+    build_space and every route of the rational filter engine take
+    their input through it, so each computes in float64 and refuses a
+    complex w and one whose length is not the order n (BLAS dsymv would
+    read only the first n entries of a longer one)."""
+    _check_real(w, "seed vector")
+    w = np.array(w, dtype=np.float64).reshape(-1)
+    if w.shape != (n,):
+        raise ValueError(f"seed length {w.shape[0]} does not match order {n}")
+    return w
 
 
 class PoleCollisionError(RuntimeError):
@@ -171,8 +188,6 @@ def _gershgorin(B) -> tuple[float, float]:
     _check_symmetric admits.  a is widened by n units of roundoff, which
     covers the rounding of sums of at most n terms."""
     n = B.shape[0]
-    if n == 0:
-        return 0.0, 0.0
     d = B.diagonal()
     absB = abs(B)
     off = np.maximum(np.asarray(absB.sum(axis=0)).ravel(),
@@ -195,17 +210,17 @@ class ShiftedSolveCache:
     columns.  Pairs share only when they are exact conjugates, which is
     what PoleSet counts as closed.
 
-    The cache owns the operator: this is the one place that decides how A is
-    stored, for the filter engines, sinc_apply, build_space and every other
-    caller alike.  A complex A is refused before any float64 cast.  A is
-    then stored in float64, as an ndarray when its order is at most
-    _DENSE_ORDER or more than _DENSE_FILL of its entries are nonzero
-    (stored entries of a sparse A, nonzero ones of an ndarray, counted
-    against all of them) and as CSR otherwise, whichever storage it came
-    in; an array that is not 2-D stays one, so that the check names its
-    shape.  SecondOrderIVP stores its A by the same rule.  The stored
-    matrix is checked (real, square, finite, symmetric: densefun's
-    _check_symmetric), once, rather than on every space built with it.
+    The cache owns the operator, admitted and stored by _stored, the one
+    gate that SecondOrderIVP and the rational filter engine pass A
+    through too.
+    A complex A is refused before any float64 cast, and so is one that
+    is not square or of order 0.  A is then stored in float64, as an
+    ndarray when its order is at most _DENSE_ORDER or more than
+    _DENSE_FILL of its entries are nonzero (stored entries of a sparse
+    A, nonzero ones of an ndarray, counted against all of them) and as
+    CSR otherwise, whichever storage it came in.  The stored matrix is
+    checked (finite and symmetric: densefun's _check_symmetric), once,
+    rather than on every space built with it.
     So the full FEM operator Atil of order 961, handed on as CSR, is
     stored dense: there SuperLU fills the LU completely anyway
     and took 0.18 s per complex shift against 0.06 s for LAPACK, and
@@ -414,10 +429,7 @@ def build_space(A, v: np.ndarray, poles: PoleSet, k: int | None = None,
         cache = ShiftedSolveCache(A)
     A = cache.matrix
     n = A.shape[0]
-    _check_real(v, "seed vector")
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    if v.shape[0] != n:
-        raise ValueError(f"seed length {v.shape[0]} does not match order {n}")
+    v = _seed(v, n)
     nrm = _norm(v)
     if not 0.0 < nrm < np.inf:
         raise ValueError(f"seed vector must be finite and nonzero, got norm {nrm}")

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.io as sio
 
 import sincint.integrators as integrators_module
 import sincint.krylov as krylov_module
@@ -108,16 +107,6 @@ class TestPolesCommand:
               "--quiet"])
         got = [complex(float(r["re"]), float(r["im"])) for r in _rows(out)]
         assert np.allclose(got, poles_Lbar(3).values)
-
-
-class TestMatrixCommand:
-    def test_matrix_market_roundtrip(self, tmp_path):
-        out = tmp_path / "lap.mtx"
-        rc = main(["matrix", "--name", "lap1d", "--n", "16",
-                   "--out", str(out), "--quiet"])
-        assert rc == 0
-        back = sio.mmread(out).tocsr()
-        assert (back != laplacian_1d(16)).nnz == 0
 
 
 class TestBenchCommands:

@@ -4,6 +4,7 @@ closure, the step-size check, the tolerance-mode degree ceiling, the
 finite time window and real problem data."""
 
 import functools
+import re
 import warnings
 
 import numpy as np
@@ -53,8 +54,20 @@ class TestOperatorShapeAndDtype:
     @pytest.mark.parametrize("to_storage", [np.asarray, sp.csr_matrix],
                              ids=["dense", "sparse"])
     def test_cache_names_nonsquare_shape(self, to_storage):
-        with pytest.raises(ValueError, match=r"square.*\(3, 4\)"):
-            ShiftedSolveCache(to_storage(np.ones((3, 4))))
+        """The cache, the IVP, the rational engine and build_space admit
+        A through one gate, so each names the shape of a non-square or
+        empty operator before any BLAS call sees it."""
+        for shape in ((3, 4), (0, 0)):
+            A, y = to_storage(np.ones(shape)), np.zeros(shape[0])
+            for admit in (ShiftedSolveCache,
+                          lambda A: SecondOrderIVP(A=A, y0=y, y1=y),
+                          lambda A: make_filters(
+                              A, 0.1, parse_backend("ratkrylov:E:n4")),
+                          lambda A: build_space(A, y, poles_E(4))):
+                with pytest.raises(
+                        ValueError,
+                        match=rf"square.*{re.escape(str(shape))}"):
+                    admit(A)
 
     @pytest.mark.parametrize("spec", ["ratkrylov:E:n4", "ratkrylov:E:1e-10"])
     def test_krylov_engine_refuses_complex_matrix(self, spec):

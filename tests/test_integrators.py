@@ -225,8 +225,8 @@ class TestStability:
 class TestOperatorStorage:
     """SecondOrderIVP stores A by the rule of ShiftedSolveCache: an
     ndarray when its order is at most krylov._DENSE_ORDER (64) or more
-    than half of it is nonzero, so rhs makes a dense product; a sparser
-    sparse A of a larger order stays as given."""
+    than half of it is nonzero, so rhs makes a dense product, and as
+    float64 CSR otherwise (the same object when it is one already)."""
 
     @pytest.mark.parametrize("n", [64, 65])
     def test_order_cutoff(self, n):
@@ -292,8 +292,9 @@ class TestOperatorStorage:
         dense = np.diag(np.arange(1.0, 4.0))
         assert SecondOrderIVP(A=dense, y0=np.ones(3), y1=np.ones(3)).A is dense
         coo = laplacian_1d(100).tocoo()
-        assert SecondOrderIVP(A=coo, y0=np.ones(100),
-                              y1=np.ones(100)).A is coo
+        A = SecondOrderIVP(A=coo, y0=np.ones(100), y1=np.ones(100)).A
+        assert A.format == "csr" and A.dtype == np.float64
+        assert (A != coo).nnz == 0
 
 
 class TestStepGuardPaths:
@@ -324,15 +325,24 @@ class TestStepGuardPaths:
         if kind == "strided":
             assert np.array_equal(got, ivp.rhs(0.5, y))
 
-    @pytest.mark.parametrize("y, message", [
-        (np.ones(6) * (1 + 1j), "state must be real"),
-        (np.ones(7), r"state has shape \(7,\), not \(6,\)"),
-        (np.ones((6, 1)), r"state has shape \(6, 1\), not \(6,\)"),
-        (np.ones(5).tolist(), r"state has shape \(5,\), not \(6,\)"),
-    ], ids=["complex", "longer", "column", "short-list"])
-    def test_state_refused(self, y, message):
-        with pytest.raises(ValueError, match=message):
-            self._ivp("dense").rhs(0.5, y)
+    @pytest.mark.parametrize("kind", ["complex", "longer", "column",
+                                      "short-list"])
+    def test_state_refused(self, kind):
+        """Either storage of A refuses the state with the same message."""
+        for storage in ("dense", "sparse"):
+            ivp = self._ivp(storage)
+            n = ivp.dim
+            y, message = {
+                "complex": (np.ones(n) * (1 + 1j), "state must be real"),
+                "longer": (np.ones(n + 1),
+                           rf"state has shape \({n + 1},\), not \({n},\)"),
+                "column": (np.ones((n, 1)),
+                           rf"state has shape \({n}, 1\), not \({n},\)"),
+                "short-list": (np.ones(n - 1).tolist(),
+                               rf"state has shape \({n - 1},\), not \({n},\)"),
+            }[kind]
+            with pytest.raises(ValueError, match=message):
+                ivp.rhs(0.5, y)
 
     @pytest.mark.parametrize("storage", ["dense", "sparse"])
     @pytest.mark.parametrize("kind", ["list", "int", "column", "float32"])
@@ -383,8 +393,8 @@ class TestStepGuardPaths:
         integrators_module._check_finite(np.ones(n), 3, 0.25)
 
     def test_sparse_operator_is_kept_in_float64(self):
-        """A sparse A left sparse keeps its format and object, in
-        float64, so that rhs adds a forcing value into its own product."""
+        """A sparse A left sparse is stored as float64 CSR, so that rhs
+        adds a forcing value into its own product."""
         A = laplacian_1d(80).astype(np.int64)
         ivp = SecondOrderIVP(A=A, y0=np.ones(80), y1=np.zeros(80),
                              forcing=lambda t: np.full(80, 0.5))

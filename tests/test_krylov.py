@@ -620,7 +620,7 @@ class TestStorageRule:
             assert isinstance(cache.matrix, np.ndarray)
             assert lapack == [np.complex128] and superlu == []
 
-    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2), (0, 0)])
     def test_check_names_the_shape_of_a_mostly_zero_array(self, shape):
         with pytest.raises(ValueError,
                            match=rf"square.*{re.escape(str(shape))}"):
