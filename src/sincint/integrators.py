@@ -16,7 +16,8 @@ Filters are evaluated by interchangeable backends: a dense spectral
 oracle, rational Krylov spaces with mapped pole families (optionally
 sized automatically from the a-priori bounds and a power-iteration
 spectral estimate; a filter whose poles all lie far from the spectrum
-is a certified Chebyshev expansion instead), or exponential sums, the
+is a certified Chebyshev expansion instead, or up to order 64 the exact
+filter on an eigendecomposition), or exponential sums, the
 Gauss-Legendre quadratures of psi and sigma applied on the dense
 eigendecomposition.  make_filters builds the engine and picks its
 products once per (A, h); the steps only call its psi and sigma.
@@ -274,14 +275,19 @@ class RationalKrylovBackend:
       stored h^2 A, one real product with it (BLAS dsymv on the lower
       triangle of an ndarray) and three in-place vector updates per
       degree and no Krylov space (Hochbruck and Lubich,
-      Numer. Math. 83, 1999).  When h^2 A is stored as an ndarray of
-      order at most krylov._DENSE_ORDER, the filter's first product
-      instead computes the coefficients, runs the recurrence once on
-      n x n blocks and keeps the matrix P = p(h^2 A), and every product
-      is one P @ w: at order 20 a product took about 2 us against 10-18
-      us for the recurrence, and P took 50-100 us to build (175-425 us
-      at order 64).  A filter that is never called computes nothing,
-      as sigma on a run with zero initial velocity.
+      Numer. Math. 83, 1999).  When h^2 A is of order at most
+      krylov._DENSE_ORDER (so stored as an ndarray), the filter is
+      instead exact to rounding, as the dense engine's is: one
+      np.linalg.eigh of the stored h^2 A, made when the engine is made
+      for the first such filter and shared by psi and sigma, gives Q
+      and the eigenvalues, and the filter keeps P = Q f(Lambda) Q^T
+      (_spectral_product), so every product is one P @ w: at order 20
+      a product took about 1.3 us against 10-18 us for the recurrence.
+      The stored matrix was checked when the cache was made, so eigh
+      runs on it unchecked, and on its lower triangle, the one dsymv
+      reads.  The engine and its first product took 0.25-0.45 ms at
+      order 20 (tol mode, with its spectral estimate) and 0.6-1.1 ms
+      at order 64, where eigh alone takes 0.26 ms.
     - A filter with a near pole grows a space one column at a time and
       stops at the first dimension where the last column moved the
       projected coefficients f(A_m) e_1 by at most 1e-13 relative
@@ -291,9 +297,10 @@ class RationalKrylovBackend:
       product stopped.  Shifts are solved when a product first reaches
       them, so set-up factors nothing.
 
-    Both routes compute a real input of any dtype or layout in float64
-    and leave it as it was, and refuse a complex one, or one whose
-    length is not the order, as build_space does.
+    Every route computes a real input of any dtype or layout in float64
+    and leaves it as it was, and refuses a complex one, or one whose
+    length is not the order, as build_space does; so do the dense and
+    exp-sum engines (_spectral_product).
     """
 
     family: str = "E"
@@ -339,15 +346,38 @@ class _Filters:
         return self._sigma(w)
 
 
+def _spectral_product(Q: np.ndarray, g: np.ndarray) -> Callable:
+    """w -> Q diag(g) Q^T w, a filter with values g on the eigenvalues
+    of a symmetric matrix with orthonormal eigenvectors Q, of order n.
+    Up to order krylov._DENSE_ORDER it keeps P = (Q * g) @ Q.T, and a
+    product is one P @ w; above, a product is Q @ (g * (Q.T @ w)), which
+    keeps no second n x n matrix.  P @ w took 0.9 / 2.2 / 2.5 us at
+    orders 16 / 64 / 128 against 2.6 / 5.0 / 7.1 us for the three
+    factors, but P costs an n^3 product to build: 15 us at order 64,
+    0.59 ms at 256 and 95 ms at 1500, the order of lap1d-expsum-dense,
+    whose whole set-up takes about 0.18 s (one BLAS thread, best of 7
+    repeats, a 2-vCPU Xeon guest).  Neither writes w, so a float64
+    vector of the order goes straight to the product (_is_vector); any
+    other input goes through krylov._seed, which computes it in float64
+    and refuses a complex one or one whose length is not n, as every
+    route of the rational engine does."""
+    n = Q.shape[0]
+    P = (Q * g) @ Q.T if n <= krylov._DENSE_ORDER else None
+
+    def product(w):
+        if not _is_vector(w, n):
+            w = krylov._seed(w, n)
+        return Q @ (g * (Q.T @ w)) if P is None else P @ w
+
+    return product
+
+
 def _eigen_maps(A, f_psi: Callable, f_sigma: Callable) -> _Filters:
-    """Filters as eigenvalue maps on one eigendecomposition of A."""
+    """Filters as eigenvalue maps on one eigendecomposition of A
+    (sym_eigendecomposition, which checks A), each a _spectral_product."""
     lam, Q = sym_eigendecomposition(A)
-
-    def product(g):
-        return lambda w: Q @ (g * (Q.T @ w))
-
-    return _Filters(product(np.asarray(f_psi(lam))),
-                    product(np.asarray(f_sigma(lam))))
+    return _Filters(_spectral_product(Q, np.asarray(f_psi(lam))),
+                    _spectral_product(Q, np.asarray(f_sigma(lam))))
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -402,8 +432,9 @@ def _chebyshev_coefficients(f, c: float, a: float) -> np.ndarray:
 
 def _is_vector(x, n: int) -> bool:
     """Whether x is a float64 ndarray of shape (n,): such a vector passes
-    the input guards of rhs and of a stored filter matrix with this one
-    test, and any other input takes the full guard."""
+    the input guards of rhs and of an eigen-based filter product
+    (_spectral_product) with this one test, and any other input takes
+    the full guard."""
     return type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (n,)
 
 
@@ -439,8 +470,8 @@ def _chebyshev_product(B, c: float, a: float, coef: np.ndarray) -> Callable:
           512      40      76
           961     170     292
 
-    Up to order 64 the engine keeps the matrix of the polynomial
-    instead (_materialized_product)."""
+    Up to order 64 the engine keeps the filter's matrix on the
+    eigendecomposition instead (_spectral_product)."""
     if isinstance(B, np.ndarray):
         matvec = functools.partial(dsymv, 1.0, B.T)
     else:
@@ -463,45 +494,6 @@ def _chebyshev_product(B, c: float, a: float, coef: np.ndarray) -> Callable:
                 y = daxpy(s_prev, y, None, gamma)
                 s_prev, s = s, s_prev
         return y
-
-    return product
-
-
-def _chebyshev_matrix(B: np.ndarray, c: float, a: float,
-                      coef: np.ndarray) -> np.ndarray:
-    """sum_k coef[k] T_k(X) with X = (B - cI) / a, for an ndarray B: the
-    recurrence of _chebyshev_product run on n x n blocks.  X is formed
-    only when len(coef) > 1, so a = 0 gives coef[0] I without a
-    division."""
-    eye = np.eye(B.shape[0])
-    P = coef[0] * eye
-    if len(coef) > 1:
-        X = (B - c * eye) / a
-        T_prev, T = eye, X
-        P += coef[1] * X
-        for ck in coef[2:]:
-            T_prev, T = T, 2.0 * (X @ T) - T_prev
-            P += ck * T
-    return P
-
-
-def _materialized_product(B: np.ndarray, c: float, a: float,
-                          f: Callable) -> Callable:
-    """w -> P w with P = _chebyshev_matrix(B, c, a, coef) on the
-    _chebyshev_coefficients of f, both computed at the first product.
-    A float64 vector of the order goes straight to P @ w, which never
-    writes w; any other input goes through krylov._seed (0.98 us of
-    copy and checks at order 20, against 1.35 us for the whole
-    product)."""
-    P = None
-
-    def product(w):
-        nonlocal P
-        if not _is_vector(w, B.shape[0]):
-            w = krylov._seed(w, B.shape[0])
-        if P is None:
-            P = _chebyshev_matrix(B, c, a, _chebyshev_coefficients(f, c, a))
-        return P @ w
 
     return product
 
@@ -542,14 +534,16 @@ def _rational_filters(A, h: float, backend: RationalKrylovBackend) -> _Filters:
                 f"{_MAX_DEGREE}; use a smaller h or a fixed degree")
     B = cache.matrix
     c, a = cache.interval
-    small = isinstance(B, np.ndarray) and B.shape[0] <= krylov._DENSE_ORDER
+    # B is checked already; one eigh, the first time a filter needs it
+    spectrum = functools.cache(lambda: np.linalg.eigh(B))
 
     def route(poles, f):
         poles = _far_poles_to_infinity(poles, c, a)
         if not all(cmath.isinf(zeta) for zeta in poles):
             return _settling_product(cache, poles, f)
-        if small:
-            return _materialized_product(B, c, a, f)
+        if B.shape[0] <= krylov._DENSE_ORDER:
+            lam, Q = spectrum()
+            return _spectral_product(Q, f(lam))
         return _chebyshev_product(B, c, a, _chebyshev_coefficients(f, c, a))
 
     return _Filters(*map(route, _filter_pole_sets(backend.family, n),

@@ -111,7 +111,10 @@ _REAL_GUARD_RTOL = 1e-6
 _DENSE_FILL = 0.5
 # A is stored dense, whatever its fill, up to this order: there a dense
 # product and a LAPACK LU cost less than CSR and SuperLU even on a
-# tridiagonal matrix (ShiftedSolveCache has the measured table)
+# tridiagonal matrix (ShiftedSolveCache has the measured table).  Up to
+# it too, every filter product on an eigendecomposition keeps the n x n
+# matrix Q g(Lambda) Q^T (integrators._spectral_product), exact to
+# rounding, in place of the Chebyshev recurrence of the rational engine
 _DENSE_ORDER = 64
 
 
@@ -246,9 +249,10 @@ class ShiftedSolveCache:
     A random matrix 10% full and the 2D Laplacian gave the same products.
     The dense product wins up to order 128, but the dense LU and solve
     lose from order 96 on, so the cutoff is 64, where dense wins all
-    three.  The filter engine's Chebyshev route makes only products (up
-    to the cutoff, only while it builds the stored matrix of its
-    polynomial at its first product), its near-pole route both.  Above
+    three.  The filter engine's all-far route makes only products (up to
+    the cutoff none: it applies the filter on one eigendecomposition of
+    the stored matrix, integrators._spectral_product), its near-pole
+    route both.  Above
     the cutoff its products with a dense matrix are BLAS dsymv on the
     lower triangle, which reads half the matrix: 170 us against 292 us
     for B @ x at order 961, 40 against 76 us at 512, and within 10% of

@@ -29,6 +29,7 @@ from sincint.krylov import (
 )
 from sincint.integrators import (
     DenseBackend,
+    ExpSumBackend,
     RationalKrylovBackend,
     gautschi_integrate,
     make_filters,
@@ -1542,16 +1543,19 @@ class TestChebyshevRoute:
     @example(n=12, log_lo=1.5, decades=0.0, scalar=True, seed=0)
     def test_materialized_filter_matches_the_recurrence(
             self, n, log_lo, decades, scalar, seed):
-        """The matrix P = p(B) that the engine keeps for an operator
-        stored dense at order 64 or less, built by the recurrence on
-        n x n blocks: P w agrees with the recurrence on w within 4 of
-        its rounding units (as in test_dense_and_csr_storage_agree) and
-        with the dense filters within 2^-53 plus that rounding.  B is a
-        random SPD matrix as there, or a multiple of the identity,
-        whose interval has a = 0 (as has every B of order 1).  The first
-        example's interval reaches below 0 (c - a < 0).  Over 3000
-        random cases P w came within 0.64 units of the recurrence and
-        0.78 of the allowance of the filters."""
+        """The matrix P = Q f(Lambda) Q^T that the engine keeps for an
+        operator B of order 64 or less, on np.linalg.eigh of B
+        (_spectral_product): P w agrees with the dense filters within
+        2 n eps ||w||, and with the recurrence within the allowance
+        that test_dense_and_csr_storage_agree gives the recurrence
+        against the dense filters, 2^-53 ||w|| + 4 (unit + n eps ||w||).
+        B is a random SPD matrix as there, or a multiple of the
+        identity, whose interval has a = 0 (as has every B of order 1).
+        The first example's interval reaches below 0 (c - a < 0).  The
+        bound comes from a sweep of 4000 such draws, a tenth of them
+        multiples of the identity (8000 products): P w came within 0.66
+        n eps ||w|| of the dense filters and within 0.24 of the
+        recurrence's allowance."""
         rng = np.random.default_rng(seed)
         B = (10.0**log_lo * np.eye(n) if scalar
              else _random_dense_spd(n, log_lo, decades, rng))
@@ -1561,30 +1565,33 @@ class TestChebyshevRoute:
             assert c - a < 0
         w = rng.standard_normal(n)
         eps_w = np.finfo(np.float64).eps * np.linalg.norm(w)
+        lam, Q = np.linalg.eigh(B)
         for f, dense in ((psi, psi_apply_dense), (sigma, sigma_apply_dense)):
+            got = integrators_module._spectral_product(Q, f(lam))(w)
+            assert np.linalg.norm(got - dense(B, w)) <= 2 * n * eps_w
             coef = integrators_module._chebyshev_coefficients(f, c, a)
             unit = _recurrence_unit(coef, c, a, w)
-            got = integrators_module._materialized_product(B, c, a, f)(w)
             recurrence = integrators_module._chebyshev_product(B, c, a,
                                                                coef)(w)
-            assert np.linalg.norm(got - recurrence) <= 4 * unit
-            assert (np.linalg.norm(got - dense(B, w))
+            assert (np.linalg.norm(got - recurrence)
                     <= 2.0**-53 * np.linalg.norm(w) + 4 * (unit + n * eps_w))
 
     def test_small_operator_keeps_one_matrix_per_called_filter(
             self, monkeypatch):
-        """On the synthetic operator of order 20, stored dense, the psi
-        filter builds its matrix at its first product and then makes no
-        product with h^2 A: with the stored matrix overwritten by NaN,
-        later products are unchanged.  Sigma, never called, computes
-        neither its coefficients nor its matrix."""
-        builds, expanded = [], []
-        original = integrators_module._chebyshev_matrix
+        """On the synthetic operator of order 20, stored dense, the
+        engine makes one np.linalg.eigh of the stored h^2 A when it is
+        made, and psi and sigma each keep their matrix Q f(Lambda) Q^T
+        on it.  A product then computes no eigendecomposition, no
+        Chebyshev coefficient and no product with h^2 A: with the
+        stored matrix overwritten by NaN, later products are
+        unchanged."""
+        decompositions, expanded = [], []
+        eigh = np.linalg.eigh
         coefficients = integrators_module._chebyshev_coefficients
 
-        def counted(B, c, a, coef):
-            builds.append(len(coef) - 1)
-            return original(B, c, a, coef)
+        def counted(B):
+            decompositions.append(B)
+            return eigh(B)
 
         def recorded(f, c, a):
             expanded.append(f)
@@ -1597,54 +1604,53 @@ class TestChebyshevRoute:
                 super().__init__(A)
                 caches.append(self)
 
-        monkeypatch.setattr(integrators_module, "_chebyshev_matrix", counted)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
         monkeypatch.setattr(integrators_module, "_chebyshev_coefficients",
                             recorded)
         monkeypatch.setattr(integrators_module, "ShiftedSolveCache", Recorded)
         spaces = _counted_spaces(monkeypatch)
         engine = make_filters(synthetic_problem(20).A, 0.01,
                               RationalKrylovBackend("E", n=8))
-        assert builds == [] and expanded == []
         (cache,) = caches
         B = cache.matrix
         assert isinstance(B, np.ndarray) and B.shape == (20, 20)
-        c, a = cache.interval
-        coef = coefficients(psi, c, a)
+        assert len(decompositions) == 1 and decompositions[0] is B
+        lam, Q = eigh(B)
         w = _seed_vector(20)
-        recurrence = integrators_module._chebyshev_product(B, c, a, coef)(w)
-        first = engine.psi(w)
-        assert builds == [len(coef) - 1] and expanded == [psi]
-        assert (np.linalg.norm(first - recurrence)
-                <= 4 * _recurrence_unit(coef, c, a, w))
+        first = [engine.psi(w), engine.sigma(w)]
+        for f, got in zip((psi, sigma), first):
+            assert np.array_equal(got, ((Q * f(lam)) @ Q.T) @ w)
         B[...] = np.nan
         for _ in range(3):
-            assert np.array_equal(engine.psi(w), first)
-        assert builds == [len(coef) - 1] and expanded == [psi]
+            assert np.array_equal(engine.psi(w), first[0])
+            assert np.array_equal(engine.sigma(w), first[1])
+        assert len(decompositions) == 1 and expanded == []
         assert spaces == []
 
     @pytest.mark.parametrize("n", [64, 65])
     def test_order_cutoff_of_the_materialized_filter(self, monkeypatch, n):
         """A full operator is stored dense at every order, but only one
-        of order at most 64 is materialized; above, each product runs
-        the recurrence.  Both match the dense filters."""
-        builds = []
-        original = integrators_module._chebyshev_matrix
-
-        def counted(*args):
-            builds.append(args[0].shape)
-            return original(*args)
-
-        monkeypatch.setattr(integrators_module, "_chebyshev_matrix", counted)
-        spaces = _counted_spaces(monkeypatch)
+        of order at most 64 is decomposed, once for both filters; above,
+        each product runs the recurrence.  Both match the dense
+        filters."""
         A = _random_dense_spd(n, -2.0, 2.0, np.random.default_rng(n))
         h = 0.1
-        engine = make_filters(A, h, RationalKrylovBackend("E", n=8))
         reference = make_filters(A, h, DenseBackend())
+        decompositions = []
+        eigh = np.linalg.eigh
+
+        def counted(B):
+            decompositions.append(B.shape)
+            return eigh(B)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        spaces = _counted_spaces(monkeypatch)
+        engine = make_filters(A, h, RationalKrylovBackend("E", n=8))
         w = _seed_vector(n)
         for product, want in ((engine.psi, reference.psi),
                               (engine.sigma, reference.sigma)):
             assert _rel(product(w), want(w)) <= 1e-13
-        assert builds == ([(n, n)] * 2 if n <= 64 else [])
+        assert decompositions == ([(n, n)] if n <= 64 else [])
         assert spaces == []
 
 
@@ -1730,56 +1736,69 @@ class TestDenseSymmetricProducts:
             assert cache.interval == krylov_module._gershgorin(cache.matrix)
 
 
-def _route_operator(route):
-    """(A, h) at which every pole of E degree 8 is far, so that each
-    filter is a Chebyshev expansion (on an operator of order 20, stored
-    dense, a matrix built at its first product; on the full FEM
-    operator of order 225, stored dense, a recurrence of dsymv
-    products), or near, so that each product grows a settling space."""
+def _route_engine(route):
+    """(A, h, backend) of a route.  The rational engine at E degree 8
+    where every pole is far, so that each filter is a Chebyshev
+    expansion (on the full FEM operator of order 225, stored dense, a
+    recurrence of dsymv products) or, on an operator of order 20, the
+    matrix Q f(Lambda) Q^T on the eigendecomposition of h^2 A; or where
+    they are near, so that each product grows a settling space.  Or the
+    dense or exp-sum engine on an operator of order 20 (dense) or 80
+    (sparse tridiagonal), on either side of the order up to which
+    _spectral_product keeps that matrix."""
+    ratkrylov = RationalKrylovBackend("E", n=8)
     if route == "far":
-        return 63**2 * laplacian_2d(4096), 0.01
+        return 63**2 * laplacian_2d(4096), 0.01, ratkrylov
     if route == "far-small":
-        return synthetic_problem(20).A, 0.01
+        return synthetic_problem(20).A, 0.01, ratkrylov
     if route == "far-dense":
-        return wave_demo_problem(structured_mesh(16)).Atil, 0.02
-    return _lap_operator(), _H
+        return wave_demo_problem(structured_mesh(16)).Atil, 0.02, ratkrylov
+    if route == "near":
+        return _lap_operator(), _H, ratkrylov
+    kind, order = route.split("-")
+    A = synthetic_problem(20).A if order == "20" else 81**2 * laplacian_1d(80)
+    return A, 0.01, DenseBackend() if kind == "dense" else ExpSumBackend(8)
+
+
+_ROUTES = ["far", "far-small", "far-dense", "near",
+           "dense-20", "dense-80", "expsum-20", "expsum-80"]
 
 
 class TestInputContract:
-    """Both routes of the rational engine take the same inputs: a real
-    vector of any dtype or layout is computed as its float64 copy and
-    left as it was, and a complex one or one of another length is
-    refused, as build_space refuses it."""
+    """Every route of the rational engine, and the dense and exp-sum
+    engines on either side of the order cutoff, take the same inputs: a
+    real vector of any dtype or layout, or a column of shape (n, 1), is
+    computed as its float64 copy of shape (n,) and left as it was, and a
+    complex one or one of another length is refused, as build_space
+    refuses it."""
 
-    @pytest.mark.parametrize("route", ["far", "far-small", "far-dense",
-                                       "near"])
-    @pytest.mark.parametrize("kind", ["strided", "int", "float32"])
+    @pytest.mark.parametrize("route", _ROUTES)
+    @pytest.mark.parametrize("kind", ["strided", "int", "float32", "column"])
     def test_real_input_is_computed_in_float64(self, route, kind):
-        A, h = _route_operator(route)
+        A, h, backend = _route_engine(route)
         n = A.shape[0]
         rng = np.random.default_rng(3)
         w = {"strided": lambda: rng.standard_normal(2 * n)[::2],
              "int": lambda: rng.integers(-5, 6, n),
              "float32": lambda: rng.standard_normal(n).astype(np.float32),
+             "column": lambda: rng.standard_normal((n, 1)),
              }[kind]()
         given_w = w.copy()
-        backend = RationalKrylovBackend("E", n=8)
         for name in ("psi", "sigma"):
             got = getattr(make_filters(A, h, backend), name)(w)
             want = getattr(make_filters(A, h, backend), name)(
-                np.array(w, dtype=np.float64))
-            assert got.dtype == np.float64
+                np.array(w, dtype=np.float64).reshape(-1))
+            assert got.dtype == np.float64 and got.shape == (n,)
             assert np.array_equal(got, want)
             assert np.array_equal(w, given_w)
 
-    @pytest.mark.parametrize("route", ["far", "far-small", "far-dense",
-                                       "near"])
+    @pytest.mark.parametrize("route", _ROUTES)
     def test_float64_input_is_left_as_it_was(self, route):
         """A float64 vector of the order, which the stored filter matrix
         takes without a copy, is read and not written, and each product
         is a new array."""
-        A, h = _route_operator(route)
-        engine = make_filters(A, h, RationalKrylovBackend("E", n=8))
+        A, h, backend = _route_engine(route)
+        engine = make_filters(A, h, backend)
         w = _seed_vector(A.shape[0])
         given_w = w.copy()
         for product in (engine.psi, engine.sigma):
@@ -1789,23 +1808,21 @@ class TestInputContract:
             assert not np.shares_memory(again, first)
             assert np.array_equal(w, given_w)
 
-    @pytest.mark.parametrize("route", ["far", "far-small", "far-dense",
-                                       "near"])
+    @pytest.mark.parametrize("route", _ROUTES)
     def test_complex_input_is_refused(self, route):
-        A, h = _route_operator(route)
-        engine = make_filters(A, h, RationalKrylovBackend("E", n=8))
+        A, h, backend = _route_engine(route)
+        engine = make_filters(A, h, backend)
         w = _complex_vector(A.shape[0])
         for product in (engine.psi, engine.sigma):
             with pytest.raises(ValueError, match="seed vector must be real"):
                 product(w)
 
-    @pytest.mark.parametrize("route", ["far", "far-small", "far-dense",
-                                       "near"])
+    @pytest.mark.parametrize("route", _ROUTES)
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_input_of_another_length_is_refused(self, route, extra):
-        A, h = _route_operator(route)
+        A, h, backend = _route_engine(route)
         n = A.shape[0]
-        engine = make_filters(A, h, RationalKrylovBackend("E", n=8))
+        engine = make_filters(A, h, backend)
         for product in (engine.psi, engine.sigma):
             with pytest.raises(ValueError,
                                match=f"seed length {n + extra} does not "
